@@ -812,7 +812,7 @@ def perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
 # enumeration of module structures
 
 
-def _generating_words(A: FiniteAlgebra, budget: int):
+def _generating_words(A: FiniteAlgebra):
     """A small generating set of basis indices plus spanning word data."""
     n = A.base.modulus
     d = A.rank
@@ -854,7 +854,7 @@ def enumerate_skew_module_structures(
         return [zero_skew_module(A)]
     if A.rank == 0:
         return []  # only the zero space admits a unital structure
-    gens, words, vecs = _generating_words(A, budget)
+    gens, words, vecs = _generating_words(A)
     coeff = []
     for i in range(A.rank):
         c = linalg.solve_left(vecs, A.basis_vector(i), n)

@@ -20,7 +20,6 @@ from .fincat import FiniteCategory, full_subcategory
 from .grskew import build_gr, build_skew_algebra, enumerate_linear_topologies
 from .modules import (
     SkewModule,
-    enumerate_skew_module_structures,
     extension_cocycle_space,
     hom_skew,
     quotient_module,
@@ -162,30 +161,101 @@ def trace_ideal(A: FiniteAlgebra, modules) -> TwoSidedIdeal:
 # the bounded module universe
 
 
+# GL tables are computed in chunks of this many candidate matrices, so the
+# working arrays stay small whatever the group size.
+_GL_CHUNK = 1 << 15
+
+
+def _inverse_mod_prime(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise a^(p-2) mod p: the inverse of each nonzero entry."""
+    out = np.ones_like(a)
+    base = a % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
 def _invertible_matrices(n: int, m: int, budget: int):
+    """GL(m, n) for prime n, as (G, Ginv) stacks.
+
+    The candidates are all n^(m*m) matrices in digit order (cell c of
+    candidate k is digit c of k in base n); G keeps the invertible ones in
+    that order and Ginv holds their inverses.  One Gauss-Jordan
+    elimination runs on a whole chunk of candidates at once.  Entries stay
+    below n, so no intermediate exceeds (n-1)^2 + n.
+    """
     total = n ** (m * m)
     if total > budget:
         raise BudgetExceededError("invertible matrix enumeration", total, budget)
+    if (n - 1) ** 2 + n > np.iinfo(np.int64).max:
+        raise InputError(f"modulus {n} is too large for exact int64 arithmetic")
     if m == 0:
         z = np.zeros((1, 0, 0), dtype=np.int64)
         return z, z
-    digits = np.arange(total)
-    cells = [(digits // (n**c)) % n for c in range(m * m)]
-    mats = np.stack(cells, axis=1).reshape(total, m, m).astype(np.int64)
+    eye = np.eye(m, dtype=np.int64)
+    powers = n ** np.arange(m * m, dtype=np.int64)
     gs, ginvs = [], []
-    for G in mats:
-        Ginv = linalg.matrix_inverse(G, n)
-        if Ginv is not None:
-            gs.append(G)
-            ginvs.append(Ginv)
-    return np.stack(gs), np.stack(ginvs)
+    for start in range(0, total, _GL_CHUNK):
+        digits = np.arange(start, min(start + _GL_CHUNK, total), dtype=np.int64)
+        mats = ((digits[:, None] // powers) % n).reshape(-1, m, m)
+        aug = np.concatenate([mats, np.broadcast_to(eye, mats.shape)], axis=2)
+        keep = np.arange(len(mats))
+        for col in range(m):
+            nonzero = aug[:, col:, col] != 0
+            alive = nonzero.any(axis=1)
+            aug, keep, nonzero = aug[alive], keep[alive], nonzero[alive]
+            rows = np.arange(len(aug))
+            piv = col + nonzero.argmax(axis=1)
+            pivot_row = aug[rows, piv]
+            aug[rows, piv] = aug[:, col]
+            aug[:, col] = pivot_row * _inverse_mod_prime(pivot_row[:, col], n)[:, None] % n
+            factors = aug[:, :, col].copy()
+            factors[:, col] = 0
+            aug = (aug - factors[:, :, None] * aug[:, None, col]) % n
+        gs.append(mats[keep])
+        ginvs.append(aug[:, :, m:])
+    return np.concatenate(gs), np.concatenate(ginvs)
+
+
+def _simple_modules(A: FiniteAlgebra, dim_bound: int, budget: int) -> list:
+    """The simple modules A/m of dimension <= dim_bound, m a maximal right ideal.
+
+    A/m has exactly two submodules iff exactly two right ideals, m and A,
+    contain m.  Returned with repetitions: isomorphic quotients are not
+    identified.
+    """
+    n = A.base.modulus
+    if n**A.rank > budget:
+        raise BudgetExceededError("module universe right ideals", n**A.rank, budget)
+    R = regular_module(A)
+    ideals = linalg.enumerate_submodules(A.rank, n, list(R.act), budget)
+    simples = []
+    for H in ideals:
+        if not 0 < A.rank - H.shape[0] <= dim_bound:
+            continue
+        over = [K for K in ideals if all(linalg.in_span(K, h, n) for h in H)]
+        if len(over) == 2:
+            simples.append(quotient_module(R, H)[0])
+    return simples
 
 
 class ModuleUniverse:
     """Every right module of dimension <= bound over A, up to isomorphism.
 
-    Members are canonical representatives: the conjugation-minimal action
-    tensor under the full change-of-basis group.  Prime modulus only.
+    The build runs from the simples up.  The simples are the quotients A/m
+    by maximal right ideals m.  Every nonzero module E has a simple
+    submodule S, and E/S is smaller, so the modules of dimension d are the
+    middle terms of the extensions 0 -> S -> E -> V -> 0 with V a member
+    of dimension d - dim S; these come from the cocycle space of
+    extension_cocycle_space(V, S).  Isomorphic modules are identified by
+    their canonical key, the conjugation-minimal action tensor under the
+    full change-of-basis group; members are those minima, sorted by key.
+    The count of cocycles scanned is charged against the budget.  Prime
+    modulus only.
     """
 
     def __init__(self, A: FiniteAlgebra, dim_bound: int = 3, budget: int = DEFAULT_UNIVERSE_BUDGET):
@@ -197,17 +267,27 @@ class ModuleUniverse:
         self.budget = budget
         self._gl = {}
         self._canon_cache = {}
-        seen = {}
-        for m in range(dim_bound + 1):
-            for V in enumerate_skew_module_structures(A, m, budget):
-                key = self._canon_key(V)
-                if key not in seen:
-                    act = (
-                        np.frombuffer(key[1], dtype=np.int64).reshape(A.rank, m, m).copy()
-                        if m
-                        else np.zeros((A.rank, 0, 0), dtype=np.int64)
-                    )
-                    seen[key] = SkewModule(A, act)
+        zero = zero_skew_module(A)
+        seen = {self._canon_key(zero): zero}
+        by_dim = [[zero]] + [[] for _ in range(dim_bound)]
+        simples = {self._canon_key(S): S for S in _simple_modules(A, dim_bound, budget)}
+        simples = [simples[k] for k in sorted(simples)]
+        scanned = 0
+        for m in range(1, dim_bound + 1):
+            for S in simples:
+                if S.dim > m:
+                    continue
+                for V in by_dim[m - S.dim]:
+                    Z, _, build = extension_cocycle_space(V, S)
+                    scanned += linalg.span_size(Z, n)
+                    if scanned > budget:
+                        raise BudgetExceededError("module universe extensions", scanned, budget)
+                    for c in linalg.span_elements(Z, n):
+                        key = self._canon_key(build(c))
+                        if key not in seen:
+                            act = np.frombuffer(key[1], dtype=np.int64).reshape(A.rank, m, m)
+                            seen[key] = SkewModule(A, act)
+                            by_dim[m].append(seen[key])
         self.members = [seen[k] for k in sorted(seen)]
         self._index = {self._canon_key(V): i for i, V in enumerate(self.members)}
         self._hom_dims = {}

@@ -12,6 +12,8 @@ from torsite.algebra import constant_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
 from torsite.fixtures import (
     a2_category,
+    a2_mixed_presheaf,
+    c2_monoid_category,
     field_algebra,
     group_algebra_c2,
     idempotent_monoid_category,
@@ -19,7 +21,12 @@ from torsite.fixtures import (
     t2_algebra,
     terminal_category,
 )
-from torsite.modules import SkewModule, regular_module, submodule_module
+from torsite.modules import (
+    SkewModule,
+    enumerate_skew_module_structures,
+    regular_module,
+    submodule_module,
+)
 from torsite.topology import enumerate_topologies, matching_subcategories
 
 E11 = [1, 0, 0]
@@ -153,6 +160,83 @@ def test_universe_needs_prime_modulus():
 def test_universe_budget():
     with pytest.raises(BudgetExceededError):
         tn.ModuleUniverse(t2_algebra(2), 3, budget=100)
+
+
+def test_universe_budget_on_extension_scan():
+    # right ideals (2^4) and GL(2, 2) (2^4 candidates) fit; the cocycles
+    # scanned while building dimension 2 do not
+    A = tn.build_skew_algebra(a2_category(), a2_mixed_presheaf(2))
+    with pytest.raises(BudgetExceededError) as err:
+        tn.ModuleUniverse(A, 2, budget=16)
+    assert err.value.what == "module universe extensions"
+    assert len(tn.ModuleUniverse(A, 2, budget=20)) == 11
+
+
+def test_universe_budget_on_right_ideals():
+    with pytest.raises(BudgetExceededError) as err:
+        tn.ModuleUniverse(t2_algebra(2), 1, budget=4)
+    assert err.value.what == "module universe right ideals"
+
+
+def _skew(cat, coefficients):
+    return tn.build_skew_algebra(cat, constant_presheaf(cat, coefficients))
+
+
+@pytest.mark.parametrize(
+    "make, dim_bound",
+    [
+        (lambda: t2_algebra(2), 3),
+        (lambda: product_field_algebra(2, 2), 3),
+        (lambda: group_algebra_c2(2), 3),
+        (lambda: _skew(a2_category(), field_algebra(2)), 3),
+        (lambda: _skew(c2_monoid_category(), field_algebra(3)), 2),
+    ],
+    ids=["t2_f2", "f2xf2", "f2c2", "a2_f2", "c2_f3"],
+)
+def test_universe_matches_structure_enumeration_oracle(make, dim_bound):
+    A = make()
+    U = tn.ModuleUniverse(A, dim_bound)
+    keys = {
+        U._canon_key(V)
+        for m in range(dim_bound + 1)
+        for V in enumerate_skew_module_structures(A, m)
+    }
+    want = [(m, act) for m, act in sorted(keys)]
+    got = [(V.dim, V.act.tobytes()) for V in U.members]
+    assert got == want
+    assert all(V.act.shape == (A.rank, V.dim, V.dim) for V in U.members)
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+def test_invertible_matrices_match_matrix_inverse(n, m):
+    G, Ginv = tn._invertible_matrices(n, m, 2**22)
+    want_g, want_inv = [], []
+    for k in range(n ** (m * m)):
+        M = np.array([(k // n**c) % n for c in range(m * m)], dtype=np.int64).reshape(m, m)
+        inv = tn.linalg.matrix_inverse(M, n)
+        if inv is not None:
+            want_g.append(M)
+            want_inv.append(inv)
+    assert G.dtype == Ginv.dtype == np.int64
+    assert np.array_equal(G, np.stack(want_g))
+    assert np.array_equal(Ginv, np.stack(want_inv))
+    eye = np.eye(m, dtype=np.int64)
+    assert (np.matmul(G, Ginv) % n == eye).all()
+    assert (np.matmul(Ginv, G) % n == eye).all()
+
+
+def test_invertible_matrices_refuse_inexact_modulus():
+    # (n - 1)^2 overflows int64; refused before anything is allocated
+    with pytest.raises(InputError):
+        tn._invertible_matrices(4294967311, 1, 2**40)
+
+
+def test_universe_counts_beyond_structure_enumeration():
+    # T2 is the path algebra of A2: indecomposables S1, S2, P1 of dims
+    # 1, 1, 2, so by Krull-Schmidt the classes of dim <= d number
+    # #{(a, b, c) : a + b + 2c <= d} over any field
+    assert len(tn.ModuleUniverse(t2_algebra(3), 3)) == 13
+    assert len(tn.ModuleUniverse(t2_algebra(2), 4)) == 22
 
 
 def test_product_field_universe(kxk_universe):
