@@ -8,8 +8,6 @@ stored as a matrix applied on the right of row vectors.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import linalg
@@ -43,7 +41,10 @@ class FiniteAlgebra:
         if self.mul.ndim != 3 or len({*self.mul.shape}) > 1:
             raise InputError("structure constants must be a cube")
         self.rank = self.mul.shape[0]
-        self.unit = np.asarray(unit, dtype=np.int64).reshape(self.rank) % base.modulus
+        unit = np.asarray(unit, dtype=np.int64)
+        if unit.size != self.rank:
+            raise InputError("unit must have one coordinate per basis element")
+        self.unit = unit.reshape(self.rank) % base.modulus
         if basis_names is None:
             basis_names = tuple(f"b{i}" for i in range(self.rank))
         self.basis_names = tuple(basis_names)

@@ -51,16 +51,25 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _int_matrix(data, where: str) -> np.ndarray:
+def _is_int64(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and -(2**63) <= x < 2**63
+
+
+def _int_array(data, where: str, ndim: int = 2) -> np.ndarray:
+    """JSON integers (no bools, floats or strings) as an int64 array of rank ndim.
+
+    An empty list stands for an empty array of that rank.
+    """
+    what = "an integer" if ndim == 0 else f"a {ndim}-dimensional integer array"
     try:
-        M = np.asarray(data, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: expected an integer matrix") from None
-    if M.ndim == 1 and M.size == 0:
-        M = M.reshape(0, 0)
-    if M.ndim != 2:
-        raise InputError(f"{where}: expected a two-dimensional matrix")
-    return M
+        arr = np.array(data, dtype=object)
+    except ValueError:
+        raise InputError(f"{where}: expected {what}") from None
+    if arr.ndim == 1 and arr.size == 0:
+        arr = arr.reshape((0,) * ndim)
+    if arr.ndim != ndim or not all(_is_int64(x) for x in arr.flat):
+        raise InputError(f"{where}: expected {what} within the int64 range")
+    return arr.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,8 @@ def presheaf_to_doc(cat: FiniteCategory, R: AlgebraPresheaf) -> dict:
 def presheaf_from_doc(doc: dict, where: str = "presheaf") -> tuple:
     cat = category_from_doc(_need(doc, "category", where), f"{where}.category")
     base_doc = _need(doc, "base", where)
-    base = BaseRing(int(_need(base_doc, "modulus", f"{where}.base")))
+    modulus = _need(base_doc, "modulus", f"{where}.base")
+    base = BaseRing(int(_int_array(modulus, f"{where}.base.modulus", 0)))
     algs_doc = _need(doc, "algebras", where)
     algebras = []
     for x, obj in enumerate(cat.objects):
@@ -166,8 +176,8 @@ def presheaf_from_doc(doc: dict, where: str = "presheaf") -> tuple:
             raise InputError(f"{where}.algebras: missing object {obj!r}")
         entry = algs_doc[obj]
         basis = _need(entry, "basis", f"{where}.algebras[{obj}]")
-        mul = np.asarray(_need(entry, "mul", f"{where}.algebras[{obj}]"), dtype=np.int64)
-        unit = _need(entry, "unit", f"{where}.algebras[{obj}]")
+        mul = _int_array(_need(entry, "mul", f"{where}.algebras[{obj}]"), f"{where}.algebras[{obj}].mul", 3)
+        unit = _int_array(_need(entry, "unit", f"{where}.algebras[{obj}]"), f"{where}.algebras[{obj}].unit", 1)
         try:
             algebras.append(FiniteAlgebra(base, mul, unit, tuple(basis)))
         except InputError as exc:
@@ -178,7 +188,7 @@ def presheaf_from_doc(doc: dict, where: str = "presheaf") -> tuple:
         name = cat.morphisms[f].name
         if name not in maps_doc:
             raise InputError(f"{where}.maps: missing morphism {name!r}")
-        maps.append(_int_matrix(maps_doc[name], f"{where}.maps[{name}]"))
+        maps.append(_int_array(maps_doc[name], f"{where}.maps[{name}]"))
     extra = set(maps_doc) - {m.name for m in cat.morphisms}
     if extra:
         raise InputError(f"{where}.maps: unknown morphisms {sorted(extra)}")
@@ -299,7 +309,7 @@ def module_from_doc(
                 ) from None
             if maps[f] is not None:
                 raise InputError(f"{where}: morphism {name!r} given twice")
-            maps[f] = _int_matrix(mat, f"{where}.modules[{obj}].maps[{name}]")
+            maps[f] = _int_array(mat, f"{where}.modules[{obj}].maps[{name}]")
     for f in range(cat.n_morphisms):
         if maps[f] is None:
             raise InputError(

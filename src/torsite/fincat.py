@@ -81,9 +81,6 @@ class FiniteCategory:
     def morphisms_from(self, x: int) -> list:
         return [i for i, m in enumerate(self.morphisms) if m.dom == x]
 
-    def is_identity(self, f: int) -> bool:
-        return f in self.identity
-
     def __repr__(self):
         return (
             f"FiniteCategory({len(self.objects)} objects, "

@@ -86,9 +86,6 @@ class GrCategory:
             v[self._pos[(x, x)][(e, i)]] = c
         return v
 
-    def pair_position(self, x: int, y: int, pair) -> int:
-        return self._pos[(x, y)][pair]
-
     def linear_sieves_on(self, x: int, budget: int = DEFAULT_LINEAR_BUDGET) -> list:
         if x not in self._sieve_cache:
             self._sieve_cache[x] = _enumerate_linear_sieves(self, x, budget)
@@ -262,14 +259,6 @@ class LinearSieve:
                 if not linalg.in_span(self.components[y], row, n):
                     return False
         return True
-
-    def is_maximal(self) -> bool:
-        return all(
-            H.shape[0] == self.gr.hom_rank(y, self.target)
-            and linalg.span_size(H, self.gr.base.modulus)
-            == self.gr.base.modulus ** self.gr.hom_rank(y, self.target)
-            for y, H in enumerate(self.components)
-        )
 
     def __repr__(self):
         sizes = ",".join(str(H.shape[0]) for H in self.components)

@@ -175,12 +175,6 @@ def in_span(H: np.ndarray, v, n: int) -> bool:
     return not reduce_vector(H, v, n).any()
 
 
-def spans_equal(A: np.ndarray, B: np.ndarray, n: int) -> bool:
-    return span_key(howell_form(A, n, A.shape[1])) == span_key(
-        howell_form(B, n, B.shape[1])
-    )
-
-
 def solve_left(A, b, n: int):
     """One solution x of x @ A == b (mod n), or None.
 

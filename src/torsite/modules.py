@@ -197,29 +197,25 @@ def submodule_module(V: SkewModule, rows) -> tuple:
 
 
 def quotient_module(V: SkewModule, rows) -> tuple:
-    """Quotient by a stable submodule; returns (module, projection matrix).
+    """Quotient by a stable submodule; returns (module, projection, section).
 
     The projection matrix has shape (dim V, dim Q); coset coordinates are
     the non-pivot columns, which requires unit pivots (prime modulus).
+    The section, of shape (dim Q, dim V), sends each coset coordinate to
+    the basis vector of its column, so section @ projection is the
+    identity of Q.
     """
     n = V.algebra.base.modulus
     if not linalg.is_prime(n):
         raise NotPrimeError(n, "quotient carrier")
     H = linalg.howell_form(linalg.as_matrix(rows, V.dim), n, V.dim)
     comp = linalg.complement_columns(H, V.dim)
+    sec = np.eye(V.dim, dtype=np.int64)[comp]
     proj = np.zeros((V.dim, len(comp)), dtype=np.int64)
-    for i in range(V.dim):
-        e = np.zeros(V.dim, dtype=np.int64)
-        e[i] = 1
+    for i, e in enumerate(np.eye(V.dim, dtype=np.int64)):
         proj[i] = linalg.reduce_vector(H, e, n)[comp]
-    act = np.zeros((V.algebra.rank, len(comp), len(comp)), dtype=np.int64)
-    for j in range(V.algebra.rank):
-        for c, col in enumerate(comp):
-            e = np.zeros(V.dim, dtype=np.int64)
-            e[col] = 1
-            act[j][c] = ((e @ V.act[j]) % n @ proj) % n
-    Q = SkewModule(V.algebra, act)
-    return Q, proj
+    Q = SkewModule(V.algebra, (sec @ V.act @ proj) % n)
+    return Q, proj, sec
 
 
 def hom_skew(V: SkewModule, W: SkewModule) -> list:
@@ -396,20 +392,6 @@ def phi_from_gr(V: SkewModule) -> ModulePresheaf:
     return M
 
 
-def psi_map(nat: NatTransformation, skew: SkewAlgebra | None = None) -> np.ndarray:
-    """Block-diagonal matrix of a presheaf map between the stacked carriers."""
-    M, N = nat.source, nat.target
-    n = M.R.base.modulus
-    total_m, total_n = sum(M.ranks), sum(N.ranks)
-    H = np.zeros((total_m, total_n), dtype=np.int64)
-    om = on = 0
-    for x in range(M.cat.n_objects):
-        H[om : om + M.ranks[x], on : on + N.ranks[x]] = nat.components[x] % n
-        om += M.ranks[x]
-        on += N.ranks[x]
-    return H
-
-
 # ---------------------------------------------------------------------------
 # sheaf / torsion / perpendicular predicates
 
@@ -421,17 +403,6 @@ class PredicateResult:
 
     def __bool__(self):
         return self.value
-
-
-def _object_blocks(V: SkewModule):
-    """Howell spanning rows of V*e_x for each object idempotent."""
-    skew = V.algebra
-    n = skew.base.modulus
-    out = []
-    for x in range(skew.cat.n_objects):
-        E = V.act_of(skew.object_idempotent(x))
-        out.append(linalg.howell_form(E, n, V.dim))
-    return out
 
 
 def _embed_hom_vector(skew: SkewAlgebra, gr: GrCategory, y: int, x: int, t) -> np.ndarray:
@@ -623,7 +594,7 @@ def representable_quotient(skew: SkewAlgebra, gr: GrCategory, x: int, T) -> Skew
             for k, p in enumerate(gr.hom_pairs[(y, x)]):
                 row[pos[p]] = trow[k]
             rows.append(row)
-    Q, _ = quotient_module(P, linalg.as_matrix(rows, len(idx)))
+    Q, _, _ = quotient_module(P, linalg.as_matrix(rows, len(idx)))
     return Q
 
 

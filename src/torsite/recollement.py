@@ -19,7 +19,7 @@ from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import InputError, NotPrimeError
 from .modules import SkewModule, hom_skew, quotient_module
-from .torsion import ModuleUniverse, ideal_generated_by
+from .torsion import ModuleUniverse, ideal_generated_by, killed_by_ideal, module_times_ideal
 
 
 def _coords_rows(basis: np.ndarray, vecs, n: int, what: str) -> np.ndarray:
@@ -65,9 +65,7 @@ def quotient_algebra(A: FiniteAlgebra, ideal_rows: np.ndarray) -> tuple:
     proj = np.zeros((A.rank, q), dtype=np.int64)
     for i in range(A.rank):
         proj[i] = linalg.reduce_vector(H, A.basis_vector(i), n)[comp]
-    sec = np.zeros((q, A.rank), dtype=np.int64)
-    for c, col in enumerate(comp):
-        sec[c, col] = 1
+    sec = np.eye(A.rank, dtype=np.int64)[comp]
     mul = np.zeros((q, q, q), dtype=np.int64)
     for i in range(q):
         for j in range(q):
@@ -77,15 +75,11 @@ def quotient_algebra(A: FiniteAlgebra, ideal_rows: np.ndarray) -> tuple:
     return FiniteAlgebra(A.base, mul, unit, names), proj, sec
 
 
-def _quotient_with_section(V: SkewModule, rows) -> tuple:
-    Q, proj = quotient_module(V, rows)
-    n = V.algebra.base.modulus
-    H = linalg.howell_form(linalg.as_matrix(list(rows), V.dim), n, V.dim)
-    comp = linalg.complement_columns(H, V.dim)
-    sec = np.zeros((len(comp), V.dim), dtype=np.int64)
-    for c, col in enumerate(comp):
-        sec[c, col] = 1
-    return Q, proj, sec
+def _restricted_action(rows: np.ndarray, mats, n: int, what: str) -> np.ndarray:
+    """The right actions mats restricted to the span of rows, in row coordinates."""
+    k = rows.shape[0]
+    acts = [_coords_rows(rows, (rows @ m) % n, n, what) for m in mats]
+    return np.array(acts, dtype=np.int64).reshape(len(acts), k, k)
 
 
 def _is_module_map(S: SkewModule, T: SkewModule, F: np.ndarray) -> bool:
@@ -97,7 +91,16 @@ def _is_module_map(S: SkewModule, T: SkewModule, F: np.ndarray) -> bool:
 
 
 class Recollement:
-    """Functor data for the idempotent e: eAe <- A -> A/AeA."""
+    """Functor data for the idempotent e: eAe <- A -> A/AeA.
+
+    Besides the six functors, each adjunction has its unit and counit in
+    one method, as a matrix built from functor values the caller already
+    holds: ``pullback_counit`` (i^* i_* N -> N), ``socle_unit``
+    (N -> i^! i_* N), ``tensor_unit`` (N -> j^* j_! N), ``tensor_counit``
+    (j_! j^* M -> M), ``hom_unit`` (M -> j_* j^* M) and ``hom_counit``
+    (j^* j_* N -> N).  The other two, M -> i_* i^* M and i_* i^! M -> M,
+    are the projection of ``i_upper`` and the inclusion of ``i_shriek``.
+    """
 
     def __init__(self, A: FiniteAlgebra, e):
         n = A.base.modulus
@@ -113,63 +116,36 @@ class Recollement:
         self.quotient, self.alg_proj, self.alg_sec = quotient_algebra(
             A, self.ideal.matrix
         )
+        basis = [A.basis_vector(j) for j in range(A.rank)]
         # eA: right A-module and left eAe-module
-        ea = [A.multiply(e, A.basis_vector(j)) for j in range(A.rank)]
+        ea = [A.multiply(e, b) for b in basis]
         self.eA_rows = linalg.howell_form(linalg.as_matrix(ea, A.rank), n, A.rank)
-        p = self.eA_rows.shape[0]
-        self.ea_right = np.stack(
-            [
-                _coords_rows(
-                    self.eA_rows,
-                    [A.multiply(x, A.basis_vector(j)) for x in self.eA_rows],
-                    n,
-                    "eA right action",
-                )
-                for j in range(A.rank)
-            ]
-        ) if p else np.zeros((A.rank, 0, 0), dtype=np.int64)
+        self.ea_right = _restricted_action(
+            self.eA_rows, [A.right_mult_matrix(b) for b in basis], n, "eA right action"
+        )
+        self.ea_corner = _restricted_action(
+            self.eA_rows, [A.left_mult_matrix(c) for c in self.corner_rows], n, "corner action on eA"
+        )
         # Ae: left A-module and right eAe-module
-        ae = [A.multiply(A.basis_vector(j), e) for j in range(A.rank)]
+        ae = [A.multiply(b, e) for b in basis]
         self.Ae_rows = linalg.howell_form(linalg.as_matrix(ae, A.rank), n, A.rank)
-        d = self.Ae_rows.shape[0]
-        self.ae_corner = np.stack(
-            [
-                _coords_rows(
-                    self.Ae_rows,
-                    [A.multiply(v, c) for v in self.Ae_rows],
-                    n,
-                    "Ae corner action",
-                )
-                for c in self.corner_rows
-            ]
-        ) if d and self.corner.rank else np.zeros((self.corner.rank, d, d), dtype=np.int64)
-        self.ae_left = np.stack(
-            [
-                _coords_rows(
-                    self.Ae_rows,
-                    [A.multiply(A.basis_vector(j), v) for v in self.Ae_rows],
-                    n,
-                    "Ae left action",
-                )
-                for j in range(A.rank)
-            ]
-        ) if d else np.zeros((A.rank, 0, 0), dtype=np.int64)
+        self.ae_corner = _restricted_action(
+            self.Ae_rows, [A.right_mult_matrix(c) for c in self.corner_rows], n, "Ae corner action"
+        )
+        self.ae_left = _restricted_action(
+            self.Ae_rows, [A.left_mult_matrix(b) for b in basis], n, "Ae left action"
+        )
         self.Ae_corner_module = SkewModule(self.corner, self.ae_corner)
-        self.e_in_eA = _coords_rows(self.eA_rows, [e], n, "unit in eA")[0] if p else np.zeros(0, dtype=np.int64)
-        self.e_in_Ae = _coords_rows(self.Ae_rows, [e], n, "unit in Ae")[0] if d else np.zeros(0, dtype=np.int64)
+        self.e_in_eA = _coords_rows(self.eA_rows, [e], n, "unit in eA")[0]
+        self.e_in_Ae = _coords_rows(self.Ae_rows, [e], n, "unit in Ae")[0]
 
     # -- the six functors ---------------------------------------------------
 
     def j_star(self, M: SkewModule) -> tuple:
         """M -> Me as a corner module; returns (module, rows in M)."""
         n = self.A.base.modulus
-        E = M.act_of(self.e)
-        rows = linalg.howell_form(E, n, M.dim)
-        act = np.zeros((self.corner.rank, rows.shape[0], rows.shape[0]), dtype=np.int64)
-        for t in range(self.corner.rank):
-            act[t] = _coords_rows(
-                rows, [(v @ M.act_of(self.corner_rows[t])) % n for v in rows], n, "Me action"
-            )
+        rows = linalg.howell_form(M.act_of(self.e), n, M.dim)
+        act = _restricted_action(rows, [M.act_of(c) for c in self.corner_rows], n, "Me action")
         return SkewModule(self.corner, act), rows
 
     def j_star_map(self, M, rowsM, N, rowsN, F) -> np.ndarray:
@@ -185,11 +161,7 @@ class Recollement:
 
     def i_upper(self, M: SkewModule) -> tuple:
         """M -> M / M*AeA; returns (quotient module, projection, section)."""
-        n = self.A.base.modulus
-        rows = []
-        for r in self.ideal.rows:
-            rows.extend(M.act_of(np.array(r, dtype=np.int64)) % n)
-        Qa, proj, sec = _quotient_with_section(M, linalg.as_matrix(rows, M.dim))
+        Qa, proj, sec = quotient_module(M, module_times_ideal(M, self.ideal))
         act = np.stack(
             [Qa.act_of(self.alg_sec[t]) for t in range(self.quotient.rank)]
         ) if self.quotient.rank else np.zeros((0, Qa.dim, Qa.dim), dtype=np.int64)
@@ -198,53 +170,24 @@ class Recollement:
     def i_shriek(self, M: SkewModule) -> tuple:
         """The largest submodule killed by AeA; returns (module, rows in M)."""
         n = self.A.base.modulus
-        mats = [M.act_of(np.array(r, dtype=np.int64)) for r in self.ideal.rows]
-        if mats and M.dim:
-            K = linalg.kernel_left(np.concatenate(mats, axis=1), n)
-        else:
-            K = np.eye(M.dim, dtype=np.int64)
-        act = np.zeros((self.quotient.rank, K.shape[0], K.shape[0]), dtype=np.int64)
-        for t in range(self.quotient.rank):
-            act[t] = _coords_rows(
-                K, [(v @ M.act_of(self.alg_sec[t])) % n for v in K], n, "socle action"
-            )
+        K = killed_by_ideal(M, self.ideal)
+        act = _restricted_action(K, [M.act_of(s) for s in self.alg_sec], n, "socle action")
         return SkewModule(self.quotient, act), K
 
-    def _free_tensor(self, N: SkewModule) -> SkewModule:
-        """N tensor eA over the base ring, as a right A-module."""
-        p = self.eA_rows.shape[0]
-        m = N.dim * p
-        act = np.stack(
-            [np.kron(np.eye(N.dim, dtype=np.int64), self.ea_right[j]) for j in range(self.A.rank)]
-        ) if self.A.rank else np.zeros((0, m, m), dtype=np.int64)
-        return SkewModule(self.A, act)
+    def j_shriek(self, N: SkewModule) -> tuple:
+        """N tensor_{eAe} eA; returns (module, projection, section).
 
-    def _tensor_relations(self, N: SkewModule) -> np.ndarray:
+        The quotient of N tensor eA over the base ring by the relations
+        (v c) tensor x - v tensor (c x), for v in N, c in eAe and x in eA.
+        """
         n = self.A.base.modulus
         p = self.eA_rows.shape[0]
-        rel = []
-        for r in range(N.dim):
-            for t in range(self.corner.rank):
-                nc = N.act[t][r]
-                for s in range(p):
-                    row = np.zeros(N.dim * p, dtype=np.int64)
-                    for r2 in range(N.dim):
-                        row[r2 * p + s] += nc[r2]
-                    cx = _coords_rows(
-                        self.eA_rows,
-                        [self.A.multiply(self.corner_rows[t], self.eA_rows[s])],
-                        n,
-                        "corner action on eA",
-                    )[0]
-                    for s2 in range(p):
-                        row[r * p + s2] -= cx[s2]
-                    rel.append(row % n)
-        return linalg.as_matrix(rel, N.dim * p)
-
-    def j_shriek(self, N: SkewModule) -> tuple:
-        """N tensor_{eAe} eA; returns (module, projection, section)."""
-        F = self._free_tensor(N)
-        return _quotient_with_section(F, self._tensor_relations(N))
+        m = N.dim * p
+        eye_N, eye_p = np.eye(N.dim, dtype=np.int64), np.eye(p, dtype=np.int64)
+        free = np.array([np.kron(eye_N, a) for a in self.ea_right], dtype=np.int64)
+        rel = [np.kron(N.act[t], eye_p) - np.kron(eye_N, c) for t, c in enumerate(self.ea_corner)]
+        rel = np.array(rel, dtype=np.int64).reshape(len(rel) * m, m) % n
+        return quotient_module(SkewModule(self.A, free.reshape(self.A.rank, m, m)), rel)
 
     def j_shriek_map(self, N, dataN, N2, dataN2, G) -> np.ndarray:
         n = self.A.base.modulus
@@ -253,6 +196,10 @@ class Recollement:
         _, projN2, _ = dataN2
         return (secN @ np.kron(G, np.eye(p, dtype=np.int64)) @ projN2) % n
 
+    def _hom_rows(self, basis, dim: int) -> np.ndarray:
+        n = self.A.base.modulus
+        return linalg.as_matrix([B.reshape(-1) % n for B in basis], self.Ae_rows.shape[0] * dim)
+
     def j_lower(self, N: SkewModule) -> tuple:
         """Corner-module maps Ae -> N as a right A-module.
 
@@ -260,10 +207,9 @@ class Recollement:
         with the left multiplication of A on Ae.
         """
         n = self.A.base.modulus
-        d = self.Ae_rows.shape[0]
         basis = hom_skew(self.Ae_corner_module, N)
         h = len(basis)
-        flat = linalg.as_matrix([B.reshape(-1) % n for B in basis], d * N.dim)
+        flat = self._hom_rows(basis, N.dim)
         act = np.zeros((self.A.rank, h, h), dtype=np.int64)
         for j in range(self.A.rank):
             imgs = [((self.ae_left[j] @ B) % n).reshape(-1) for B in basis]
@@ -272,10 +218,78 @@ class Recollement:
 
     def j_lower_map(self, N, basisN, N2, basisN2, G) -> np.ndarray:
         n = self.A.base.modulus
-        d = self.Ae_rows.shape[0]
-        flat2 = linalg.as_matrix([B.reshape(-1) % n for B in basisN2], d * N2.dim)
         imgs = [((B @ G) % n).reshape(-1) for B in basisN]
-        return _coords_rows(flat2, imgs, n, "hom functor map")
+        return _coords_rows(self._hom_rows(basisN2, N2.dim), imgs, n, "hom functor map")
+
+    # -- units and counits ----------------------------------------------------
+
+    def pullback_counit(self, proj: np.ndarray):
+        """Counit i^* i_* N -> N, or None when it does not exist.
+
+        proj is the projection of i_upper(i_* N); the counit is its inverse.
+        """
+        return linalg.matrix_inverse(proj, self.A.base.modulus)
+
+    def socle_unit(self, K: np.ndarray) -> np.ndarray:
+        """Unit N -> i^! i_* N, the identity of N written in the rows K.
+
+        K are the rows of i_shriek(i_* N) in i_* N.
+        """
+        eye = np.eye(K.shape[1], dtype=np.int64)
+        return _coords_rows(K, eye, self.A.base.modulus, "socle unit")
+
+    def tensor_unit(self, N: SkewModule, shriek: tuple, rows: np.ndarray) -> np.ndarray:
+        """Unit N -> j^* j_! N, n |-> class(n tensor e).
+
+        shriek is j_shriek(N) and rows are the rows of j^* j_! N in j_! N.
+        """
+        n = self.A.base.modulus
+        _, proj, _ = shriek
+        emb = np.kron(np.eye(N.dim, dtype=np.int64), self.e_in_eA)
+        return _coords_rows(rows, (emb @ proj) % n, n, "tensor unit")
+
+    def tensor_counit(self, M: SkewModule, rows: np.ndarray, shriek: tuple) -> np.ndarray:
+        """Counit j_! j^* M -> M, m tensor x |-> m x.
+
+        rows are the rows of j^* M in M and shriek is j_shriek(j^* M).
+        """
+        n = self.A.base.modulus
+        _, _, sec = shriek
+        acts = [M.act_of(x) for x in self.eA_rows]
+        free = np.array([(v @ X) % n for v in rows for X in acts], dtype=np.int64)
+        return (sec @ free.reshape(len(rows) * len(acts), M.dim)) % n
+
+    def hom_unit(self, M: SkewModule, rows: np.ndarray, basis: list) -> np.ndarray:
+        """Unit M -> j_* j^* M, m |-> (v in Ae |-> m v).
+
+        rows are the rows of j^* M in M and basis is the hom basis of
+        j_lower(j^* M).
+        """
+        if not basis:
+            return np.zeros((M.dim, 0), dtype=np.int64)
+        n = self.A.base.modulus
+        imgs = np.stack([_coords_rows(rows, M.act_of(v), n, "unit image") for v in self.Ae_rows], axis=1)
+        return _coords_rows(self._hom_rows(basis, rows.shape[0]), imgs.reshape(M.dim, -1), n, "hom unit")
+
+    def hom_counit(self, N: SkewModule, rows: np.ndarray, basis: list) -> np.ndarray:
+        """Counit j^* j_* N -> N, psi |-> psi(e).
+
+        rows are the rows of j^* j_* N in j_* N and basis is the hom
+        basis of j_lower(N).
+        """
+        n = self.A.base.modulus
+        B = np.array(basis, dtype=np.int64).reshape(len(basis), self.Ae_rows.shape[0], N.dim)
+        return (rows @ (np.einsum("k,hkl->hl", self.e_in_Ae, B) % n)) % n
+
+
+CHECKS = (
+    "image_matches_kernel",
+    "inflation_fully_faithful",
+    "pullback_inflation_triangles",
+    "inflation_socle_triangles",
+    "extension_restriction_triangles",
+    "restriction_coextension_triangles",
+)
 
 
 @dataclass
@@ -316,209 +330,137 @@ def verify_recollement(
     UA = ModuleUniverse(A, dim_bound, budget)
     UX = ModuleUniverse(rec.corner, dim_bound, budget)
     UY = ModuleUniverse(rec.quotient, dim_bound, budget)
-    checks = {}
+    inflated = [rec.i_star(N) for N in UY.members]
     failures = []
 
-    def fail(name, detail):
-        failures.append((name, detail))
+    def is_identity(F, k):
+        return not ((F % n) != np.eye(k, dtype=np.int64)).any()
+
+    def run(name, triangle, members, *extra):
+        # triangle returns the label of the first identity that fails, if any
+        for args in zip(members, *extra):
+            label = triangle(*args)
+            if label:
+                failures.append((name, (label, args[0].key())))
 
     # image of inflation = kernel of corner restriction, as universe classes
-    ker = {
-        i for i, M in enumerate(UA.members) if not (M.act_of(rec.e) % n).any()
-    }
-    img = set()
-    for N in UY.members:
-        M = rec.i_star(N)
-        img.add(UA.index_of(M))
-    checks["image_matches_kernel"] = img == ker
+    ker = {i for i, M in enumerate(UA.members) if not (M.act_of(rec.e) % n).any()}
+    img = {UA.index_of(iN) for iN in inflated}
     if img != ker:
-        fail("image_matches_kernel", (sorted(img), sorted(ker)))
+        failures.append(("image_matches_kernel", (sorted(img), sorted(ker))))
 
     # full faithfulness of inflation
-    ff = True
     for a, Na in enumerate(UY.members):
         for b, Nb in enumerate(UY.members):
             lhs = len(hom_skew(Na, Nb))
-            rhs = len(hom_skew(rec.i_star(Na), rec.i_star(Nb)))
+            rhs = len(hom_skew(inflated[a], inflated[b]))
             if lhs != rhs:
-                ff = False
-                fail("inflation_fully_faithful", (a, b, lhs, rhs))
-    checks["inflation_fully_faithful"] = ff
+                failures.append(("inflation_fully_faithful", (a, b, lhs, rhs)))
 
-    eye = lambda k: np.eye(k, dtype=np.int64)
-
-    # (pullback -| inflation): unit M -> i_* i^* M is the quotient projection
-    ok1 = True
-    for M in UA.members:
+    # (pullback -| inflation): the unit M -> i_* i^* M is the projection
+    def pullback_at_middle(M):
         QM, projM, secM = rec.i_upper(M)
         iQM = rec.i_star(QM)
         if not _is_module_map(M, iQM, projM):
-            ok1 = False
-            fail("pullback_inflation_triangles", ("unit not a module map", M.key()))
-            continue
-        # F(eta) then the counit at F M must be the identity of F M
-        QiQM, projQ, secQ = rec.i_upper(iQM)
-        induced = (secM @ projM @ projQ) % n
-        counit = linalg.matrix_inverse(projQ, n)
-        if counit is None or ((induced @ counit) % n != eye(QM.dim)).any():
-            ok1 = False
-            fail("pullback_inflation_triangles", ("first identity", M.key()))
-    for N in UY.members:
-        iN = rec.i_star(N)
-        QiN, projN, secN = rec.i_upper(iN)
-        counit = linalg.matrix_inverse(projN, n)
-        if counit is None or not _is_module_map(QiN, N, counit) or (
-            (projN @ counit) % n != eye(N.dim)
-        ).any():
-            ok1 = False
-            fail("pullback_inflation_triangles", ("second identity", N.key()))
-    checks["pullback_inflation_triangles"] = ok1
+            return "unit not a module map"
+        # i^*(unit) then the counit at i^* M must be the identity of i^* M
+        _, projQ, _ = rec.i_upper(iQM)
+        counit = rec.pullback_counit(projQ)
+        if counit is None or not is_identity((secM @ projM @ projQ) % n @ counit, QM.dim):
+            return "first identity"
 
-    # (inflation -| socle): counit i_* i^! M -> M is the inclusion
-    ok2 = True
-    for M in UA.members:
+    def pullback_at_quotient(N, iN):
+        QiN, projN, _ = rec.i_upper(iN)
+        counit = rec.pullback_counit(projN)
+        if counit is None or not _is_module_map(QiN, N, counit) or not is_identity(projN @ counit, N.dim):
+            return "second identity"
+
+    run("pullback_inflation_triangles", pullback_at_middle, UA.members)
+    run("pullback_inflation_triangles", pullback_at_quotient, UY.members, inflated)
+
+    # (inflation -| socle): the counit i_* i^! M -> M is the inclusion
+    def socle_at_middle(M):
         SM, K = rec.i_shriek(M)
         iSM = rec.i_star(SM)
         if not _is_module_map(iSM, M, K):
-            ok2 = False
-            fail("inflation_socle_triangles", ("counit not a module map", M.key()))
-            continue
-        SiSM, K0 = rec.i_shriek(iSM)
+            return "counit not a module map"
+        _, K0 = rec.i_shriek(iSM)
         induced = _coords_rows(K, [(v @ K) % n for v in K0], n, "socle map")
-        unit = _coords_rows(K0, list(eye(SM.dim)), n, "socle unit")
-        if ((unit @ induced) % n != eye(SM.dim)).any():
-            ok2 = False
-            fail("inflation_socle_triangles", ("second identity", M.key()))
-    for N in UY.members:
-        iN = rec.i_star(N)
+        if not is_identity(rec.socle_unit(K0) @ induced, SM.dim):
+            return "second identity"
+
+    def socle_at_quotient(N, iN):
         SiN, K = rec.i_shriek(iN)
-        unit = _coords_rows(K, list(eye(N.dim)), n, "socle unit")
-        if not _is_module_map(N, SiN, unit) or ((unit @ K) % n != eye(N.dim)).any():
-            ok2 = False
-            fail("inflation_socle_triangles", ("first identity", N.key()))
-    checks["inflation_socle_triangles"] = ok2
+        unit = rec.socle_unit(K)
+        if not _is_module_map(N, SiN, unit) or not is_identity(unit @ K, N.dim):
+            return "first identity"
+
+    run("inflation_socle_triangles", socle_at_middle, UA.members)
+    run("inflation_socle_triangles", socle_at_quotient, UY.members, inflated)
 
     # (extension -| restriction): j_! -| j^*
-    ok3 = True
-    p = rec.eA_rows.shape[0]
-    for N in UX.members:
-        data = rec.j_shriek(N)
-        JN, projF, secF = data
-        # unit: n |-> class(n tensor e), landing in (j_! N) e
-        emb = np.zeros((N.dim, N.dim * p), dtype=np.int64)
-        for r in range(N.dim):
-            emb[r, r * p : (r + 1) * p] = rec.e_in_eA
+    def tensor_at_corner(N):
+        shriek = rec.j_shriek(N)
+        JN = shriek[0]
         JNe, rowsJNe = rec.j_star(JN)
-        unit = _coords_rows(rowsJNe, list((emb @ projF) % n), n, "tensor unit")
+        unit = rec.tensor_unit(N, shriek, rowsJNe)
         if not _is_module_map(N, JNe, unit):
-            ok3 = False
-            fail("extension_restriction_triangles", ("unit not a module map", N.key()))
-            continue
-        # first identity at N: j_!(unit) then counit at j_! N
-        dataJ = rec.j_shriek(JNe)
-        junit = rec.j_shriek_map(N, data, JNe, dataJ, unit)
-        counit_free = np.zeros((JNe.dim * p, JN.dim), dtype=np.int64)
-        for rho in range(JNe.dim):
-            for s in range(p):
-                counit_free[rho * p + s] = (
-                    rowsJNe[rho] @ JN.act_of(rec.eA_rows[s])
-                ) % n
-        counit = (dataJ[2] @ counit_free) % n
-        if not _is_module_map(dataJ[0], JN, counit) or (
-            (junit @ counit) % n != eye(JN.dim)
-        ).any():
-            ok3 = False
-            fail("extension_restriction_triangles", ("first identity", N.key()))
-    for M in UA.members:
+            return "unit not a module map"
+        # j_!(unit) then the counit at j_! N must be the identity of j_! N
+        shriekJ = rec.j_shriek(JNe)
+        junit = rec.j_shriek_map(N, shriek, JNe, shriekJ, unit)
+        counit = rec.tensor_counit(JN, rowsJNe, shriekJ)
+        if not _is_module_map(shriekJ[0], JN, counit) or not is_identity(junit @ counit, JN.dim):
+            return "first identity"
+
+    def tensor_at_middle(M):
         Me, rowsMe = rec.j_star(M)
-        data = rec.j_shriek(Me)
-        JMe, projF, secF = data
-        counit_free = np.zeros((Me.dim * p, M.dim), dtype=np.int64)
-        for rho in range(Me.dim):
-            for s in range(p):
-                counit_free[rho * p + s] = (rowsMe[rho] @ M.act_of(rec.eA_rows[s])) % n
-        counit = (secF @ counit_free) % n
-        if not _is_module_map(JMe, M, counit):
-            ok3 = False
-            fail("extension_restriction_triangles", ("counit not a module map", M.key()))
-            continue
-        JMee, rowsJMee = rec.j_star(JMe)
-        emb = np.zeros((Me.dim, Me.dim * p), dtype=np.int64)
-        for r in range(Me.dim):
-            emb[r, r * p : (r + 1) * p] = rec.e_in_eA
-        unit = _coords_rows(rowsJMee, list((emb @ projF) % n), n, "tensor unit")
-        jcounit = rec.j_star_map(JMe, rowsJMee, M, rowsMe, counit)
-        if ((unit @ jcounit) % n != eye(Me.dim)).any():
-            ok3 = False
-            fail("extension_restriction_triangles", ("second identity", M.key()))
-    checks["extension_restriction_triangles"] = ok3
+        shriek = rec.j_shriek(Me)
+        counit = rec.tensor_counit(M, rowsMe, shriek)
+        if not _is_module_map(shriek[0], M, counit):
+            return "counit not a module map"
+        # the unit at j^* M then j^*(counit) must be the identity of j^* M
+        _, rowsJMee = rec.j_star(shriek[0])
+        unit = rec.tensor_unit(Me, shriek, rowsJMee)
+        jcounit = rec.j_star_map(shriek[0], rowsJMee, M, rowsMe, counit)
+        if not is_identity(unit @ jcounit, Me.dim):
+            return "second identity"
+
+    run("extension_restriction_triangles", tensor_at_corner, UX.members)
+    run("extension_restriction_triangles", tensor_at_middle, UA.members)
 
     # (restriction -| coextension): j^* -| j_*
-    ok4 = True
-    d = rec.Ae_rows.shape[0]
-    for M in UA.members:
+    def hom_at_middle(M):
         Me, rowsMe = rec.j_star(M)
         HN, basis = rec.j_lower(Me)
-        flat = linalg.as_matrix([B.reshape(-1) % n for B in basis], d * Me.dim)
-        # unit: m |-> (v in Ae |-> m v restricted to Me)
-        unit_rows = []
-        for i in range(M.dim):
-            phi = np.zeros((d, Me.dim), dtype=np.int64)
-            for k in range(d):
-                img = (np.eye(M.dim, dtype=np.int64)[i] @ M.act_of(rec.Ae_rows[k])) % n
-                phi[k] = _coords_rows(rowsMe, [img], n, "unit image")[0]
-            unit_rows.append(phi.reshape(-1))
-        unit = _coords_rows(flat, unit_rows, n, "hom unit") if basis else np.zeros((M.dim, 0), dtype=np.int64)
+        unit = rec.hom_unit(M, rowsMe, basis)
         if not _is_module_map(M, HN, unit):
-            ok4 = False
-            fail("restriction_coextension_triangles", ("unit not a module map", M.key()))
-            continue
+            return "unit not a module map"
+        # j^*(unit) then the counit at j^* M must be the identity of j^* M
         HNe, rowsHNe = rec.j_star(HN)
-        # counit: psi in (j_* N) e |-> psi(e)
-        counit = np.zeros((HNe.dim, Me.dim), dtype=np.int64)
-        for row in range(HNe.dim):
-            Hmat = np.tensordot(rowsHNe[row], np.stack(basis) if basis else np.zeros((0, d, Me.dim), dtype=np.int64), axes=(0, 0)) % n
-            counit[row] = (rec.e_in_Ae @ Hmat) % n
-        junit = _coords_rows(rowsHNe, [(v @ unit) % n for v in rowsMe], n, "restricted unit")
-        if not _is_module_map(HNe, Me, counit) or (
-            (junit @ counit) % n != eye(Me.dim)
-        ).any():
-            ok4 = False
-            fail("restriction_coextension_triangles", ("first identity", M.key()))
-    for N in UX.members:
+        counit = rec.hom_counit(Me, rowsHNe, basis)
+        junit = rec.j_star_map(M, rowsMe, HN, rowsHNe, unit)
+        if not _is_module_map(HNe, Me, counit) or not is_identity(junit @ counit, Me.dim):
+            return "first identity"
+
+    def hom_at_corner(N):
         HN, basis = rec.j_lower(N)
         HNe, rowsHNe = rec.j_star(HN)
-        counit = np.zeros((HNe.dim, N.dim), dtype=np.int64)
-        for row in range(HNe.dim):
-            Hmat = np.tensordot(rowsHNe[row], np.stack(basis) if basis else np.zeros((0, d, N.dim), dtype=np.int64), axes=(0, 0)) % n
-            counit[row] = (rec.e_in_Ae @ Hmat) % n
+        counit = rec.hom_counit(N, rowsHNe, basis)
         if not _is_module_map(HNe, N, counit):
-            ok4 = False
-            fail("restriction_coextension_triangles", ("counit not a module map", N.key()))
-            continue
-        # second identity at N: unit at j_* N then j_*(counit)
-        HHN, basis2 = rec.j_lower(HNe)
-        flat2 = linalg.as_matrix([B.reshape(-1) % n for B in basis2], d * HNe.dim)
-        unit_rows = []
-        for i in range(HN.dim):
-            phi = np.zeros((d, HNe.dim), dtype=np.int64)
-            for k in range(d):
-                img = (np.eye(HN.dim, dtype=np.int64)[i] @ HN.act_of(rec.Ae_rows[k])) % n
-                phi[k] = _coords_rows(rowsHNe, [img], n, "unit image")[0]
-            unit_rows.append(phi.reshape(-1))
-        unit = _coords_rows(flat2, unit_rows, n, "hom unit") if basis2 else np.zeros((HN.dim, 0), dtype=np.int64)
+            return "counit not a module map"
+        # the unit at j_* N then j_*(counit) must be the identity of j_* N
+        _, basis2 = rec.j_lower(HNe)
+        unit = rec.hom_unit(HN, rowsHNe, basis2)
         jcounit = rec.j_lower_map(HNe, basis2, N, basis, counit)
-        if ((unit @ jcounit) % n != eye(HN.dim)).any():
-            ok4 = False
-            fail("restriction_coextension_triangles", ("second identity", N.key()))
-    checks["restriction_coextension_triangles"] = ok4
+        if not is_identity(unit @ jcounit, HN.dim):
+            return "second identity"
 
+    run("restriction_coextension_triangles", hom_at_middle, UA.members)
+    run("restriction_coextension_triangles", hom_at_corner, UX.members)
+
+    sizes = {"middle": len(UA), "corner": len(UX), "quotient": len(UY)}
+    checks = {name: all(f != name for f, _ in failures) for name in CHECKS}
     return RecollementReport(
-        A,
-        tuple(int(v) for v in rec.e),
-        rec.corner.rank,
-        rec.quotient.rank,
-        {"middle": len(UA), "corner": len(UX), "quotient": len(UY)},
-        checks,
-        failures,
+        A, tuple(int(v) for v in rec.e), rec.corner.rank, rec.quotient.rank, sizes, checks, failures
     )

@@ -35,11 +35,6 @@ class ValidationReport:
     def add(self, rule: str, witness: tuple = (), detail: str = ""):
         self.violations.append(Violation(rule, witness, detail))
 
-    def raise_if_failed(self):
-        if not self.ok:
-            lines = "\n".join("  " + str(v) for v in self.violations)
-            raise ValueError(f"{self.subject} failed validation:\n{lines}")
-
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.violations)} violation(s)"
         return f"{self.subject}: {state} ({self.checked} checks)"

@@ -28,9 +28,6 @@ class Sieve:
     def __contains__(self, f: int) -> bool:
         return f in self.members
 
-    def sorted_members(self):
-        return sorted(self.members)
-
 
 def is_sieve(cat: FiniteCategory, S: Sieve) -> bool:
     for g in S.members:

@@ -357,7 +357,7 @@ class ModuleUniverse:
             V = self.members[i]
             out = set()
             for H in self.submodule_rows(i):
-                Q, _ = quotient_module(V, H)
+                Q, _, _ = quotient_module(V, H)
                 out.add(self.index_of(Q))
             self._quot_classes[i] = frozenset(out)
         return self._quot_classes[i]
@@ -473,7 +473,7 @@ def torsion_pair_check(X, Y, universe: ModuleUniverse) -> TorsionPairWitness:
     for a_idx, a in enumerate(universe.members):
         rows = trace_in_module(x_members, a)
         S, incl = submodule_module(a, rows)
-        Q, proj = quotient_module(a, rows)
+        Q, proj, _ = quotient_module(a, rows)
         s_cls = universe.index_of(S)
         q_cls = universe.index_of(Q)
         if s_cls not in xs:
@@ -510,24 +510,20 @@ class TTFTriple:
         return (tuple(sorted(self.x_indices)), tuple(sorted(self.y_indices)), tuple(sorted(self.z_indices)))
 
 
-def _module_times_ideal_rows(V: SkewModule, I: TwoSidedIdeal) -> np.ndarray:
-    n = V.algebra.base.modulus
+def module_times_ideal(V: SkewModule, I: TwoSidedIdeal) -> np.ndarray:
+    """Rows spanning V*I: the rows of V*r for each basis row r of I."""
     rows = []
     for r in I.rows:
-        mat = V.act_of(np.array(r, dtype=np.int64))
-        rows.extend(mat % n)
-    return linalg.howell_form(linalg.as_matrix(rows, V.dim), n, V.dim)
+        rows.extend(V.act_of(np.array(r, dtype=np.int64)))
+    return linalg.as_matrix(rows, V.dim)
 
 
-def _socle_size(V: SkewModule, I: TwoSidedIdeal) -> int:
-    n = V.algebra.base.modulus
-    if V.dim == 0:
-        return 1
+def killed_by_ideal(V: SkewModule, I: TwoSidedIdeal) -> np.ndarray:
+    """Howell basis of the elements v of V with v*I = 0."""
     mats = [V.act_of(np.array(r, dtype=np.int64)) for r in I.rows]
-    if not mats:
-        return n**V.dim
-    K = linalg.kernel_left(np.concatenate(mats, axis=1), n)
-    return linalg.span_size(K, n)
+    if not (mats and V.dim):
+        return np.eye(V.dim, dtype=np.int64)
+    return linalg.kernel_left(np.concatenate(mats, axis=1), V.algebra.base.modulus)
 
 
 def ttf_from_idempotent_ideal(I: TwoSidedIdeal, universe: ModuleUniverse) -> TTFTriple:
@@ -541,12 +537,12 @@ def ttf_from_idempotent_ideal(I: TwoSidedIdeal, universe: ModuleUniverse) -> TTF
     n = universe.algebra.base.modulus
     xs, ys, zs = set(), set(), set()
     for idx, V in enumerate(universe.members):
-        MI = _module_times_ideal_rows(V, I)
+        MI = linalg.howell_form(module_times_ideal(V, I), n, V.dim)
         if V.dim == 0 or linalg.span_size(MI, n) == n**V.dim:
             xs.add(idx)
         if MI.shape[0] == 0:
             ys.add(idx)
-        if _socle_size(V, I) == 1:
+        if linalg.span_size(killed_by_ideal(V, I), n) == 1:
             zs.add(idx)
     pair_xy = torsion_pair_check(xs, ys, universe)
     pair_yz = torsion_pair_check(ys, zs, universe)

@@ -396,6 +396,45 @@ def test_cli_recollement_wrong_length(capsys):
     assert code == 2 and "3 coordinates" in doc["error"]
 
 
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+
+    return edit
+
+
+MALFORMED_PRESHEAVES = {
+    "modulus-string": (_set("base", "modulus", "two"), "modulus"),
+    "modulus-past-int64": (_set("base", "modulus", 10**30), "modulus"),
+    "modulus-float": (_set("base", "modulus", 2.5), "modulus"),
+    "modulus-bool": (_set("base", "modulus", True), "modulus"),
+    "unit-null": (_set("algebras", "*", "unit", None), "unit"),
+    "unit-too-short": (_set("algebras", "*", "unit", [1]), "unit"),
+    "mul-ragged": (_set("algebras", "*", "mul", 1, [[0, 0]]), "mul"),
+    "mul-float": (_set("algebras", "*", "mul", 0, [[1.5, 0], [0, 0]]), "mul"),
+    "map-string": (_set("maps", "id", [["1", 0], [0, 1]]), "maps"),
+}
+
+
+@pytest.mark.parametrize("command", ["skew", "validate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRESHEAVES))
+def test_cli_malformed_presheaf_is_input_error(capsys, tmp_path, command, case):
+    edit, key = MALFORMED_PRESHEAVES[case]
+    with open(fx("terminal_f2xf2.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out["kind"] == "input" and key in out["error"]
+    assert "input error" in err
+
+
 def test_cli_missing_file_is_input_error(capsys):
     code, doc, _ = run_cli(capsys, "validate", fx("nope.json"))
     assert code == 2

@@ -145,8 +145,9 @@ def test_submodule_and_quotient_of_regular():
     assert S.dim == 1
     # radical of e11A is a copy of S2: e22 acts as identity on it
     assert S.act[2][0, 0] == 1 and S.act[0][0, 0] == 0
-    Q, proj = quotient_module(reg, rad)
+    Q, proj, sec = quotient_module(reg, rad)
     assert Q.dim == 2
+    assert ((sec @ proj) % 2 == np.eye(2, dtype=np.int64)).all()
     assert validate_skew_module(Q).ok
 
 

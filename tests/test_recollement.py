@@ -1,8 +1,12 @@
 """Corner/quotient algebra construction and full recollement verification
 for idempotents of the upper triangular 2x2 algebra and friends."""
+import json
+import os
+
 import numpy as np
 import pytest
 
+from torsite.cli import main
 from torsite.errors import InputError, NotPrimeError
 from torsite.fixtures import group_algebra_c2, product_field_algebra, t2_algebra
 from torsite.modules import SkewModule, regular_module
@@ -124,3 +128,55 @@ def test_recollement_rejects_bad_input():
         verify_recollement(A, E12)  # nilpotent, not idempotent
     with pytest.raises(NotPrimeError):
         verify_recollement(t2_algebra(4), [0, 0, 1])
+
+
+# -- each check can fail ---------------------------------------------------
+
+
+def corrupt_after_init(monkeypatch, field):
+    """Zero one field of every Recollement right after construction."""
+    init = Recollement.__init__
+
+    def broken(self, A, e):
+        init(self, A, e)
+        setattr(self, field, np.zeros_like(getattr(self, field)))
+
+    monkeypatch.setattr(Recollement, "__init__", broken)
+
+
+@pytest.mark.parametrize("e", [E22, E11], ids=["e22", "e11"])
+@pytest.mark.parametrize(
+    "field, check",
+    [
+        ("e_in_eA", "extension_restriction_triangles"),
+        ("e_in_Ae", "restriction_coextension_triangles"),
+    ],
+)
+def test_corrupted_unit_coordinates_fail_one_check(monkeypatch, e, field, check):
+    corrupt_after_init(monkeypatch, field)
+    rep = verify_recollement(t2_algebra(2), e, dim_bound=2)
+    assert not rep.ok
+    assert [k for k, v in rep.checks.items() if not v] == [check]
+    assert rep.failures and {name for name, _ in rep.failures} == {check}
+    assert rep.summary().startswith("FAIL ")
+
+
+def test_zero_tensor_unit_breaks_the_first_identity(monkeypatch):
+    corrupt_after_init(monkeypatch, "e_in_eA")
+    rep = verify_recollement(t2_algebra(2), E22, dim_bound=2)
+    name, (label, _key) = rep.failures[0]
+    assert name == "extension_restriction_triangles" and label == "first identity"
+
+
+def test_cli_recollement_failure_exits_1(monkeypatch, capsys):
+    corrupt_after_init(monkeypatch, "e_in_Ae")
+    site = os.path.join(os.path.dirname(__file__), "..", "fixtures", "a2_f2.json")
+    code = main(["recollement", site, "--idempotent", "0,1,0", "--dim-bound", "2"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1 and doc["ok"] is False
+    assert doc["checks"]["restriction_coextension_triangles"] is False
+    assert doc["failures"] and all(
+        name == "restriction_coextension_triangles" for name, _ in doc["failures"]
+    )
+    assert "restriction_coextension_triangles=FAIL" in captured.err
