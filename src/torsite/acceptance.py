@@ -2,10 +2,11 @@
 
 Each criterion function performs one independent verification at desk
 scale and returns a one-line detail string; failures raise
-AssertionError.  ``run_all`` executes all of them, timing each against
-its stated budget, and is what ``torsite selftest`` runs.  The expected
-counts hard-coded here were derived by hand and double-checked against
-the brute-force routes before being frozen.
+AssertionError, under ``python -O`` too.  ``run_all`` executes all of
+them, timing each against its stated budget, and is what ``torsite
+selftest`` runs.  The expected counts hard-coded here were derived by
+hand and double-checked against the brute-force routes before being
+frozen.
 """
 from __future__ import annotations
 
@@ -50,6 +51,12 @@ from .torsion import (
     split_ttf_from_central_idempotent,
 )
 
+def _check(ok, detail) -> None:
+    """Raise AssertionError(detail) unless ok; unlike assert, kept under python -O."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 SKEW_DIMENSIONS = {
     "terminal_f2": 1,
     "a2_f2": 3,
@@ -64,9 +71,9 @@ def criterion_1_skew_algebra() -> str:
     for name, cat, R in fixture_presheaves():
         A = build_skew_algebra(cat, R)
         rep = validate_algebra(A)
-        assert rep.ok, f"{name}: {rep.violations[:1]}"
+        _check(rep.ok, f"{name}: {rep.violations[:1]}")
         dims[name] = A.rank
-    assert dims == SKEW_DIMENSIONS, dims
+    _check(dims == SKEW_DIMENSIONS, dims)
     return "dimensions " + ", ".join(f"{k}={v}" for k, v in dims.items())
 
 
@@ -74,7 +81,7 @@ def criterion_2_end_generator() -> str:
     """The center-of-Gr to center-of-skew-algebra comparison map is a ring iso."""
     for name, cat, R in fixture_presheaves():
         rep = end_generator_iso(cat, R)
-        assert rep.ok, f"{name}: {rep.violations[:1]}"
+        _check(rep.ok, f"{name}: {rep.violations[:1]}")
     return "bijective, multiplicative, unital on all 4 fixtures"
 
 
@@ -92,9 +99,9 @@ def criterion_3_topologies() -> str:
             for r in range(cat.n_objects + 1)
         )
         expected = {subcategory_topology(cat, D).key() for D in subsets}
-        assert found == expected, f"{name}: topology sets differ"
+        _check(found == expected, f"{name}: topology sets differ")
         counts[name] = len(found)
-    assert counts == {"terminal": 2, "a2": 4}, counts
+    _check(counts == {"terminal": 2, "a2": 4}, counts)
     return f"terminal={counts['terminal']}, a2={counts['a2']}, both equal to subcategory topologies"
 
 
@@ -106,11 +113,11 @@ def criterion_4_round_trip() -> str:
         n = R.base.modulus
         for M in enumerate_module_presheaves(cat, R, 3):
             M2 = phi_from_gr(psi_to_gr(M, skew))
-            assert M2.ranks == M.ranks, name
+            _check(M2.ranks == M.ranks, name)
             for f in range(cat.n_morphisms):
-                assert (M2.maps[f] % n == M.maps[f] % n).all(), name
+                _check((M2.maps[f] % n == M.maps[f] % n).all(), name)
             for x in range(cat.n_objects):
-                assert (M2.actions[x] % n == M.actions[x] % n).all(), name
+                _check((M2.actions[x] % n == M.actions[x] % n).all(), name)
             checked += 1
         for m in range(4):
             for V in enumerate_skew_module_structures(skew, m):
@@ -120,10 +127,10 @@ def criterion_4_round_trip() -> str:
                     checked += 1
                     continue
                 P = np.concatenate([B for B in M.block_bases if B.size], axis=0)
-                assert P.shape == (V.dim, V.dim), name
-                assert linalg.matrix_inverse(P, n) is not None, name
+                _check(P.shape == (V.dim, V.dim), name)
+                _check(linalg.matrix_inverse(P, n) is not None, name)
                 for j in range(skew.rank):
-                    assert ((W.act[j] @ P) % n == (P @ V.act[j]) % n).all(), name
+                    _check(((W.act[j] @ P) % n == (P @ V.act[j]) % n).all(), name)
                 checked += 1
     return f"{checked} modules round-tripped exactly"
 
@@ -140,7 +147,7 @@ def criterion_5_sheaf_perpendicular() -> str:
             for M in modules:
                 a = bool(is_sheaf(M, Jp))
                 b = bool(perpendicular_check(psi_to_gr(M, skew), Jp))
-                assert a == b, f"{name}: mismatch at ranks {M.ranks}"
+                _check(a == b, f"{name}: mismatch at ranks {M.ranks}")
                 checked += 1
     return f"{checked} (module, topology) pairs, zero mismatches"
 
@@ -156,11 +163,7 @@ def criterion_6_hereditary_counts() -> str:
         linear = enumerate_linear_topologies(gr)
         U = ModuleUniverse(build_skew_algebra(cat, R), dim_bound=3)
         brute = brute_force_hereditary_pairs(U)
-        assert len(linear) == len(brute) == expected[name], (
-            name,
-            len(linear),
-            len(brute),
-        )
+        _check(len(linear) == len(brute) == expected[name], (name, len(linear), len(brute)))
         seen[name] = len(linear)
     return f"terminal_f2={seen['terminal_f2']}, terminal_f2xf2={seen['terminal_f2xf2']}"
 
@@ -171,8 +174,8 @@ def criterion_7_ttf_counts() -> str:
     ideals = enumerate_idempotent_ideals(A)
     U = ModuleUniverse(A, dim_bound=3)
     triples = brute_force_ttf_triples(U)
-    assert len(ideals) == 4, len(ideals)
-    assert len(triples) == 4, len(triples)
+    _check(len(ideals) == 4, len(ideals))
+    _check(len(triples) == 4, len(triples))
     return f"idempotent ideals = ttf triples = {len(ideals)}"
 
 
@@ -185,9 +188,9 @@ def criterion_8_split_ttf() -> str:
         U = ModuleUniverse(A, dim_bound=3)
         brute_split = {t.key() for t in brute_force_ttf_triples(U) if t.split}
         built = {split_ttf_from_central_idempotent(e, U).key() for e in cents}
-        assert len(built) == len(cents), f"{name}: map not injective"
-        assert built == brute_split, f"{name}: split TTF sets differ"
-        assert len(cents) == expected[name], (name, len(cents))
+        _check(len(built) == len(cents), f"{name}: map not injective")
+        _check(built == brute_split, f"{name}: split TTF sets differ")
+        _check(len(cents) == expected[name], (name, len(cents)))
         seen[name] = len(cents)
     return f"t2={seen['t2']}, f2xf2={seen['f2xf2']}, bijection verified"
 
@@ -199,7 +202,7 @@ def criterion_9_recollement() -> str:
     A = t2_algebra(2)
     for label, e in (("0", [0, 0, 0]), ("1", list(A.unit)), ("e22", [0, 0, 1])):
         rep = verify_recollement(A, e, dim_bound=3)
-        assert rep.ok, f"e={label}: {rep.failures[:1]}"
+        _check(rep.ok, f"e={label}: {rep.failures[:1]}")
     return "all checks pass for e in {0, 1, e22}"
 
 
@@ -208,11 +211,11 @@ def criterion_10_ext1_routes() -> str:
     A = t2_algebra(2)
     U = ModuleUniverse(A, dim_bound=2)
     pairs = 0
-    for V in U.members:
-        for W in U.members:
+    for i, V in enumerate(U.members):
+        for j, W in enumerate(U.members):
             a = ext1_skew(V, W).dim
             b = ext1_dimension_by_enumeration(V, W)
-            assert a == b, (U.index_of(V), U.index_of(W), a, b)
+            _check(a == b, (i, j, a, b))
             pairs += 1
     return f"{pairs} module pairs, dimensions agree exactly"
 

@@ -16,12 +16,25 @@ from .fincat import FiniteCategory, FullSubcategory
 from .report import ValidationReport
 
 
+# All arithmetic is int64, reduced mod n after each contraction, so every
+# entry lies below n and n - 1 <= 2**16 keeps each contraction exact.  The
+# widest are the three-factor ones (FiniteAlgebra.multiply, the algebra-map
+# check, composition in Gr): sums of rank**2 products, each below 2**48, so
+# exact while rank**2 < 2**15.  Every other contraction sums two-factor
+# products, each below 2**32 (the sections in chained products select rows).
+MAX_MODULUS = 2**16 + 1
+
+
 class BaseRing:
-    """The coefficient ring Z/n, n >= 2."""
+    """The coefficient ring Z/n, 2 <= n <= MAX_MODULUS."""
 
     def __init__(self, modulus: int):
         if modulus < 2:
             raise InputError("modulus must be at least 2")
+        if modulus > MAX_MODULUS:
+            raise InputError(
+                f"modulus {modulus} is too large: int64 arithmetic is exact only up to {MAX_MODULUS}"
+            )
         self.modulus = int(modulus)
 
     def __eq__(self, other):

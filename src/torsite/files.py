@@ -58,14 +58,15 @@ def _is_int64(x) -> bool:
 def _int_array(data, where: str, ndim: int = 2) -> np.ndarray:
     """JSON integers (no bools, floats or strings) as an int64 array of rank ndim.
 
-    An empty list stands for an empty array of that rank.
+    An empty list, or an empty array of lower rank such as [[]], stands
+    for an empty array of that rank.
     """
     what = "an integer" if ndim == 0 else f"a {ndim}-dimensional integer array"
     try:
         arr = np.array(data, dtype=object)
     except ValueError:
         raise InputError(f"{where}: expected {what}") from None
-    if arr.ndim == 1 and arr.size == 0:
+    if arr.size == 0 and arr.ndim < ndim:
         arr = arr.reshape((0,) * ndim)
     if arr.ndim != ndim or not all(_is_int64(x) for x in arr.flat):
         raise InputError(f"{where}: expected {what} within the int64 range")
@@ -283,6 +284,11 @@ def module_to_doc(M: ModulePresheaf) -> dict:
     return {"schema": MODULE_SCHEMA, "modules": modules}
 
 
+def _empty_as(arr: np.ndarray, shape: tuple) -> np.ndarray:
+    """arr, read as the empty array of the given shape when both are empty."""
+    return arr.reshape(shape) if arr.size == 0 and 0 in shape else arr
+
+
 def module_from_doc(
     doc: dict, cat: FiniteCategory, R: AlgebraPresheaf, where: str = "module"
 ) -> ModulePresheaf:
@@ -294,12 +300,13 @@ def module_from_doc(
         if obj not in mods_doc:
             raise InputError(f"{where}.modules: missing object {obj!r}")
         entry = mods_doc[obj]
-        rank = int(_need(entry, "rank", f"{where}.modules[{obj}]"))
+        at = f"{where}.modules[{obj}]"
+        rank = int(_int_array(_need(entry, "rank", at), f"{at}.rank", 0))
+        if rank < 0:
+            raise InputError(f"{at}.rank: expected a non-negative integer")
         ranks.append(rank)
-        act = np.asarray(_need(entry, "action", f"{where}.modules[{obj}]"), dtype=np.int64)
-        if act.size == 0:
-            act = act.reshape(R.algebra(x).rank, rank, rank)
-        actions.append(act)
+        act = _int_array(_need(entry, "action", at), f"{at}.action", 3)
+        actions.append(_empty_as(act, (R.algebra(x).rank, rank, rank)))
         for name, mat in entry.get("maps", {}).items():
             try:
                 f = cat.morphism_index(name)
@@ -315,9 +322,7 @@ def module_from_doc(
             raise InputError(
                 f"{where}: missing map for morphism {cat.morphisms[f].name!r}"
             )
-        want = (ranks[cat.cod(f)], ranks[cat.dom(f)])
-        if maps[f].shape != want and maps[f].size == 0:
-            maps[f] = maps[f].reshape(want)
+        maps[f] = _empty_as(maps[f], (ranks[cat.cod(f)], ranks[cat.dom(f)]))
     try:
         return ModulePresheaf(cat, R, ranks, maps, actions)
     except InputError as exc:

@@ -254,11 +254,10 @@ class LinearSieve:
 
     def contains(self, other: "LinearSieve") -> bool:
         n = self.gr.base.modulus
-        for y in range(self.gr.cat.n_objects):
-            for row in other.components[y]:
-                if not linalg.in_span(self.components[y], row, n):
-                    return False
-        return True
+        return not any(
+            linalg.reduce_vector(self.components[y], other.components[y], n).any()
+            for y in range(self.gr.cat.n_objects)
+        )
 
     def __repr__(self):
         sizes = ",".join(str(H.shape[0]) for H in self.components)

@@ -160,14 +160,17 @@ def span_key(H: np.ndarray) -> bytes:
 
 
 def reduce_vector(H: np.ndarray, v, n: int) -> np.ndarray:
-    """Remainder of v after reduction against a Howell form H."""
+    """Remainder of v after reduction against a Howell form H.
+
+    v is one vector or a stack of them (one per row); every row is reduced
+    by the rows of H in order, exactly as a single vector would be.
+    """
     r = np.array(v, dtype=np.int64) % n
     for row in H:
         j = _leading(row)
-        d = int(row[j])
-        q = int(r[j]) // d
-        if q:
-            r = (r - q * row) % n
+        q = r[..., j] // row[j]
+        if q.any():
+            r = (r - q[..., None] * row) % n
     return r
 
 
@@ -178,31 +181,31 @@ def in_span(H: np.ndarray, v, n: int) -> bool:
 def solve_left(A, b, n: int):
     """One solution x of x @ A == b (mod n), or None.
 
-    A has shape (m, k); x has length m.  Works for any modulus thanks to
-    the Howell property of the augmented form.
+    A has shape (m, k).  b is one target of length k, giving x of length
+    m, or a stack of shape (r, k), giving x of shape (r, m) and None if
+    any row of b lies outside the span.  Works for any modulus thanks to
+    the Howell property of the augmented form, built once for all rows.
     """
     A = np.asarray(A, dtype=np.int64)
     m, k = A.shape
     b = np.asarray(b, dtype=np.int64) % n
-    if m == 0:
-        return np.zeros(0, dtype=np.int64) if not b.any() else None
-    aug = np.hstack([A % n, np.eye(m, dtype=np.int64)])
-    H = howell_form(aug, n, k + m)
-    x = np.zeros(m, dtype=np.int64)
-    r = b.copy()
-    for row in H:
-        j = _leading(row)
-        if j >= k:
-            break
-        d = int(row[j])
-        if int(r[j]) % d:
-            return None
-        q = int(r[j]) // d
-        r = (r - q * row[:k]) % n
-        x = (x + q * row[k:]) % n
+    r = np.atleast_2d(b)
+    x = np.zeros((r.shape[0], m), dtype=np.int64)
+    if m:
+        aug = np.hstack([A % n, np.eye(m, dtype=np.int64)])
+        for row in howell_form(aug, n, k + m):
+            j = _leading(row)
+            if j >= k:
+                break
+            d = row[j]
+            if (r[:, j] % d).any():
+                return None
+            q = (r[:, j] // d)[:, None]
+            r = (r - q * row[:k]) % n
+            x = (x + q * row[k:]) % n
     if r.any():
         return None
-    return x
+    return x if b.ndim == 2 else x[0]
 
 
 def kernel_left(A, n: int) -> np.ndarray:
@@ -223,15 +226,9 @@ def matrix_inverse(A, n: int):
     k = A.shape[0]
     if A.shape != (k, k):
         raise ValueError("matrix_inverse needs a square matrix")
-    rows = []
-    for i in range(k):
-        e = np.zeros(k, dtype=np.int64)
-        e[i] = 1
-        x = solve_left(A, e, n)
-        if x is None:
-            return None
-        rows.append(x)
-    X = np.array(rows, dtype=np.int64)
+    X = solve_left(A, np.eye(k, dtype=np.int64), n)
+    if X is None:
+        return None
     if ((X @ A) % n != np.eye(k, dtype=np.int64)).any():
         return None
     if ((A @ X) % n != np.eye(k, dtype=np.int64)).any():

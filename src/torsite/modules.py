@@ -181,19 +181,27 @@ def direct_sum(V: SkewModule, W: SkewModule) -> SkewModule:
     return SkewModule(A, act)
 
 
+def _restricted_action(rows: np.ndarray, mats, n: int, what: str) -> np.ndarray:
+    """The right actions mats restricted to the stable span of rows, in row coordinates.
+
+    rows has shape (k, w) and each of mats shape (w, w); the result has
+    shape (len(mats), k, k).  All k * len(mats) images are written in the
+    basis rows by one solve.
+    """
+    k, w = rows.shape
+    mats = np.array(mats, dtype=np.int64).reshape(len(mats), w, w)
+    imgs = ((rows @ mats) % n).reshape(len(mats) * k, w)
+    coeffs = linalg.solve_left(rows, imgs, n)
+    if coeffs is None:
+        raise InputError(f"{what}: rows do not span a stable submodule")
+    return coeffs.reshape(len(mats), k, k)
+
+
 def submodule_module(V: SkewModule, rows) -> tuple:
     """Module structure on a stable submodule; returns (module, inclusion)."""
     n = V.algebra.base.modulus
     H = linalg.howell_form(linalg.as_matrix(rows, V.dim), n, V.dim)
-    act = np.zeros((V.algebra.rank, H.shape[0], H.shape[0]), dtype=np.int64)
-    for j in range(V.algebra.rank):
-        for i, row in enumerate(H):
-            img = (row @ V.act[j]) % n
-            coeffs = linalg.solve_left(H, img, n)
-            if coeffs is None:
-                raise InputError("rows do not span a stable submodule")
-            act[j][i] = coeffs
-    return SkewModule(V.algebra, act), H
+    return SkewModule(V.algebra, _restricted_action(H, V.act, n, "submodule")), H
 
 
 def quotient_module(V: SkewModule, rows) -> tuple:
@@ -211,9 +219,7 @@ def quotient_module(V: SkewModule, rows) -> tuple:
     H = linalg.howell_form(linalg.as_matrix(rows, V.dim), n, V.dim)
     comp = linalg.complement_columns(H, V.dim)
     sec = np.eye(V.dim, dtype=np.int64)[comp]
-    proj = np.zeros((V.dim, len(comp)), dtype=np.int64)
-    for i, e in enumerate(np.eye(V.dim, dtype=np.int64)):
-        proj[i] = linalg.reduce_vector(H, e, n)[comp]
+    proj = linalg.reduce_vector(H, np.eye(V.dim, dtype=np.int64), n)[:, comp]
     Q = SkewModule(V.algebra, (sec @ V.act @ proj) % n)
     return Q, proj, sec
 
@@ -359,15 +365,6 @@ def phi_from_gr(V: SkewModule) -> ModulePresheaf:
         raise InputError("object idempotents do not decompose the carrier")
     ranks = [B.shape[0] for B in bases]
 
-    def express(B, rows):
-        out = np.zeros((rows.shape[0], B.shape[0]), dtype=np.int64)
-        for i, row in enumerate(rows):
-            c = linalg.solve_left(B, row, n)
-            if c is None:
-                raise InputError("carrier is not spanned by its blocks")
-            out[i] = c
-        return out
-
     maps = []
     for f in range(cat.n_morphisms):
         x, y = cat.dom(f), cat.cod(f)
@@ -375,18 +372,14 @@ def phi_from_gr(V: SkewModule) -> ModulePresheaf:
         for i, cval in enumerate(R.algebra(x).unit):
             u[skew.pair_index[(f, i)]] = cval
         img = (bases[y] @ V.act_of(u)) % n
-        maps.append(express(bases[x], img))
+        Mf = linalg.solve_left(bases[x], img, n)
+        if Mf is None:
+            raise InputError("carrier is not spanned by its blocks")
+        maps.append(Mf)
     actions = []
     for x in range(cat.n_objects):
-        alg = R.algebra(x)
-        e = cat.identity[x]
-        table = np.zeros((alg.rank, ranks[x], ranks[x]), dtype=np.int64)
-        for j in range(alg.rank):
-            u = np.zeros(skew.rank, dtype=np.int64)
-            u[skew.pair_index[(e, j)]] = 1
-            img = (bases[x] @ V.act_of(u)) % n
-            table[j] = express(bases[x], img)
-        actions.append(table)
+        idx = [skew.pair_index[(cat.identity[x], j)] for j in range(R.algebra(x).rank)]
+        actions.append(_restricted_action(bases[x], V.act[idx], n, "object block"))
     M = ModulePresheaf(cat, R, ranks, maps, actions)
     M.block_bases = tuple(bases)
     return M
@@ -512,9 +505,7 @@ def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
             image = linalg.howell_form(
                 linalg.as_matrix([ev(row) for row in Bx], total), n, total
             )
-            missing = sum(
-                0 if linalg.in_span(image, s, n) else 1 for s in solutions
-            )
+            missing = int(linalg.reduce_vector(image, solutions, n).any(axis=1).sum())
             if missing:
                 return PredicateResult(
                     False,
@@ -640,14 +631,7 @@ def ext1_skew(V: SkewModule, W: SkewModule) -> Ext1Result:
     act_free = [
         np.kron(np.eye(m, dtype=np.int64), right_mult[j]) % n for j in range(d)
     ]
-    act_omega = np.zeros((d, kw, kw), dtype=np.int64)
-    for j in range(d):
-        for i, row in enumerate(K):
-            img = (row @ act_free[j]) % n
-            coeffs = linalg.solve_left(K, img, n)
-            assert coeffs is not None
-            act_omega[j][i] = coeffs
-    Omega = SkewModule(A, act_omega)
+    Omega = SkewModule(A, _restricted_action(K, act_free, n, "syzygy action"))
     homs = hom_skew(Omega, W)
     flat = linalg.as_matrix([H.reshape(-1) for H in homs], kw * w)
     if kw == 0 or not homs:
@@ -826,13 +810,9 @@ def enumerate_skew_module_structures(
     if A.rank == 0:
         return []  # only the zero space admits a unital structure
     gens, words, vecs = _generating_words(A)
-    coeff = []
-    for i in range(A.rank):
-        c = linalg.solve_left(vecs, A.basis_vector(i), n)
-        if c is None:
-            raise InputError("basis not reachable from generating words")
-        coeff.append(c)
-    coeff = np.array(coeff, dtype=np.int64)  # (rank, n_words)
+    coeff = linalg.solve_left(vecs, np.eye(A.rank, dtype=np.int64), n)  # (rank, n_words)
+    if coeff is None:
+        raise InputError("basis not reachable from generating words")
     img_count = n ** (dim * dim)
     total = img_count ** len(gens)
     if total > budget:

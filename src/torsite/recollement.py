@@ -18,18 +18,16 @@ import numpy as np
 from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import InputError, NotPrimeError
-from .modules import SkewModule, hom_skew, quotient_module
+from .modules import SkewModule, _restricted_action, hom_skew, quotient_module, regular_module
 from .torsion import ModuleUniverse, ideal_generated_by, killed_by_ideal, module_times_ideal
 
 
 def _coords_rows(basis: np.ndarray, vecs, n: int, what: str) -> np.ndarray:
     """Express each vector in the row span of basis; rows of the result."""
-    out = np.zeros((len(vecs), basis.shape[0]), dtype=np.int64)
-    for i, v in enumerate(vecs):
-        c = linalg.solve_left(basis, np.asarray(v, dtype=np.int64) % n, n)
-        if c is None:
-            raise InputError(f"{what}: vector leaves the expected span")
-        out[i] = c
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(len(vecs), basis.shape[1])
+    out = linalg.solve_left(basis, vecs, n)
+    if out is None:
+        raise InputError(f"{what}: vector leaves the expected span")
     return out
 
 
@@ -40,46 +38,27 @@ def corner_algebra(A: FiniteAlgebra, e) -> tuple:
     prods = [A.multiply(A.multiply(e, A.basis_vector(j)), e) for j in range(A.rank)]
     rows = linalg.howell_form(linalg.as_matrix(prods, A.rank), n, A.rank)
     r = rows.shape[0]
-    mul = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            mul[i, j] = _coords_rows(rows, [A.multiply(rows[i], rows[j])], n, "corner product")[0]
-    unit = _coords_rows(rows, [e], n, "corner unit")[0] if r else np.zeros(0, dtype=np.int64)
+    # the products of the basis rows, then e itself, which lies in eAe
+    vecs = [A.multiply(a, b) for a in rows for b in rows] + [e]
+    coords = _coords_rows(rows, vecs, n, "corner product")
     names = tuple(f"c{i}" for i in range(r))
-    return FiniteAlgebra(A.base, mul, unit, names), rows
+    return FiniteAlgebra(A.base, coords[:-1].reshape(r, r, r), coords[-1], names), rows
 
 
 def quotient_algebra(A: FiniteAlgebra, ideal_rows: np.ndarray) -> tuple:
     """The algebra A/I; returns (algebra, projection, section).
 
-    Coset coordinates are the non-pivot columns of the Howell form of I,
-    so the modulus must be prime.  projection has shape (rank A, rank Q),
-    section (rank Q, rank A), with section @ projection the identity.
+    The carrier is quotient_module(regular_module(A), I), so the modulus
+    must be prime.  projection has shape (rank A, rank Q), section
+    (rank Q, rank A), with section @ projection the identity.
     """
-    n = A.base.modulus
-    if not linalg.is_prime(n):
-        raise NotPrimeError(n, "quotient algebra carrier")
-    H = linalg.howell_form(linalg.as_matrix(list(ideal_rows), A.rank), n, A.rank)
-    comp = linalg.complement_columns(H, A.rank)
-    q = len(comp)
-    proj = np.zeros((A.rank, q), dtype=np.int64)
-    for i in range(A.rank):
-        proj[i] = linalg.reduce_vector(H, A.basis_vector(i), n)[comp]
-    sec = np.eye(A.rank, dtype=np.int64)[comp]
-    mul = np.zeros((q, q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            mul[i, j] = (A.multiply(sec[i], sec[j]) @ proj) % n
-    unit = (A.unit @ proj) % n
-    names = tuple(f"q{i}" for i in range(q))
+    Q, proj, sec = quotient_module(regular_module(A), ideal_rows)
+    # sec[j] is the basis vector b of coset column j, so the product of
+    # cosets i and j is coset i acted on by b: mul[i, j] = Q.act[b][i]
+    mul = np.einsum("jb,bik->ijk", sec, Q.act)
+    unit = (A.unit @ proj) % A.base.modulus
+    names = tuple(f"q{i}" for i in range(Q.dim))
     return FiniteAlgebra(A.base, mul, unit, names), proj, sec
-
-
-def _restricted_action(rows: np.ndarray, mats, n: int, what: str) -> np.ndarray:
-    """The right actions mats restricted to the span of rows, in row coordinates."""
-    k = rows.shape[0]
-    acts = [_coords_rows(rows, (rows @ m) % n, n, what) for m in mats]
-    return np.array(acts, dtype=np.int64).reshape(len(acts), k, k)
 
 
 def _is_module_map(S: SkewModule, T: SkewModule, F: np.ndarray) -> bool:
@@ -150,7 +129,7 @@ class Recollement:
 
     def j_star_map(self, M, rowsM, N, rowsN, F) -> np.ndarray:
         n = self.A.base.modulus
-        return _coords_rows(rowsN, [(v @ F) % n for v in rowsM], n, "restricted map")
+        return _coords_rows(rowsN, (rowsM @ F) % n, n, "restricted map")
 
     def i_star(self, N: SkewModule) -> SkewModule:
         """Inflation of a quotient-algebra module along A -> A/AeA."""
@@ -208,12 +187,10 @@ class Recollement:
         """
         n = self.A.base.modulus
         basis = hom_skew(self.Ae_corner_module, N)
-        h = len(basis)
         flat = self._hom_rows(basis, N.dim)
-        act = np.zeros((self.A.rank, h, h), dtype=np.int64)
-        for j in range(self.A.rank):
-            imgs = [((self.ae_left[j] @ B) % n).reshape(-1) for B in basis]
-            act[j] = _coords_rows(flat, imgs, n, "hom module action") if h else np.zeros((0, 0), dtype=np.int64)
+        # B -> L @ B on the flattened hom space is v -> v @ kron(L^T, 1)
+        eye_N = np.eye(N.dim, dtype=np.int64)
+        act = _restricted_action(flat, [np.kron(L.T, eye_N) for L in self.ae_left], n, "hom module action")
         return SkewModule(self.A, act), basis
 
     def j_lower_map(self, N, basisN, N2, basisN2, G) -> np.ndarray:
@@ -268,8 +245,10 @@ class Recollement:
         if not basis:
             return np.zeros((M.dim, 0), dtype=np.int64)
         n = self.A.base.modulus
-        imgs = np.stack([_coords_rows(rows, M.act_of(v), n, "unit image") for v in self.Ae_rows], axis=1)
-        return _coords_rows(self._hom_rows(basis, rows.shape[0]), imgs.reshape(M.dim, -1), n, "hom unit")
+        k = rows.shape[0]
+        acts = np.concatenate([M.act_of(v) for v in self.Ae_rows])
+        imgs = _coords_rows(rows, acts, n, "unit image").reshape(-1, M.dim, k).transpose(1, 0, 2)
+        return _coords_rows(self._hom_rows(basis, k), imgs.reshape(M.dim, -1), n, "hom unit")
 
     def hom_counit(self, N: SkewModule, rows: np.ndarray, basis: list) -> np.ndarray:
         """Counit j^* j_* N -> N, psi |-> psi(e).
@@ -385,7 +364,7 @@ def verify_recollement(
         if not _is_module_map(iSM, M, K):
             return "counit not a module map"
         _, K0 = rec.i_shriek(iSM)
-        induced = _coords_rows(K, [(v @ K) % n for v in K0], n, "socle map")
+        induced = _coords_rows(K, (K0 @ K) % n, n, "socle map")
         if not is_identity(rec.socle_unit(K0) @ induced, SM.dim):
             return "second identity"
 

@@ -237,7 +237,7 @@ def _simple_modules(A: FiniteAlgebra, dim_bound: int, budget: int) -> list:
     for H in ideals:
         if not 0 < A.rank - H.shape[0] <= dim_bound:
             continue
-        over = [K for K in ideals if all(linalg.in_span(K, h, n) for h in H)]
+        over = [K for K in ideals if not linalg.reduce_vector(K, H, n).any()]
         if len(over) == 2:
             simples.append(quotient_module(R, H)[0])
     return simples

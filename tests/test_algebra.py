@@ -121,6 +121,18 @@ def test_presheaf_functoriality_violation_detected():
     assert not rep.ok
 
 
+def test_modulus_bound():
+    # past 2**16 + 1 an int64 contraction can overflow; this prime gave a
+    # wrong solve_left, a wrong kernel_left and a false "not invertible"
+    with pytest.raises(InputError, match="4294967311"):
+        BaseRing(4294967311)
+    with pytest.raises(InputError):
+        BaseRing(65538)
+    R = BaseRing(65537)
+    A = FiniteAlgebra(R, [[[1]]], [1])
+    assert A.multiply([65536], [65536]).tolist() == [1]
+
+
 def test_presheaf_shape_errors():
     cat = fixtures.a2_category()
     alg = fixtures.field_algebra(2)

@@ -412,6 +412,8 @@ MALFORMED_PRESHEAVES = {
     "modulus-past-int64": (_set("base", "modulus", 10**30), "modulus"),
     "modulus-float": (_set("base", "modulus", 2.5), "modulus"),
     "modulus-bool": (_set("base", "modulus", True), "modulus"),
+    "modulus-past-exact": (_set("base", "modulus", 4294967311), "4294967311"),
+    "modulus-empty": (_set("base", "modulus", []), "modulus"),
     "unit-null": (_set("algebras", "*", "unit", None), "unit"),
     "unit-too-short": (_set("algebras", "*", "unit", [1]), "unit"),
     "mul-ragged": (_set("algebras", "*", "mul", 1, [[0, 0]]), "mul"),
@@ -430,6 +432,31 @@ def test_cli_malformed_presheaf_is_input_error(capsys, tmp_path, command, case):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out["kind"] == "input" and key in out["error"]
+    assert "input error" in err
+
+
+MALFORMED_MODULES = {
+    "rank-string": (_set("modules", "1", "rank", "x"), "rank"),
+    "rank-float": (_set("modules", "1", "rank", 1.5), "rank"),
+    "rank-negative": (_set("modules", "1", "rank", -1), "rank"),
+    "action-null": (_set("modules", "1", "action", None), "action"),
+    "action-empty": (_set("modules", "1", "action", []), "action"),
+    "map-empty": (_set("modules", "1", "maps", "id1", []), "id1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODULES))
+def test_cli_malformed_module_is_input_error(capsys, tmp_path, case):
+    # a2_s1_module also writes the empty action of its rank-0 object as [[]]
+    edit, key = MALFORMED_MODULES[case]
+    with open(fx("a2_s1_module.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path), "--context", fx("a2_f2.json"))
     assert code == 2
     assert out["kind"] == "input" and key in out["error"]
     assert "input error" in err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from torsite import linalg
 
@@ -172,3 +174,134 @@ def test_submodules_respect_stability():
 def test_budget_guard():
     with pytest.raises(linalg.BudgetExceededError):
         linalg.enumerate_submodules(8, 2, budget=100)
+
+
+# ---------------------------------------------------------------------------
+# property tests: stacked solves against one-target-at-a-time references
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+PROPERTY_MODULI = [2, 3, 4, 5, 6, 8, 9, 12]
+
+
+def solve_one(A, b, n):
+    """Reference: one target at a time against the Howell form of [A | I]."""
+    m, k = A.shape
+    if m == 0:
+        return np.zeros(0, dtype=np.int64) if not (b % n).any() else None
+    H = linalg.howell_form(np.hstack([A % n, np.eye(m, dtype=np.int64)]), n, k + m)
+    x = np.zeros(m, dtype=np.int64)
+    r = b % n
+    for row in H:
+        j = linalg._leading(row)
+        if j >= k:
+            break
+        d = int(row[j])
+        if int(r[j]) % d:
+            return None
+        q = int(r[j]) // d
+        r = (r - q * row[:k]) % n
+        x = (x + q * row[k:]) % n
+    return None if r.any() else x
+
+
+def reduce_one(H, v, n):
+    """Reference: the remainder of one vector against a Howell form."""
+    r = np.array(v, dtype=np.int64) % n
+    for row in H:
+        j = linalg._leading(row)
+        q = int(r[j]) // int(row[j])
+        if q:
+            r = (r - q * row) % n
+    return r
+
+
+@st.composite
+def systems(draw):
+    """(n, A, B): A of shape (m, k), B a stack of r targets, some in the span of A."""
+    n = draw(st.sampled_from(PROPERTY_MODULI))
+    m, k, r = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(st.integers(0, n - 1), min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+    A, X, noise = matrix(m, k), matrix(r, m), matrix(r, k)
+    inside = np.array(draw(st.lists(st.booleans(), min_size=r, max_size=r)), dtype=bool)
+    B = (X @ A + np.where(inside[:, None], 0, noise)) % n
+    return n, A, B
+
+
+@PROPERTY
+@given(systems())
+def test_stacked_solve_left_matches_one_target_at_a_time(case):
+    n, A, B = case
+    each = [solve_one(A, b, n) for b in B]
+    got = linalg.solve_left(A, B, n)
+    if any(x is None for x in each):
+        assert got is None
+    else:
+        assert got.shape == (B.shape[0], A.shape[0])
+        assert got.tolist() == [x.tolist() for x in each]
+    for b, x in zip(B, each):
+        one = linalg.solve_left(A, b, n)
+        assert (one is None) == (x is None)
+        assert one is None or one.tolist() == x.tolist()
+
+
+@PROPERTY
+@given(systems())
+def test_solve_left_is_none_exactly_outside_the_span(case):
+    n, A, B = case
+    span = brute_span(A, n)
+    got = linalg.solve_left(A, B, n)
+    assert (got is None) == any(tuple(int(t) for t in b) not in span for b in B)
+    if got is not None:
+        assert ((got @ A) % n == B).all()
+
+
+@PROPERTY
+@given(systems())
+def test_stacked_reduce_vector_matches_one_row_at_a_time(case):
+    n, A, B = case
+    H = linalg.howell_form(A, n, A.shape[1])
+    got = linalg.reduce_vector(H, B, n)
+    assert got.shape == B.shape
+    assert got.tolist() == [reduce_one(H, b, n).tolist() for b in B]
+
+
+@PROPERTY
+@given(systems())
+def test_kernel_left_is_the_brute_force_kernel(case):
+    n, A, _ = case
+    K = linalg.kernel_left(A, n)
+    assert not ((K @ A) % n).any()
+    kernel = [
+        x
+        for x in itertools.product(range(n), repeat=A.shape[0])
+        if not ((np.array(x, dtype=np.int64) @ A) % n).any()
+    ]
+    assert linalg.span_size(K, n) == len(kernel)
+
+
+@PROPERTY
+@given(systems(), st.data())
+def test_howell_form_ignores_row_order(case, data):
+    n, A, B = case
+    rows = np.vstack([A, B])
+    order = data.draw(st.permutations(range(rows.shape[0])))
+    H = linalg.howell_form(rows, n, rows.shape[1])
+    assert linalg.span_key(linalg.howell_form(rows[order], n, rows.shape[1])) == linalg.span_key(H)
+
+
+@PROPERTY
+@given(st.sampled_from(PROPERTY_MODULI), st.integers(1, 3), st.data())
+def test_matrix_inverse_matches_sympy(n, k, data):
+    flat = data.draw(st.lists(st.integers(0, n - 1), min_size=k * k, max_size=k * k))
+    A = np.array(flat, dtype=np.int64).reshape(k, k)
+    try:
+        want = np.array(sympy.Matrix(A.tolist()).inv_mod(n).tolist(), dtype=np.int64)
+    except ValueError:
+        want = None
+    got = linalg.matrix_inverse(A, n)
+    assert (got is None) == (want is None)
+    assert got is None or got.tolist() == want.tolist()
