@@ -17,11 +17,12 @@ from .report import ValidationReport
 
 
 # All arithmetic is int64, reduced mod n after each contraction, so every
-# entry lies below n and n - 1 <= 2**16 keeps each contraction exact.  The
-# widest are the three-factor ones (FiniteAlgebra.multiply, the algebra-map
-# check, composition in Gr): sums of rank**2 products, each below 2**48, so
-# exact while rank**2 < 2**15.  Every other contraction sums two-factor
-# products, each below 2**32 (the sections in chained products select rows).
+# entry lies below n and n - 1 <= 2**16 keeps each two-factor product below
+# 2**32 (the sections in chained products select rows).  The widest
+# contractions are the three-factor ones (FiniteAlgebra.multiply, the
+# algebra-map check, composition in Gr): sums of rank**2 products, each at
+# most (n-1)**3, so FiniteAlgebra refuses rank**2 * (n-1)**3 >= 2**63.  At
+# n = MAX_MODULUS that admits rank <= 181; over F2 it refuses nothing.
 MAX_MODULUS = 2**16 + 1
 
 
@@ -50,10 +51,16 @@ class BaseRing:
 class FiniteAlgebra:
     def __init__(self, base: BaseRing, mul, unit, basis_names=None):
         self.base = base
-        self.mul = np.asarray(mul, dtype=np.int64) % base.modulus
-        if self.mul.ndim != 3 or len({*self.mul.shape}) > 1:
+        mul = np.asarray(mul, dtype=np.int64)
+        if mul.ndim != 3 or len({*mul.shape}) > 1:
             raise InputError("structure constants must be a cube")
-        self.rank = self.mul.shape[0]
+        self.rank = mul.shape[0]
+        if self.rank**2 * (base.modulus - 1) ** 3 >= 2**63:
+            raise InputError(
+                f"rank {self.rank} is too large for modulus {base.modulus}: "
+                "int64 arithmetic is exact only while rank**2 * (modulus - 1)**3 < 2**63"
+            )
+        self.mul = mul % base.modulus
         unit = np.asarray(unit, dtype=np.int64)
         if unit.size != self.rank:
             raise InputError("unit must have one coordinate per basis element")

@@ -310,6 +310,7 @@ def verify_recollement(
     UX = ModuleUniverse(rec.corner, dim_bound, budget)
     UY = ModuleUniverse(rec.quotient, dim_bound, budget)
     inflated = [rec.i_star(N) for N in UY.members]
+    restricted = [rec.j_star(M) for M in UA.members]
     failures = []
 
     def is_identity(F, k):
@@ -329,9 +330,9 @@ def verify_recollement(
         failures.append(("image_matches_kernel", (sorted(img), sorted(ker))))
 
     # full faithfulness of inflation
-    for a, Na in enumerate(UY.members):
-        for b, Nb in enumerate(UY.members):
-            lhs = len(hom_skew(Na, Nb))
+    for a in range(len(UY)):
+        for b in range(len(UY)):
+            lhs = UY.hom_dim(a, b)
             rhs = len(hom_skew(inflated[a], inflated[b]))
             if lhs != rhs:
                 failures.append(("inflation_fully_faithful", (a, b, lhs, rhs)))
@@ -392,8 +393,8 @@ def verify_recollement(
         if not _is_module_map(shriekJ[0], JN, counit) or not is_identity(junit @ counit, JN.dim):
             return "first identity"
 
-    def tensor_at_middle(M):
-        Me, rowsMe = rec.j_star(M)
+    def tensor_at_middle(M, restriction):
+        Me, rowsMe = restriction
         shriek = rec.j_shriek(Me)
         counit = rec.tensor_counit(M, rowsMe, shriek)
         if not _is_module_map(shriek[0], M, counit):
@@ -406,11 +407,11 @@ def verify_recollement(
             return "second identity"
 
     run("extension_restriction_triangles", tensor_at_corner, UX.members)
-    run("extension_restriction_triangles", tensor_at_middle, UA.members)
+    run("extension_restriction_triangles", tensor_at_middle, UA.members, restricted)
 
     # (restriction -| coextension): j^* -| j_*
-    def hom_at_middle(M):
-        Me, rowsMe = rec.j_star(M)
+    def hom_at_middle(M, restriction):
+        Me, rowsMe = restriction
         HN, basis = rec.j_lower(Me)
         unit = rec.hom_unit(M, rowsMe, basis)
         if not _is_module_map(M, HN, unit):
@@ -435,7 +436,7 @@ def verify_recollement(
         if not is_identity(unit @ jcounit, HN.dim):
             return "second identity"
 
-    run("restriction_coextension_triangles", hom_at_middle, UA.members)
+    run("restriction_coextension_triangles", hom_at_middle, UA.members, restricted)
     run("restriction_coextension_triangles", hom_at_corner, UX.members)
 
     sizes = {"middle": len(UA), "corner": len(UX), "quotient": len(UY)}

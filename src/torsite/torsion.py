@@ -141,19 +141,20 @@ def is_central_idempotent(A: FiniteAlgebra, v) -> bool:
     return linalg.in_span(Z, v, n)
 
 
-def trace_in_module(sources, target: SkewModule) -> np.ndarray:
-    """Howell basis of the sum of images of all maps source -> target."""
+def trace_in_module(maps, target: SkewModule) -> np.ndarray:
+    """Howell basis of the sum of the images of the given maps into target.
+
+    The rows of the maps are stacked in the order given.
+    """
     n = target.algebra.base.modulus
-    rows = []
-    for S in sources:
-        for H in hom_skew(S, target):
-            rows.extend(H % n)
+    rows = [r for H in maps for r in H % n]
     return linalg.howell_form(linalg.as_matrix(rows, target.dim), n, target.dim)
 
 
 def trace_ideal(A: FiniteAlgebra, modules) -> TwoSidedIdeal:
     """Sum of images of all module maps from the given modules into A."""
-    H = trace_in_module(modules, regular_module(A))
+    R = regular_module(A)
+    H = trace_in_module([H for S in modules for H in hom_skew(S, R)], R)
     return _ideal_from_rows(A, list(H))
 
 
@@ -290,7 +291,8 @@ class ModuleUniverse:
                             by_dim[m].append(seen[key])
         self.members = [seen[k] for k in sorted(seen)]
         self._index = {self._canon_key(V): i for i, V in enumerate(self.members)}
-        self._hom_dims = {}
+        self._homs = {}
+        self._sequences = {}
         self._sub_rows = {}
         self._sub_classes = {}
         self._quot_classes = {}
@@ -329,10 +331,41 @@ class ModuleUniverse:
     def __len__(self):
         return len(self.members)
 
+    def hom_basis(self, i: int, j: int) -> tuple:
+        """Basis of Hom(member i, member j), computed once per pair."""
+        if (i, j) not in self._homs:
+            homs = hom_skew(self.members[i], self.members[j])
+            for H in homs:
+                H.setflags(write=False)
+            self._homs[(i, j)] = tuple(homs)
+        return self._homs[(i, j)]
+
     def hom_dim(self, i: int, j: int) -> int:
-        if (i, j) not in self._hom_dims:
-            self._hom_dims[(i, j)] = len(hom_skew(self.members[i], self.members[j]))
-        return self._hom_dims[(i, j)]
+        return len(self.hom_basis(i, j))
+
+    def torsion_sequences(self, xs: frozenset) -> tuple:
+        """The sequence x_a -> a -> y_a of every member a, computed once per X.
+
+        x_a is the trace of the members in xs inside a, stacked from their
+        hom bases in index order.  The sequences are shared by every
+        witness for X, so they and their arrays are read-only.
+        """
+        if xs not in self._sequences:
+            sources = sorted(xs)
+            sequences = []
+            for a_idx, a in enumerate(self.members):
+                rows = trace_in_module([H for i in sources for H in self.hom_basis(i, a_idx)], a)
+                S, incl = submodule_module(a, rows)
+                Q, proj, _ = quotient_module(a, rows)
+                incl.setflags(write=False)
+                proj.setflags(write=False)
+                sequences.append(
+                    TorsionSequence(
+                        a_idx, incl, self.index_of(S), self.index_of(Q), proj, _splits(self, a, S, incl)
+                    )
+                )
+            self._sequences[xs] = tuple(sequences)
+        return self._sequences[xs]
 
     def submodule_rows(self, i: int) -> list:
         if i not in self._sub_rows:
@@ -412,7 +445,7 @@ def _normalize_class(universe: ModuleUniverse, given) -> frozenset:
 # torsion pairs
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorsionSequence:
     member: int
     sub_rows: np.ndarray  # basis of x_a inside a
@@ -430,7 +463,7 @@ class TorsionPairWitness:
     y_indices: frozenset
     hereditary: bool = False
     split: bool = False
-    sequences: list = field(default_factory=list)
+    sequences: tuple = ()
     failures: list = field(default_factory=list)
 
     def __bool__(self):
@@ -456,8 +489,9 @@ def _splits(universe: ModuleUniverse, a: SkewModule, sub: SkewModule, incl_rows:
 def torsion_pair_check(X, Y, universe: ModuleUniverse) -> TorsionPairWitness:
     """Certify (X, Y) as a torsion pair on the universe.
 
-    Checks mutual Hom-perpendicularity and constructs, for every member a,
-    the sequence x_a -> a -> y_a with x_a the trace of X in a; the
+    Checks mutual Hom-perpendicularity and that, for every member a, the
+    sequence x_a -> a -> y_a with x_a the trace of X in a (computed once
+    per X by the universe) has x_a in X and y_a in Y; the
     hereditary flag records closure of X under submodules, the split flag
     records that every sequence admits a retraction.
     """
@@ -468,23 +502,12 @@ def torsion_pair_check(X, Y, universe: ModuleUniverse) -> TorsionPairWitness:
         failures.append(("perp", "Y is not the right perpendicular of X"))
     if universe.pre_perp_of(ys) != xs:
         failures.append(("pre-perp", "X is not the left perpendicular of Y"))
-    sequences = []
-    x_members = [universe.members[i] for i in sorted(xs)]
-    for a_idx, a in enumerate(universe.members):
-        rows = trace_in_module(x_members, a)
-        S, incl = submodule_module(a, rows)
-        Q, proj, _ = quotient_module(a, rows)
-        s_cls = universe.index_of(S)
-        q_cls = universe.index_of(Q)
-        if s_cls not in xs:
-            failures.append(("sequence-sub", a_idx, s_cls))
-        if q_cls not in ys:
-            failures.append(("sequence-quot", a_idx, q_cls))
-        sequences.append(
-            TorsionSequence(
-                a_idx, incl, s_cls, q_cls, proj, _splits(universe, a, S, incl)
-            )
-        )
+    sequences = universe.torsion_sequences(xs)
+    for seq in sequences:
+        if seq.sub_class not in xs:
+            failures.append(("sequence-sub", seq.member, seq.sub_class))
+        if seq.quot_class not in ys:
+            failures.append(("sequence-quot", seq.member, seq.quot_class))
     hereditary = all(universe.sub_classes(i) <= xs for i in xs)
     split = all(seq.splits for seq in sequences)
     return TorsionPairWitness(

@@ -133,6 +133,18 @@ def test_modulus_bound():
     assert A.multiply([65536], [65536]).tolist() == [1]
 
 
+def test_rank_bound_for_three_factor_products():
+    # multiply sums rank**2 products of three entries below n, so
+    # rank**2 * (n - 1)**3 must stay below 2**63: at n = 65537, rank <= 181
+    R = BaseRing(65537)
+    with pytest.raises(InputError, match="rank 182.*65537"):
+        FiniteAlgebra(R, np.broadcast_to(np.int64(0), (182, 182, 182)), np.zeros(182))
+    A = FiniteAlgebra(R, np.full((181, 181, 181), 65536), np.zeros(181))
+    x = np.full(181, 65536)
+    # every product is (-1)**3, so each coordinate is -(181**2) mod 65537
+    assert (A.multiply(x, x) == -(181**2) % 65537).all()
+
+
 def test_presheaf_shape_errors():
     cat = fixtures.a2_category()
     alg = fixtures.field_algebra(2)

@@ -437,6 +437,27 @@ def test_cli_malformed_presheaf_is_input_error(capsys, tmp_path, command, case):
     assert "input error" in err
 
 
+def test_cli_refuses_rank_past_exact_products(capsys, tmp_path):
+    # (F_65537)^182: rank**2 * (n - 1)**3 reaches 2**63.  b_i * b_j is b_i
+    # when i == j, else 0; the 182**3 cube is spliced in as JSON text
+    r = 182
+    with open(fx("terminal_f2xf2.json")) as fh:
+        doc = json.load(fh)
+    doc["base"]["modulus"] = 65537
+    doc["algebras"]["*"] = {"basis": [f"e{i}" for i in range(r)], "unit": [1] * r, "mul": "MUL"}
+    doc["maps"]["id"] = np.eye(r, dtype=int).tolist()
+    eye = [json.dumps(row) for row in np.eye(r, dtype=int).tolist()]
+    zero = json.dumps([0] * r)
+    mul = "[%s]" % ",".join(
+        "[%s]" % ",".join(eye[i] if i == j else zero for j in range(r)) for i in range(r)
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc).replace('"MUL"', mul))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out["kind"] == "input" and "rank 182" in out["error"] and "65537" in out["error"]
+
+
 MALFORMED_MODULES = {
     "rank-string": (_set("modules", "1", "rank", "x"), "rank"),
     "rank-float": (_set("modules", "1", "rank", 1.5), "rank"),

@@ -2,6 +2,7 @@
 the three classifications, pinned to hand-checked values for the upper
 triangular 2x2 algebra, the product field, and the order-2 group algebra
 over F2."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -24,6 +25,9 @@ from torsite.fixtures import (
 from torsite.modules import (
     SkewModule,
     enumerate_skew_module_structures,
+    hom_modules,
+    hom_skew,
+    phi_from_gr,
     regular_module,
     submodule_module,
 )
@@ -249,6 +253,100 @@ def test_hom_dims_between_projectives_and_simples(t2, t2_universe):
     assert t2_universe.hom_dim(p1, s2) == 0
     assert t2_universe.hom_dim(s2, p1) == 1
     assert t2_universe.hom_dim(s1, p1) == 0
+
+
+def test_hom_basis_agrees_with_hom_skew_and_hom_modules():
+    # two routes on every ordered member pair of the T2(F2) universe at dim 3:
+    # the cached basis is hom_skew itself, and its size matches the natural
+    # transformations between the module presheaves
+    U = tn.ModuleUniverse(_skew(a2_category(), field_algebra(2)), 3)
+    assert len(U) == 13
+    presheaves = [phi_from_gr(V) for V in U.members]
+    for i, Vi in enumerate(U.members):
+        for j, Vj in enumerate(U.members):
+            basis = U.hom_basis(i, j)
+            direct = hom_skew(Vi, Vj)
+            assert len(basis) == len(direct) == U.hom_dim(i, j)
+            assert all(np.array_equal(a, b) for a, b in zip(basis, direct))
+            assert len(basis) == len(hom_modules(presheaves[i], presheaves[j])), (i, j)
+
+
+def _count_hom_skew(monkeypatch):
+    """Count torsion.hom_skew calls, those made inside _splits separately."""
+    calls = {"pairs": [], "splits": 0}
+    inside = []
+
+    def counted(V, W):
+        if inside:
+            calls["splits"] += 1
+        else:
+            calls["pairs"].append((id(V), id(W)))
+        return hom_skew(V, W)
+
+    splits = tn._splits
+
+    def counted_splits(*args):
+        inside.append(True)
+        try:
+            return splits(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(tn, "hom_skew", counted)
+    monkeypatch.setattr(tn, "_splits", counted_splits)
+    return calls
+
+
+def test_torsion_sequences_are_computed_once_per_class(t2, monkeypatch):
+    U = tn.ModuleUniverse(t2, 3)
+    s1, s2, p1 = simple_classes(t2, U)
+    ys = U.perp_of({s2})
+    xs = U.pre_perp_of(ys)
+    first = tn.torsion_pair_check(xs, ys, U)
+    assert first.ok
+    # the cached traces are the traces stacked from hom_skew in index order
+    for seq, a in zip(first.sequences, U.members):
+        maps = [H for i in sorted(xs) for H in hom_skew(U.members[i], a)]
+        assert np.array_equal(seq.sub_rows, tn.trace_in_module(maps, a))
+    calls = _count_hom_skew(monkeypatch)
+    again = tn.torsion_pair_check(xs, ys, U)
+    assert calls == {"pairs": [], "splits": 0}
+    assert again.sequences is first.sequences
+    assert (again.ok, again.hereditary, again.split, again.failures) == (True, True, False, [])
+    # a wrong Y is judged on the same sequences, with no new Hom space
+    zero = U.zero_index()
+    wrong = tn.torsion_pair_check(xs, {zero}, U)
+    assert calls == {"pairs": [], "splits": 0}
+    assert not wrong.ok and wrong.sequences is first.sequences
+    assert ("sequence-quot", p1, s1) in wrong.failures
+    # witnesses share the sequences, so they cannot be changed
+    seq = first.sequences[p1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seq.splits = True
+    with pytest.raises(ValueError):
+        seq.sub_rows[0, 0] = 1
+    with pytest.raises(ValueError):
+        U.hom_basis(s2, p1)[0][0, 0] = 0
+
+
+def test_classify_computes_each_hom_space_once(monkeypatch):
+    cat = a2_category()
+    R = constant_presheaf(cat, field_algebra(2))
+    J = next(
+        J
+        for J in enumerate_topologies(cat)
+        if matching_subcategories(cat, J) == [(0, 1)]
+    )
+    calls = _count_hom_skew(monkeypatch)
+    rep = tn.classify(cat, R, J, dim_bound=3)
+    N = rep.counts["universe_members"]
+    assert rep.ok and N == 13
+    pairs = calls["pairs"]
+    assert len(pairs) == len(set(pairs)) <= N * N
+    classes = {w.x_indices for w in rep.hereditary_pairs}
+    classes |= {t.x_indices for t in rep.ttf_triples + rep.split_ttf_triples}
+    classes |= {t.y_indices for t in rep.ttf_triples + rep.split_ttf_triples}
+    assert calls["splits"] <= len(classes) * N
 
 
 def test_sub_quot_middle_classes(t2, t2_universe):
