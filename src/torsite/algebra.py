@@ -48,6 +48,15 @@ class BaseRing:
         return f"BaseRing(Z/{self.modulus})"
 
 
+def check_exact_rank(rank: int, modulus: int) -> None:
+    """Refuse a rank whose three-factor contractions could overflow int64."""
+    if rank**2 * (modulus - 1) ** 3 >= 2**63:
+        raise InputError(
+            f"rank {rank} is too large for modulus {modulus}: "
+            "int64 arithmetic is exact only while rank**2 * (modulus - 1)**3 < 2**63"
+        )
+
+
 class FiniteAlgebra:
     def __init__(self, base: BaseRing, mul, unit, basis_names=None):
         self.base = base
@@ -55,11 +64,7 @@ class FiniteAlgebra:
         if mul.ndim != 3 or len({*mul.shape}) > 1:
             raise InputError("structure constants must be a cube")
         self.rank = mul.shape[0]
-        if self.rank**2 * (base.modulus - 1) ** 3 >= 2**63:
-            raise InputError(
-                f"rank {self.rank} is too large for modulus {base.modulus}: "
-                "int64 arithmetic is exact only while rank**2 * (modulus - 1)**3 < 2**63"
-            )
+        check_exact_rank(self.rank, base.modulus)
         self.mul = mul % base.modulus
         unit = np.asarray(unit, dtype=np.int64)
         if unit.size != self.rank:

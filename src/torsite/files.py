@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .algebra import AlgebraPresheaf, BaseRing, FiniteAlgebra
+from .algebra import AlgebraPresheaf, BaseRing, FiniteAlgebra, check_exact_rank
 from .errors import InputError
 from .fincat import FiniteCategory
 from .modules import ModulePresheaf, validate_module_presheaf
@@ -177,6 +177,12 @@ def presheaf_from_doc(doc: dict, where: str = "presheaf") -> tuple:
             raise InputError(f"{where}.algebras: missing object {obj!r}")
         entry = algs_doc[obj]
         basis = _need(entry, "basis", f"{where}.algebras[{obj}]")
+        if not isinstance(basis, list):
+            raise InputError(f"{where}.algebras[{obj}].basis: expected a list of names")
+        try:
+            check_exact_rank(len(basis), base.modulus)
+        except InputError as exc:
+            raise InputError(f"{where}.algebras[{obj}]: {exc}") from None
         mul = _int_array(_need(entry, "mul", f"{where}.algebras[{obj}]"), f"{where}.algebras[{obj}].mul", 3)
         unit = _int_array(_need(entry, "unit", f"{where}.algebras[{obj}]"), f"{where}.algebras[{obj}].unit", 1)
         try:

@@ -224,20 +224,26 @@ def quotient_module(V: SkewModule, rows) -> tuple:
     return Q, proj, sec
 
 
+def _hom_constraints(V: SkewModule, W: SkewModule) -> np.ndarray:
+    """The matrix C with x @ C == 0 iff x, read as a (dim V, dim W) matrix, is a map.
+
+    Row (c, d) and column (j, a, b) hold V.act[j][a, c] [b == d] -
+    [a == c] W.act[j][d, b]: block j is the transpose of
+    kron(V.act[j], I) - kron(I, W.act[j].T), built for all j in one
+    broadcast.
+    """
+    v, w, r = V.dim, W.dim, V.algebra.rank
+    left = V.act.transpose(2, 0, 1)[:, None, :, :, None] * np.eye(w, dtype=np.int64)[None, :, None, None, :]
+    right = np.eye(v, dtype=np.int64)[:, None, None, :, None] * W.act.transpose(1, 0, 2)[None, :, :, None, :]
+    return ((left - right) % V.algebra.base.modulus).reshape(v * w, r * v * w)
+
+
 def hom_skew(V: SkewModule, W: SkewModule) -> list:
     """Basis of the module maps V -> W as (dim V, dim W) matrices."""
-    n = V.algebra.base.modulus
     v, w = V.dim, W.dim
     if v == 0 or w == 0:
         return []
-    blocks = []
-    for j in range(V.algebra.rank):
-        Cj = np.kron(V.act[j], np.eye(w, dtype=np.int64)) - np.kron(
-            np.eye(v, dtype=np.int64), W.act[j].T
-        )
-        blocks.append(Cj.T % n)
-    Cmat = np.concatenate(blocks, axis=1) if blocks else np.zeros((v * w, 0), dtype=np.int64)
-    K = linalg.kernel_left(Cmat, n)
+    K = linalg.kernel_left(_hom_constraints(V, W), V.algebra.base.modulus)
     return [row.reshape(v, w) for row in K]
 
 

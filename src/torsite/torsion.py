@@ -291,8 +291,10 @@ class ModuleUniverse:
                             by_dim[m].append(seen[key])
         self.members = [seen[k] for k in sorted(seen)]
         self._index = {self._canon_key(V): i for i, V in enumerate(self.members)}
+        self.simple_indices = tuple(self.index_of(S) for S in simples)
         self._homs = {}
         self._sequences = {}
+        self._maximal_sub_classes = {}
         self._sub_rows = {}
         self._sub_classes = {}
         self._quot_classes = {}
@@ -366,6 +368,33 @@ class ModuleUniverse:
                 )
             self._sequences[xs] = tuple(sequences)
         return self._sequences[xs]
+
+    def maximal_sub_classes(self, i: int) -> frozenset:
+        """Classes of the maximal submodules of member i.
+
+        They are the kernels of the nonzero maps onto simple modules: S is
+        simple, so every nonzero map to S is onto and its kernel maximal,
+        and a maximal submodule M is the kernel of V -> V/M with V/M a
+        simple member.  The modulus is prime, so the maps are the span of
+        hom_basis(i, s); kernels are deduplicated by their Howell form.
+        """
+        if i not in self._maximal_sub_classes:
+            V = self.members[i]
+            n = self.algebra.base.modulus
+            kernels = {}
+            for s in self.simple_indices:
+                homs = self.hom_basis(i, s)
+                if not homs:
+                    continue
+                basis = np.stack(homs).reshape(len(homs), -1)
+                for phi in linalg.span_elements(basis, n):
+                    if phi.any():
+                        K = linalg.kernel_left(phi.reshape(homs[0].shape), n)
+                        kernels.setdefault(linalg.span_key(K), K)
+            self._maximal_sub_classes[i] = frozenset(
+                self.index_of(submodule_module(V, K)[0]) for K in kernels.values()
+            )
+        return self._maximal_sub_classes[i]
 
     def submodule_rows(self, i: int) -> list:
         if i not in self._sub_rows:
@@ -508,7 +537,9 @@ def torsion_pair_check(X, Y, universe: ModuleUniverse) -> TorsionPairWitness:
             failures.append(("sequence-sub", seq.member, seq.sub_class))
         if seq.quot_class not in ys:
             failures.append(("sequence-quot", seq.member, seq.quot_class))
-    hereditary = all(universe.sub_classes(i) <= xs for i in xs)
+    # modules of finite length: closed under submodules iff closed under
+    # maximal submodules
+    hereditary = all(universe.maximal_sub_classes(i) <= xs for i in xs)
     split = all(seq.splits for seq in sequences)
     return TorsionPairWitness(
         not failures, universe, xs, ys, hereditary, split, sequences, failures

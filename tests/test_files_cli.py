@@ -419,6 +419,7 @@ MALFORMED_PRESHEAVES = {
     "mul-ragged": (_set("algebras", "*", "mul", 1, [[0, 0]]), "mul"),
     "mul-float": (_set("algebras", "*", "mul", 0, [[1.5, 0], [0, 0]]), "mul"),
     "map-string": (_set("maps", "id", [["1", 0], [0, 1]]), "maps"),
+    "basis-number": (_set("algebras", "*", "basis", 2), "basis"),
 }
 
 
@@ -456,6 +457,23 @@ def test_cli_refuses_rank_past_exact_products(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert out["kind"] == "input" and "rank 182" in out["error"] and "65537" in out["error"]
+
+
+@pytest.mark.parametrize("mul", [[], [[["x"]]]], ids=["empty", "string"])
+def test_cli_checks_rank_before_reading_mul(capsys, tmp_path, mul):
+    # the rank is the length of basis, so a wide algebra is refused before
+    # its mul cube is read: a malformed mul is never reached
+    r = 182
+    with open(fx("terminal_f2xf2.json")) as fh:
+        doc = json.load(fh)
+    doc["base"]["modulus"] = 65537
+    doc["algebras"]["*"] = {"basis": [f"e{i}" for i in range(r)], "unit": [1] * r, "mul": mul}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out["kind"] == "input" and "rank 182" in out["error"] and "65537" in out["error"]
+    assert "mul" not in out["error"]
 
 
 MALFORMED_MODULES = {

@@ -1,13 +1,17 @@
 """Module presheaves, skew modules, the stacking equivalence, and the
 sheaf/torsion/perpendicular predicates."""
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from torsite import linalg
 from torsite.algebra import constant_presheaf
 from torsite.errors import NotPrimeError
 from torsite.fixtures import (
     a2_category,
+    c2_monoid_category,
     field_algebra,
     product_field_algebra,
     standard_fixtures,
@@ -18,6 +22,7 @@ from torsite.grskew import build_gr, build_skew_algebra, enumerate_linear_topolo
 from torsite.modules import (
     ModulePresheaf,
     SkewModule,
+    _hom_constraints,
     direct_sum,
     enumerate_module_presheaves,
     enumerate_skew_module_structures,
@@ -42,6 +47,7 @@ from torsite.modules import (
     zero_skew_module,
 )
 from torsite.topology import subcategory_topology, trivial_topology
+from torsite.torsion import ModuleUniverse
 
 
 def t2_simples():
@@ -345,6 +351,74 @@ def test_hom_modules_matches_hom_skew():
             a = len(hom_modules(M, N))
             b = len(hom_skew(psi_to_gr(M, skew), psi_to_gr(N, skew)))
             assert a == b, (M.ranks, N.ranks)
+
+
+def test_hom_constraints_match_kron_blocks():
+    # the broadcast constraint matrix equals the per-basis-element kron
+    # blocks, column order included, on every member pair of T2(F2), dim <= 3
+    U = ModuleUniverse(t2_algebra(2), 3)
+    n = 2
+    for V in U.members:
+        for W in U.members:
+            v, w = V.dim, W.dim
+            blocks = [
+                (np.kron(V.act[j], np.eye(w, dtype=np.int64)) - np.kron(np.eye(v, dtype=np.int64), W.act[j].T)).T % n
+                for j in range(V.algebra.rank)
+            ]
+            want = np.concatenate(blocks, axis=1)
+            got = _hom_constraints(V, W)
+            assert got.dtype == np.int64 and got.shape == want.shape == (v * w, 3 * v * w)
+            assert np.array_equal(got, want), (v, w)
+
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+SHIPPED_SITES = {
+    "a2_f2": (a2_category, lambda: field_algebra(2), 3),
+    "c2_f2": (c2_monoid_category, lambda: field_algebra(2), 3),
+    "terminal_f2xf2": (terminal_category, lambda: product_field_algebra(2, 2), 3),
+    "c2_f3": (c2_monoid_category, lambda: field_algebra(3), 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def shipped_universe(name):
+    make_cat, make_alg, dim_bound = SHIPPED_SITES[name]
+    cat = make_cat()
+    return ModuleUniverse(build_skew_algebra(cat, constant_presheaf(cat, make_alg())), dim_bound)
+
+
+@st.composite
+def rebased_members(draw, count):
+    """(universe, [(index, module), ...]): members of a shipped universe, each
+    under a random change of basis."""
+    U = shipped_universe(draw(st.sampled_from(sorted(SHIPPED_SITES))))
+    n = U.algebra.base.modulus
+    drawn = []
+    for _ in range(count):
+        i = draw(st.integers(0, len(U) - 1))
+        m = U.members[i].dim
+        g = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m * m, max_size=m * m)), dtype=np.int64)
+        g = g.reshape(m, m)
+        ginv = linalg.matrix_inverse(g, n)
+        assume(ginv is not None)
+        drawn.append((i, SkewModule(U.algebra, (g @ U.members[i].act @ ginv) % n)))
+    return U, drawn
+
+
+@PROPERTY
+@given(rebased_members(2))
+def test_hom_dimensions_agree_under_change_of_basis(drawn):
+    U, [(i, V), (j, W)] = drawn
+    a = len(hom_skew(V, W))
+    assert a == len(hom_modules(phi_from_gr(V), phi_from_gr(W))) == U.hom_dim(i, j)
+
+
+@PROPERTY
+@given(rebased_members(1))
+def test_stacking_round_trip_keeps_the_class(drawn):
+    U, [(i, V)] = drawn
+    assert U.index_of(V) == i
+    assert U.index_of(psi_to_gr(phi_from_gr(V), U.algebra)) == i
 
 
 def test_hom_modules_endomorphisms_of_representable():

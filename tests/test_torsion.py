@@ -14,6 +14,7 @@ from torsite.errors import BudgetExceededError, InputError, NotPrimeError
 from torsite.fixtures import (
     a2_category,
     a2_mixed_presheaf,
+    a3_category,
     c2_monoid_category,
     field_algebra,
     group_algebra_c2,
@@ -24,6 +25,7 @@ from torsite.fixtures import (
 )
 from torsite.modules import (
     SkewModule,
+    direct_sum,
     enumerate_skew_module_structures,
     hom_modules,
     hom_skew,
@@ -369,6 +371,62 @@ def test_sub_quot_middle_classes(t2, t2_universe):
     }
 
 
+@pytest.mark.parametrize(
+    "make, dim_bound",
+    [
+        (lambda: t2_algebra(2), 3),
+        (lambda: _skew(a3_category(), field_algebra(2)), 3),
+        (lambda: _skew(c2_monoid_category(), field_algebra(2)), 3),
+        (lambda: product_field_algebra(2, 2), 3),
+        (lambda: _skew(c2_monoid_category(), field_algebra(3)), 2),
+    ],
+    ids=["t2_f2", "a3_f2", "c2_f2", "f2xf2", "c2_f3"],
+)
+def test_maximal_submodules_generate_the_submodule_lattice(make, dim_bound):
+    # finite length: the submodules of a member are the member itself and
+    # the submodules of its maximal submodules
+    U = tn.ModuleUniverse(make(), dim_bound)
+    zero = U.zero_index()
+    assert U.maximal_sub_classes(zero) == frozenset()
+    for i in range(len(U)):
+        below = {j for k in U.maximal_sub_classes(i) for j in U.sub_classes(k)}
+        assert U.sub_classes(i) == {i} | below, i
+    simples = [i for i in range(len(U)) if U.sub_classes(i) == {zero, i} and i != zero]
+    assert list(U.simple_indices) == simples
+    assert all(U.maximal_sub_classes(s) == {zero} for s in simples)
+
+
+def test_maximal_sub_classes_of_t2(t2, t2_universe):
+    s1, s2, p1 = simple_classes(t2, t2_universe)
+    assert t2_universe.maximal_sub_classes(p1) == {s2}
+    both = t2_universe.index_of(direct_sum(t2_universe.members[s1], t2_universe.members[s2]))
+    assert t2_universe.maximal_sub_classes(both) == {s1, s2}
+
+
+def test_hereditary_flag_matches_full_submodule_lattice(t2_universe):
+    pairs = tn.brute_force_torsion_pairs(t2_universe)
+    assert len(pairs) == 5
+    for w in pairs:
+        closed = all(t2_universe.sub_classes(i) <= w.x_indices for i in w.x_indices)
+        assert w.hereditary == closed
+
+
+def test_classify_never_enumerates_member_submodules(monkeypatch):
+    # the full submodule lattice of a member is an oracle for
+    # brute_force_hereditary_pairs only
+    def refuse(self, i):
+        raise AssertionError("submodule lattice reached from classify")
+
+    for name in ("submodule_rows", "sub_classes", "quot_classes"):
+        monkeypatch.setattr(tn.ModuleUniverse, name, refuse)
+    cat = a2_category()
+    R = constant_presheaf(cat, field_algebra(2))
+    J = next(J for J in enumerate_topologies(cat) if matching_subcategories(cat, J) == [(0, 1)])
+    rep = tn.classify(cat, R, J, dim_bound=3)
+    assert rep.ok and rep.counts["hereditary_torsion_pairs"] == 4
+    assert all(w.hereditary for w in rep.hereditary_pairs)
+
+
 # ---------------------------------------------------------------------------
 # torsion pairs
 
@@ -404,8 +462,6 @@ def _is_add(universe, i, gens):
     V = universe.members[i]
     if V.dim == 0:
         return True
-    from torsite.modules import direct_sum
-
     parts = [universe.members[g] for g in gens if universe.members[g].dim]
     seen = set()
     for counts in itertools.product(range(V.dim + 1), repeat=len(parts)):
