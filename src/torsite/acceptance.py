@@ -213,7 +213,7 @@ def criterion_10_ext1_routes() -> str:
     pairs = 0
     for i, V in enumerate(U.members):
         for j, W in enumerate(U.members):
-            a = ext1_skew(V, W).dim
+            a = ext1_skew(V, W)
             b = ext1_dimension_by_enumeration(V, W)
             _check(a == b, (i, j, a, b))
             pairs += 1

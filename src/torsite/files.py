@@ -46,9 +46,16 @@ def dump_json(doc, path: str | None = None) -> str:
 
 
 def _need(doc: dict, key: str, where: str):
-    if key not in doc:
+    if key not in _expect(doc, dict, where):
         raise InputError(f"{where}: missing key {key!r}")
     return doc[key]
+
+
+def _expect(value, kind: type, where: str):
+    """value, refused unless it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        raise InputError(f"{where}: expected {'an object' if kind is dict else 'a list'}")
+    return value
 
 
 def _is_int64(x) -> bool:
@@ -106,7 +113,7 @@ def category_from_doc(doc: dict, where: str = "category") -> FiniteCategory:
     objects = _need(doc, "objects", where)
     if not isinstance(objects, list) or not all(isinstance(o, str) for o in objects):
         raise InputError(f"{where}.objects: expected a list of strings")
-    raw_mors = _need(doc, "morphisms", where)
+    raw_mors = _expect(_need(doc, "morphisms", where), list, f"{where}.morphisms")
     mors = []
     for i, m in enumerate(raw_mors):
         if not isinstance(m, dict):
@@ -118,8 +125,8 @@ def category_from_doc(doc: dict, where: str = "category") -> FiniteCategory:
                 _need(m, "cod", f"{where}.morphisms[{i}]"),
             )
         )
-    identity = _need(doc, "identity", where)
-    raw_comp = doc.get("compose", [])
+    identity = _expect(_need(doc, "identity", where), dict, f"{where}.identity")
+    raw_comp = _expect(doc.get("compose", []), list, f"{where}.compose")
     pairs = {}
     for i, triple in enumerate(raw_comp):
         if not (isinstance(triple, list) and len(triple) == 3):
@@ -170,7 +177,7 @@ def presheaf_from_doc(doc: dict, where: str = "presheaf") -> tuple:
     base_doc = _need(doc, "base", where)
     modulus = _need(base_doc, "modulus", f"{where}.base")
     base = BaseRing(int(_int_array(modulus, f"{where}.base.modulus", 0)))
-    algs_doc = _need(doc, "algebras", where)
+    algs_doc = _expect(_need(doc, "algebras", where), dict, f"{where}.algebras")
     algebras = []
     for x, obj in enumerate(cat.objects):
         if obj not in algs_doc:
@@ -189,7 +196,7 @@ def presheaf_from_doc(doc: dict, where: str = "presheaf") -> tuple:
             algebras.append(FiniteAlgebra(base, mul, unit, tuple(basis)))
         except InputError as exc:
             raise InputError(f"{where}.algebras[{obj}]: {exc}") from None
-    maps_doc = _need(doc, "maps", where)
+    maps_doc = _expect(_need(doc, "maps", where), dict, f"{where}.maps")
     maps = []
     for f in range(cat.n_morphisms):
         name = cat.morphisms[f].name
@@ -234,13 +241,15 @@ def topology_to_doc(J: GrothendieckTopology) -> dict:
 
 def topology_from_doc(doc: dict, where: str = "topology") -> GrothendieckTopology:
     cat = category_from_doc(_need(doc, "category", where), f"{where}.category")
-    covers_doc = _need(doc, "covers", where)
+    covers_doc = _expect(_need(doc, "covers", where), dict, f"{where}.covers")
     covers = []
     for x, obj in enumerate(cat.objects):
         if obj not in covers_doc:
             raise InputError(f"{where}.covers: missing object {obj!r}")
         sieves = []
-        for i, names in enumerate(covers_doc[obj]):
+        for i, names in enumerate(_expect(covers_doc[obj], list, f"{where}.covers[{obj}]")):
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+                raise InputError(f"{where}.covers[{obj}][{i}]: expected a list of morphism names")
             members = set()
             for name in names:
                 try:
@@ -298,7 +307,7 @@ def _empty_as(arr: np.ndarray, shape: tuple) -> np.ndarray:
 def module_from_doc(
     doc: dict, cat: FiniteCategory, R: AlgebraPresheaf, where: str = "module"
 ) -> ModulePresheaf:
-    mods_doc = _need(doc, "modules", where)
+    mods_doc = _expect(_need(doc, "modules", where), dict, f"{where}.modules")
     ranks = []
     actions = []
     maps = [None] * cat.n_morphisms
@@ -313,7 +322,7 @@ def module_from_doc(
         ranks.append(rank)
         act = _int_array(_need(entry, "action", at), f"{at}.action", 3)
         actions.append(_empty_as(act, (R.algebra(x).rank, rank, rank)))
-        for name, mat in entry.get("maps", {}).items():
+        for name, mat in _expect(entry.get("maps", {}), dict, f"{at}.maps").items():
             try:
                 f = cat.morphism_index(name)
             except InputError:

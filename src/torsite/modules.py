@@ -139,9 +139,6 @@ class SkewModule:
             return np.zeros((self.dim, self.dim), dtype=np.int64)
         return np.einsum("j,jkl->kl", np.asarray(v, dtype=np.int64), self.act) % self.algebra.base.modulus
 
-    def apply(self, m, v) -> np.ndarray:
-        return (np.asarray(m, dtype=np.int64) @ self.act_of(v)) % self.algebra.base.modulus
-
     def key(self) -> bytes:
         return self.act.tobytes()
 
@@ -253,17 +250,6 @@ class NatTransformation:
     target: ModulePresheaf
     components: tuple
 
-    def component(self, x: int) -> np.ndarray:
-        return self.components[x]
-
-    def compose(self, other: "NatTransformation") -> "NatTransformation":
-        """self followed by other (source of other = target of self)."""
-        n = self.source.R.base.modulus
-        comps = tuple(
-            (a @ b) % n for a, b in zip(self.components, other.components)
-        )
-        return NatTransformation(self.source, other.target, comps)
-
 
 def hom_modules(M: ModulePresheaf, N: ModulePresheaf) -> list:
     """Basis of natural R-linear transformations M -> N."""
@@ -341,10 +327,7 @@ def psi_to_gr(M: ModulePresheaf, skew: SkewAlgebra | None = None) -> SkewModule:
         x, y = cat.dom(f), cat.cod(f)
         block = (M.maps[f] @ M.actions[x][i]) % n
         act[p][offsets[y] : offsets[y] + M.ranks[y], offsets[x] : offsets[x] + M.ranks[x]] = block
-    V = SkewModule(skew, act)
-    V.block_offsets = tuple(offsets)
-    V.block_ranks = tuple(M.ranks)
-    return V
+    return SkewModule(skew, act)
 
 
 def phi_from_gr(V: SkewModule) -> ModulePresheaf:
@@ -595,71 +578,55 @@ def representable_quotient(skew: SkewAlgebra, gr: GrCategory, x: int, T) -> Skew
     return Q
 
 
-@dataclass
-class Ext1Result:
-    dim: int
-    representatives: list
-    hom_omega_dim: int
-    details: dict = field(default_factory=dict)
+def _rank(rows: np.ndarray, n: int) -> int:
+    return linalg.howell_form(rows, n, rows.shape[1]).shape[0]
 
 
-def ext1(M, N, skew: SkewAlgebra | None = None) -> Ext1Result:
-    """Ext^1 from a projective presentation 0 -> W -> free -> M -> 0.
+def ext1_skew(V: SkewModule, W: SkewModule) -> int:
+    """dim Ext^1(V, W) from the presentation 0 -> Omega -> free -> V -> 0.
 
-    Accepts skew modules over a common algebra or module presheaves (which
-    are converted through the stacking equivalence first).
+    The free module has one generator per carrier basis vector of V;
+    Ext^1 is Hom(Omega, W) modulo the restrictions of maps free -> W.
     """
-    if isinstance(M, ModulePresheaf):
-        skew = skew or build_skew_algebra(M.cat, M.R)
-        M = psi_to_gr(M, skew)
-    if isinstance(N, ModulePresheaf):
-        N = psi_to_gr(N, skew or build_skew_algebra(N.cat, N.R))
-    return ext1_skew(M, N)
-
-
-def ext1_skew(V: SkewModule, W: SkewModule) -> Ext1Result:
     A = V.algebra
     n = A.base.modulus
     if not linalg.is_prime(n):
         raise NotPrimeError(n, "ext1")
     d, m, w = A.rank, V.dim, W.dim
-    if m == 0 or (w == 0):
-        return Ext1Result(0, [], 0)
-    # presentation: free module on the carrier basis, pi((a_i)) = sum b_i . a_i
-    PI = np.zeros((m * d, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(d):
-            PI[i * d + j] = V.act[j][i]
-    PI %= n
+    if m == 0 or w == 0:
+        return 0
+    # pi((a_i)) = sum_i e_i . a_i; row i * d + j is the image of e_i b_j
+    PI = V.act.transpose(1, 0, 2).reshape(m * d, m)
     K = linalg.kernel_left(PI, n)  # Omega, rows in the free module
     kw = K.shape[0]
-    right_mult = [A.mul[:, j, :] % n for j in range(d)]
-    act_free = [
-        np.kron(np.eye(m, dtype=np.int64), right_mult[j]) % n for j in range(d)
-    ]
+    act_free = [np.kron(np.eye(m, dtype=np.int64), A.mul[:, j, :]) % n for j in range(d)]
     Omega = SkewModule(A, _restricted_action(K, act_free, n, "syzygy action"))
     homs = hom_skew(Omega, W)
-    flat = linalg.as_matrix([H.reshape(-1) for H in homs], kw * w)
-    if kw == 0 or not homs:
-        return Ext1Result(0, [], 0)
-    image_rows = []
-    for i in range(m):
-        blocks = [
-            np.einsum("q,qkl->kl", K[:, i * d : (i + 1) * d][r], W.act) % n
-            for r in range(kw)
-        ]
-        # map phi_(i,c): restriction row r = e_c @ act_W(K_r's i-th component)
-        for c in range(w):
-            rowvals = np.array([blk[c] for blk in blocks], dtype=np.int64)
-            image_rows.append(rowvals.reshape(-1))
-    image = linalg.howell_form(linalg.as_matrix(image_rows, kw * w), n, kw * w)
-    reps = []
-    cur = image
-    for s in flat:
-        if not linalg.in_span(cur, s, n):
-            reps.append(s.reshape(kw, w))
-            cur = linalg.howell_form(np.vstack([cur, s.reshape(1, -1)]), n, kw * w)
-    return Ext1Result(len(reps), reps, len(homs), {"omega_dim": kw})
+    if not homs:
+        return 0
+    # the map free -> W sending e_i to the c-th basis vector of W, restricted to Omega
+    image = np.einsum("riq,qcl->icrl", K.reshape(kw, m, d), W.act).reshape(m * w, kw * w) % n
+    flat = np.stack([H.reshape(-1) for H in homs])
+    return _rank(np.vstack([image, flat]), n) - _rank(image, n)
+
+
+def _cocycle_constraints(V: SkewModule, W: SkewModule) -> np.ndarray:
+    """The matrix C with c @ C == 0 iff c, read as blocks C_q of shape (dim V, dim W), is a cocycle.
+
+    Row (q, s, t) is entry (s, t) of C_q.  Column (i, j, a, b) is entry
+    (a, b) of sum_q mul[i, j, q] C_q - C_i W_j - V_i C_j; the last dim V *
+    dim W columns, (a, b), are entry (a, b) of sum_q unit[q] C_q.
+    """
+    A = V.algebra
+    d, v, w = A.rank, V.dim, W.dim
+    Id, Iv, Iw = (np.eye(k, dtype=np.int64) for k in (d, v, w))
+    mult = (
+        np.einsum("ijq,sa,tb->qstijab", A.mul, Iv, Iw)
+        - np.einsum("qi,sa,jtb->qstijab", Id, Iv, W.act)
+        - np.einsum("qj,tb,ias->qstijab", Id, Iw, V.act)
+    ).reshape(d * v * w, d * d * v * w)
+    unit = np.einsum("q,sa,tb->qstab", A.unit, Iv, Iw).reshape(d * v * w, v * w)
+    return np.concatenate([mult, unit], axis=1) % A.base.modulus
 
 
 def extension_cocycle_space(V: SkewModule, W: SkewModule):
@@ -667,80 +634,36 @@ def extension_cocycle_space(V: SkewModule, W: SkewModule):
 
     Middle structures on W (+) V are lower block triangular; the unknown
     blocks C_j solve the multiplicativity and unit constraints.  Returns
-    (cocycle basis, coboundary span, builder) where the builder turns a
-    cocycle vector into the middle-term module.
+    (cocycle basis, builder) where the builder turns a cocycle vector into
+    the middle-term module.
     """
     A = V.algebra
-    n = A.base.modulus
     d, mv, mw = A.rank, V.dim, W.dim
-    size = mv * mw
-    if size == 0:
-        empty = np.zeros((0, d * size), dtype=np.int64)
-
-        def build_trivial(cvec) -> SkewModule:
-            return direct_sum(W, V)
-
-        return empty, empty, build_trivial
-    cols = []
-    for i in range(d):
-        for j in range(d):
-            # sum_q mul[i,j,q] C_q = C_i actW_j + actV_i C_j, entry by entry
-            for a in range(mv):
-                for b in range(mw):
-                    col = np.zeros(d * size, dtype=np.int64)
-                    for q in range(d):
-                        if A.mul[i, j, q]:
-                            col[q * size + a * mw + b] += int(A.mul[i, j, q])
-                    # C_i @ actW[j]: entry (a,b) = sum_t C_i[a,t] actW[j][t,b]
-                    for t in range(mw):
-                        col[i * size + a * mw + t] -= int(W.act[j][t, b])
-                    # actV[i] @ C_j: entry (a,b) = sum_s actV[i][a,s] C_j[s,b]
-                    for s in range(mv):
-                        col[j * size + s * mw + b] -= int(V.act[i][a, s])
-                    cols.append(col % n)
-    for a in range(mv):
-        for b in range(mw):
-            col = np.zeros(d * size, dtype=np.int64)
-            for j in range(d):
-                if A.unit[j]:
-                    col[j * size + a * mw + b] += int(A.unit[j])
-            cols.append(col % n)
-    Cmat = np.stack(cols, axis=1)
-    Z = linalg.kernel_left(Cmat, n)
-    cob_rows = []
-    for s in range(mv):
-        for t in range(mw):
-            D = np.zeros((mv, mw), dtype=np.int64)
-            D[s, t] = 1
-            vec = np.zeros(d * size, dtype=np.int64)
-            for j in range(d):
-                Cj = (D @ W.act[j] - V.act[j] @ D) % n
-                vec[j * size : (j + 1) * size] = Cj.reshape(-1)
-            cob_rows.append(vec)
-    B = linalg.howell_form(linalg.as_matrix(cob_rows, d * size), n, d * size)
+    Z = linalg.kernel_left(_cocycle_constraints(V, W), A.base.modulus)
 
     def build(cvec) -> SkewModule:
         act = np.zeros((d, mw + mv, mw + mv), dtype=np.int64)
-        for j in range(d):
-            act[j][:mw, :mw] = W.act[j]
-            act[j][mw:, mw:] = V.act[j]
-            act[j][mw:, :mw] = np.asarray(cvec[j * size : (j + 1) * size]).reshape(
-                mv, mw
-            )
+        act[:, :mw, :mw] = W.act
+        act[:, mw:, mw:] = V.act
+        act[:, mw:, :mw] = np.asarray(cvec).reshape(d, mv, mw)
         return SkewModule(A, act)
 
-    return Z, B, build
+    return Z, build
 
 
 def ext1_dimension_by_enumeration(V: SkewModule, W: SkewModule) -> int:
-    """Independent route: count extensions of V by W, cocycles mod coboundaries."""
+    """Independent route: count extensions of V by W, cocycles mod coboundaries.
+
+    The coboundary of D is (D W_j - V_j D)_j, minus the row of D in
+    _hom_constraints(V, W), whose rank is therefore that of the coboundaries.
+    """
     n = V.algebra.base.modulus
     if not linalg.is_prime(n):
         raise NotPrimeError(n, "ext1 enumeration")
     if V.dim == 0 or W.dim == 0:
         return 0
-    Z, B, _ = extension_cocycle_space(V, W)
-    return Z.shape[0] - B.shape[0]
+    Z, _ = extension_cocycle_space(V, W)
+    return Z.shape[0] - _rank(_hom_constraints(V, W), n)
 
 
 def perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
@@ -761,7 +684,7 @@ def perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
                     False,
                     {"object": skew.cat.objects[x], "cover": ci, "reason": "hom"},
                 )
-            if ext1_skew(Q, V).dim:
+            if ext1_skew(Q, V):
                 return PredicateResult(
                     False,
                     {"object": skew.cat.objects[x], "cover": ci, "reason": "ext1"},

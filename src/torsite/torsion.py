@@ -279,7 +279,7 @@ class ModuleUniverse:
                 if S.dim > m:
                     continue
                 for V in by_dim[m - S.dim]:
-                    Z, _, build = extension_cocycle_space(V, S)
+                    Z, build = extension_cocycle_space(V, S)
                     scanned += linalg.span_size(Z, n)
                     if scanned > budget:
                         raise BudgetExceededError("module universe extensions", scanned, budget)
@@ -432,7 +432,7 @@ class ModuleUniverse:
             if V.dim + W.dim > self.dim_bound:
                 self._middles[key] = frozenset()
             else:
-                Z, _, build = extension_cocycle_space(V, W)
+                Z, build = extension_cocycle_space(V, W)
                 n = self.algebra.base.modulus
                 out = set()
                 for c in linalg.span_elements(Z, n):

@@ -420,6 +420,14 @@ MALFORMED_PRESHEAVES = {
     "mul-float": (_set("algebras", "*", "mul", 0, [[1.5, 0], [0, 0]]), "mul"),
     "map-string": (_set("maps", "id", [["1", 0], [0, 1]]), "maps"),
     "basis-number": (_set("algebras", "*", "basis", 2), "basis"),
+    "category-number": (_set("category", 5), "category"),
+    "morphisms-number": (_set("category", "morphisms", 5), "morphisms"),
+    "identity-list": (_set("category", "identity", ["*"]), "identity"),
+    "compose-number": (_set("category", "compose", 1), "compose"),
+    "base-number": (_set("base", 2), "base"),
+    "algebras-number": (_set("algebras", 5), "algebras"),
+    "algebra-entry-number": (_set("algebras", "*", 3), "algebras[*]"),
+    "maps-number": (_set("maps", 5), "maps"),
 }
 
 
@@ -483,6 +491,9 @@ MALFORMED_MODULES = {
     "action-null": (_set("modules", "1", "action", None), "action"),
     "action-empty": (_set("modules", "1", "action", []), "action"),
     "map-empty": (_set("modules", "1", "maps", "id1", []), "id1"),
+    "modules-number": (_set("modules", 5), "modules"),
+    "entry-number": (_set("modules", "1", 7), "modules[1]"),
+    "maps-list": (_set("modules", "1", "maps", [1]), "maps"),
 }
 
 
@@ -496,6 +507,32 @@ def test_cli_malformed_module_is_input_error(capsys, tmp_path, case):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "validate", str(path), "--context", fx("a2_f2.json"))
+    assert code == 2
+    assert out["kind"] == "input" and key in out["error"]
+    assert "input error" in err
+
+
+MALFORMED_TOPOLOGIES = {
+    "morphisms-number": (_set("category", "morphisms", 5), "morphisms"),
+    "covers-number": (_set("covers", 5), "covers"),
+    "cover-list-number": (_set("covers", "1", 3), "covers[1]"),
+    # a bare string used to be read character by character as a sieve
+    "sieve-string": (_set("covers", "2", ["a", ["a", "id2"]]), "covers[2][0]"),
+    "sieve-member-list": (_set("covers", "1", [[["id1"]]]), "covers[1][0]"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "classify"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_TOPOLOGIES))
+def test_cli_malformed_topology_is_input_error(capsys, tmp_path, command, case):
+    edit, key = MALFORMED_TOPOLOGIES[case]
+    with open(fx("a2_obj1_topology.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] if command == "validate" else [command, fx("a2_f2.json"), str(path)]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out["kind"] == "input" and key in out["error"]
     assert "input error" in err
