@@ -58,6 +58,12 @@ def _expect(value, kind: type, where: str):
     return value
 
 
+def _need_str(doc: dict, key: str, where: str) -> str:
+    if not isinstance(value := _need(doc, key, where), str):
+        raise InputError(f"{where}.{key}: expected a string")
+    return value
+
+
 def _is_int64(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and -(2**63) <= x < 2**63
 
@@ -118,19 +124,15 @@ def category_from_doc(doc: dict, where: str = "category") -> FiniteCategory:
     for i, m in enumerate(raw_mors):
         if not isinstance(m, dict):
             raise InputError(f"{where}.morphisms[{i}]: expected an object")
-        mors.append(
-            (
-                _need(m, "name", f"{where}.morphisms[{i}]"),
-                _need(m, "dom", f"{where}.morphisms[{i}]"),
-                _need(m, "cod", f"{where}.morphisms[{i}]"),
-            )
-        )
+        mors.append(tuple(_need_str(m, key, f"{where}.morphisms[{i}]") for key in ("name", "dom", "cod")))
     identity = _expect(_need(doc, "identity", where), dict, f"{where}.identity")
+    for obj in identity:
+        _need_str(identity, obj, f"{where}.identity")
     raw_comp = _expect(doc.get("compose", []), list, f"{where}.compose")
     pairs = {}
     for i, triple in enumerate(raw_comp):
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise InputError(f"{where}.compose[{i}]: expected [g, f, gf]")
+        if not (isinstance(triple, list) and len(triple) == 3 and all(isinstance(t, str) for t in triple)):
+            raise InputError(f"{where}.compose[{i}]: expected [g, f, gf] of morphism names")
         pairs[(triple[0], triple[1])] = triple[2]
     try:
         return FiniteCategory.from_data(objects, mors, identity, pairs)

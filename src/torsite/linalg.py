@@ -5,6 +5,11 @@ which is a canonical representative: two generating sets span the same
 submodule of (Z/n)^w iff their Howell forms are byte-identical.  For prime
 n the form degenerates to the reduced row echelon form over the field.
 
+Elimination runs on rows of Python ints, one path for every modulus, so
+its arithmetic is exact whatever n.  numpy int64 arrays appear only at the
+boundary (inputs, Howell forms, solutions, kernels), and those arrays still
+rely on the int64 headroom that ``algebra.MAX_MODULUS`` guarantees.
+
 Row-vector convention throughout the package: a linear map is applied as
 ``v @ M`` and composites read left to right (``first @ then``).
 """
@@ -77,36 +82,44 @@ def as_matrix(rows, width: int) -> np.ndarray:
 
 
 def _leading(row) -> int:
-    nz = np.flatnonzero(row)
-    return int(nz[0]) if nz.size else -1
+    """Column of the first nonzero entry of a row, or -1 for a zero row."""
+    for j, x in enumerate(row):
+        if x:
+            return j
+    return -1
 
 
-def _echelon(rows: list, n: int, width: int) -> list:
-    work = [r % n for r in rows if (r % n).any()]
+def _echelon(work: list, n: int, width: int) -> list:
+    """Echelon form of nonzero int rows with entries in [0, n)."""
     r = 0
     for j in range(width):
+        if r == len(work):
+            break
         pivot = False
         for i in range(r, len(work)):
-            if work[i][j] % n == 0:
+            if not work[i][j]:
                 continue
             if not pivot:
                 work[r], work[i] = work[i], work[r]
                 pivot = True
             else:
-                a = int(work[r][j])
-                b = int(work[i][j])
+                a, b = work[r][j], work[i][j]
                 g, u, v = _xgcd(a, b)
-                comb = (u * work[r] + v * work[i]) % n
-                elim = ((b // g) * work[r] - (a // g) * work[i]) % n
-                work[r], work[i] = comb, elim
+                p, q = b // g, a // g
+                top, low = work[r], work[i]
+                work[r] = [(u * x + v * y) % n for x, y in zip(top, low)]
+                work[i] = [(p * x - q * y) % n for x, y in zip(top, low)]
         if pivot:
-            a = int(work[r][j])
+            a = work[r][j]
             d = math.gcd(a, n)
-            work[r] = (unit_for(a, n) * work[r]) % n
+            if a != d:
+                u = unit_for(a, n)
+                work[r] = [(u * x) % n for x in work[r]]
+            top = work[r]
             for i in range(r):
-                q = int(work[i][j]) // d
+                q = work[i][j] // d
                 if q:
-                    work[i] = (work[i] - q * work[r]) % n
+                    work[i] = [(x - q * y) % n for x, y in zip(work[i], top)]
             r += 1
     return work[:r]
 
@@ -126,25 +139,21 @@ def howell_form(rows, n: int, width: int | None = None) -> np.ndarray:
         if a.ndim != 2:
             raise ValueError("width is required for ambiguous input")
         width = a.shape[1]
-    mat = as_matrix(rows, width)
-    work = _echelon(list(mat), n, width)
+    work = _echelon([r for r in (as_matrix(rows, width) % n).tolist() if any(r)], n, width)
     # enforce the Howell property: annihilator multiples of each row must
     # already lie in the span of the lower rows
     for _ in range(width * (n.bit_length() + 2) + 8):
         extra = []
         for row in work:
-            d = int(row[_leading(row)])
-            t = n // math.gcd(d, n)
-            if t > 1:
-                v = (t * row) % n
-                if v.any():
+            t = n // math.gcd(row[_leading(row)], n)
+            if 1 < t < n:  # t == n: the pivot is 1 and t * row == 0
+                v = [(t * x) % n for x in row]
+                if any(v):
                     extra.append(v)
         if not extra:
             break
         new = _echelon(work + extra, n, width)
-        if len(new) == len(work) and all(
-            (a == b).all() for a, b in zip(new, work)
-        ):
+        if new == work:
             break
         work = new
     else:  # pragma: no cover
@@ -159,6 +168,17 @@ def span_key(H: np.ndarray) -> bytes:
     return H.shape[0].to_bytes(4, "little") + H.tobytes()
 
 
+def _reduce(H: list, rows: list, n: int) -> list:
+    """Reduce each int row in place by the rows of a Howell form, in order."""
+    for h in H:
+        j = _leading(h)
+        for t, r in enumerate(rows):
+            q = r[j] // h[j]
+            if q:
+                rows[t] = [(x - q * y) % n for x, y in zip(r, h)]
+    return rows
+
+
 def reduce_vector(H: np.ndarray, v, n: int) -> np.ndarray:
     """Remainder of v after reduction against a Howell form H.
 
@@ -166,12 +186,10 @@ def reduce_vector(H: np.ndarray, v, n: int) -> np.ndarray:
     by the rows of H in order, exactly as a single vector would be.
     """
     r = np.array(v, dtype=np.int64) % n
-    for row in H:
-        j = _leading(row)
-        q = r[..., j] // row[j]
-        if q.any():
-            r = (r - q[..., None] * row) % n
-    return r
+    if not H.shape[0]:
+        return r
+    rows = _reduce(H.tolist(), r.reshape(-1, r.shape[-1]).tolist(), n)
+    return np.array(rows, dtype=np.int64).reshape(r.shape)
 
 
 def in_span(H: np.ndarray, v, n: int) -> bool:
@@ -184,27 +202,18 @@ def solve_left(A, b, n: int):
     A has shape (m, k).  b is one target of length k, giving x of length
     m, or a stack of shape (r, k), giving x of shape (r, m) and None if
     any row of b lies outside the span.  Works for any modulus thanks to
-    the Howell property of the augmented form, built once for all rows.
+    the Howell property of the augmented form, built once for all rows:
+    reducing [b | 0] by its rows with leading column < k leaves [0 | -x].
     """
     A = np.asarray(A, dtype=np.int64)
     m, k = A.shape
     b = np.asarray(b, dtype=np.int64) % n
-    r = np.atleast_2d(b)
-    x = np.zeros((r.shape[0], m), dtype=np.int64)
-    if m:
-        aug = np.hstack([A % n, np.eye(m, dtype=np.int64)])
-        for row in howell_form(aug, n, k + m):
-            j = _leading(row)
-            if j >= k:
-                break
-            d = row[j]
-            if (r[:, j] % d).any():
-                return None
-            q = (r[:, j] // d)[:, None]
-            r = (r - q * row[:k]) % n
-            x = (x + q * row[k:]) % n
-    if r.any():
+    aug = howell_form(np.hstack([A % n, np.eye(m, dtype=np.int64)]), n, k + m).tolist() if m else []
+    H = [row for row in aug if _leading(row) < k]
+    rest = _reduce(H, [row + [0] * m for row in np.atleast_2d(b).tolist()], n)
+    if any(any(row[:k]) for row in rest):
         return None
+    x = np.array([[(-t) % n for t in row[k:]] for row in rest], dtype=np.int64).reshape(len(rest), m)
     return x if b.ndim == 2 else x[0]
 
 
@@ -214,10 +223,8 @@ def kernel_left(A, n: int) -> np.ndarray:
     m, k = A.shape
     if m == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    aug = np.hstack([A % n, np.eye(m, dtype=np.int64)])
-    H = howell_form(aug, n, k + m)
-    out = [row[k:] for row in H if not row[:k].any()]
-    return as_matrix(out, m)
+    aug = howell_form(np.hstack([A % n, np.eye(m, dtype=np.int64)]), n, k + m).tolist()
+    return as_matrix([row[k:] for row in aug if not any(row[:k])], m)
 
 
 def matrix_inverse(A, n: int):
@@ -238,8 +245,8 @@ def matrix_inverse(A, n: int):
 
 def span_size(H: np.ndarray, n: int) -> int:
     size = 1
-    for row in H:
-        size *= n // int(row[_leading(row)])
+    for row in H.tolist():
+        size *= n // row[_leading(row)]
     return size
 
 
@@ -249,7 +256,7 @@ def span_elements(H: np.ndarray, n: int):
     if H.shape[0] == 0:
         yield np.zeros(w, dtype=np.int64)
         return
-    ranges = [range(n // int(row[_leading(row)])) for row in H]
+    ranges = [range(n // row[_leading(row)]) for row in H.tolist()]
     for coeffs in itertools.product(*ranges):
         yield (np.array(coeffs, dtype=np.int64) @ H) % n
 
@@ -301,7 +308,7 @@ def enumerate_submodules(width: int, n: int, stable_under=(), budget: int | None
 
 
 def pivot_columns(H: np.ndarray) -> list:
-    return [_leading(row) for row in H]
+    return [_leading(row) for row in H.tolist()]
 
 
 def complement_columns(H: np.ndarray, width: int) -> list:

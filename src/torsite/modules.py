@@ -604,10 +604,10 @@ def ext1_skew(V: SkewModule, W: SkewModule) -> int:
     homs = hom_skew(Omega, W)
     if not homs:
         return 0
-    # the map free -> W sending e_i to the c-th basis vector of W, restricted to Omega
+    # the map free -> W sending e_i to the c-th basis vector of W, restricted to Omega:
+    # these rows lie in Hom(Omega, W), whose basis homs is independent (n is prime)
     image = np.einsum("riq,qcl->icrl", K.reshape(kw, m, d), W.act).reshape(m * w, kw * w) % n
-    flat = np.stack([H.reshape(-1) for H in homs])
-    return _rank(np.vstack([image, flat]), n) - _rank(image, n)
+    return len(homs) - _rank(image, n)
 
 
 def _cocycle_constraints(V: SkewModule, W: SkewModule) -> np.ndarray:

@@ -424,6 +424,11 @@ MALFORMED_PRESHEAVES = {
     "morphisms-number": (_set("category", "morphisms", 5), "morphisms"),
     "identity-list": (_set("category", "identity", ["*"]), "identity"),
     "compose-number": (_set("category", "compose", 1), "compose"),
+    # scalars inside the category containers used to reach a dict lookup
+    "morphism-name-list": (_set("category", "morphisms", 0, "name", ["id"]), "morphisms[0].name"),
+    "morphism-dom-list": (_set("category", "morphisms", 0, "dom", ["*"]), "morphisms[0].dom"),
+    "identity-value-list": (_set("category", "identity", "*", ["id"]), "identity.*"),
+    "compose-entry-list": (_set("category", "compose", [[["id"], "id", "id"]]), "compose[0]"),
     "base-number": (_set("base", 2), "base"),
     "algebras-number": (_set("algebras", 5), "algebras"),
     "algebra-entry-number": (_set("algebras", "*", 3), "algebras[*]"),

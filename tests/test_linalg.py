@@ -305,3 +305,126 @@ def test_matrix_inverse_matches_sympy(n, k, data):
     got = linalg.matrix_inverse(A, n)
     assert (got is None) == (want is None)
     assert got is None or got.tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the Howell kernel against the numpy elimination it replaced
+
+HOWELL_MODULI = [2, 3, 4, 6, 8, 9, 12, 27, 65537]
+
+
+def _oracle_leading(row) -> int:
+    nz = np.flatnonzero(row)
+    return int(nz[0]) if nz.size else -1
+
+
+def _oracle_echelon(rows: list, n: int, width: int) -> list:
+    work = [r % n for r in rows if (r % n).any()]
+    r = 0
+    for j in range(width):
+        pivot = False
+        for i in range(r, len(work)):
+            if work[i][j] % n == 0:
+                continue
+            if not pivot:
+                work[r], work[i] = work[i], work[r]
+                pivot = True
+            else:
+                a = int(work[r][j])
+                b = int(work[i][j])
+                g, u, v = linalg._xgcd(a, b)
+                comb = (u * work[r] + v * work[i]) % n
+                elim = ((b // g) * work[r] - (a // g) * work[i]) % n
+                work[r], work[i] = comb, elim
+        if pivot:
+            a = int(work[r][j])
+            d = math.gcd(a, n)
+            work[r] = (linalg.unit_for(a, n) * work[r]) % n
+            for i in range(r):
+                q = int(work[i][j]) // d
+                if q:
+                    work[i] = (work[i] - q * work[r]) % n
+            r += 1
+    return work[:r]
+
+
+def oracle_howell_form(rows, n: int, width: int) -> np.ndarray:
+    """Reference: echelon and Howell stabilisation on numpy int64 rows."""
+    mat = linalg.as_matrix(rows, width)
+    work = _oracle_echelon(list(mat), n, width)
+    for _ in range(width * (n.bit_length() + 2) + 8):
+        extra = []
+        for row in work:
+            d = int(row[_oracle_leading(row)])
+            t = n // math.gcd(d, n)
+            if t > 1:
+                v = (t * row) % n
+                if v.any():
+                    extra.append(v)
+        if not extra:
+            break
+        new = _oracle_echelon(work + extra, n, width)
+        if len(new) == len(work) and all(
+            (a == b).all() for a, b in zip(new, work)
+        ):
+            break
+        work = new
+    else:  # pragma: no cover
+        raise RuntimeError("howell iteration failed to stabilize")
+    if not work:
+        return np.zeros((0, width), dtype=np.int64)
+    return np.array(work, dtype=np.int64)
+
+
+@st.composite
+def howell_inputs(draw):
+    """(n, A): up to 7 x 8 over Z/n, including empty, zero and all-(n - 1) matrices."""
+    n = draw(st.sampled_from(HOWELL_MODULI))
+    rows, width = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    fill = draw(st.sampled_from(["random", "zero", "top"]))
+    if fill == "zero":
+        return n, np.zeros((rows, width), dtype=np.int64)
+    if fill == "top":
+        return n, np.full((rows, width), n - 1, dtype=np.int64)
+    # entries near 0 and n - 1 make coincident pivots, hence row combinations
+    entry = st.one_of(st.integers(0, n - 1), st.sampled_from([0, 1, n // 2, n - 1]))
+    flat = draw(st.lists(entry, min_size=rows * width, max_size=rows * width))
+    return n, np.array(flat, dtype=np.int64).reshape(rows, width)
+
+
+@PROPERTY
+@given(howell_inputs())
+def test_howell_form_bytes_match_the_numpy_oracle(case):
+    n, A = case
+    got = linalg.howell_form(A, n, A.shape[1])
+    want = oracle_howell_form(A, n, A.shape[1])
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def small_spans(draw):
+    """(n, A) with n ** width and n ** rows <= 4096, so every span element can be listed."""
+    n = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 27]))
+    most = max(w for w in range(1, 13) if n**w <= 4096)
+    width, rows = draw(st.integers(1, most)), draw(st.integers(0, min(most, 4)))
+    flat = draw(st.lists(st.integers(0, n - 1), min_size=rows * width, max_size=rows * width))
+    return n, np.array(flat, dtype=np.int64).reshape(rows, width)
+
+
+@PROPERTY
+@given(small_spans())
+def test_howell_property_by_brute_force(case):
+    # every span element supported on columns >= j reduces to zero against
+    # the rows of H whose leading column is >= j
+    n, A = case
+    width = A.shape[1]
+    H = linalg.howell_form(A, n, width)
+    lead = linalg.pivot_columns(H)
+    span = [np.array(v, dtype=np.int64) for v in brute_span(A, n)]
+    for j in range(width + 1):
+        lower = linalg.as_matrix([row for row, c in zip(H, lead) if c >= j], width)
+        for v in span:
+            if not v[:j].any():
+                assert not linalg.reduce_vector(lower, v, n).any(), (j, v.tolist())
