@@ -729,10 +729,27 @@ def _generating_words(A: FiniteAlgebra):
     raise InputError("no generating set found (non-free span)")
 
 
+def _all_matrices(n: int, rows: int, cols: int) -> np.ndarray:
+    """Every rows x cols matrix over Z/n, numbered by idx: entry c of matrix
+    idx, in row-major order, is (idx // n**c) % n."""
+    count = n ** (rows * cols)
+    powers = n ** np.arange(rows * cols, dtype=np.int64)
+    return (np.arange(count, dtype=np.int64)[:, None] // powers % n).reshape(count, rows, cols)
+
+
 def enumerate_skew_module_structures(
     A: FiniteAlgebra, dim: int, budget: int = 2**22
 ) -> list:
-    """All unital right-module structures on (Z/n)^dim, as SkewModules."""
+    """All unital right-module structures on (Z/n)^dim, as SkewModules.
+
+    Candidate idx gives generator gens[t] the matrix numbered
+    (idx // img_count**t) % img_count; the structures come out in order of
+    idx.  The generators are fixed one at a time, the last first, and each
+    relation (the unit axiom and associativity at every basis pair (i, j))
+    is tested as soon as every generator its elements depend on is fixed,
+    so most candidates are dropped before the remaining generators
+    multiply them.  Every returned structure has passed every relation.
+    """
     n = A.base.modulus
     if dim == 0:
         return [zero_skew_module(A)]
@@ -746,34 +763,66 @@ def enumerate_skew_module_structures(
     total = img_count ** len(gens)
     if total > budget:
         raise BudgetExceededError("module structure enumeration", total, budget)
-    digits = np.arange(img_count)
-    cells = [(digits // (n**c)) % n for c in range(dim * dim)]
-    all_mats = np.stack(cells, axis=1).reshape(img_count, dim, dim).astype(np.int64)
+    G = len(gens)
+    # Basis element i depends on gens[low[i]:] at most: the generators in
+    # the words that span it.  A relation on the elements E is ready once
+    # gens[G - s:] are fixed, at stage s = G - min(low[e] for e in E).
+    low = [
+        min(
+            (gens.index(g) for w, word in enumerate(words) if coeff[i, w] % n for g in word),
+            default=G,
+        )
+        for i in range(A.rank)
+    ]
+
+    def stage(elems) -> int:
+        return G - min((low[e] for e in elems), default=G)
+
+    unit_stage = stage(np.flatnonzero(A.unit % n))
+    pairs = [
+        (stage([i, j, *np.flatnonzero(A.mul[i, j] % n)]), i, j)
+        for i in range(A.rank)
+        for j in range(A.rank)
+    ]
+    # with no generators the table is never read, and it has img_count rows
+    all_mats = _all_matrices(n, dim, dim) if gens else None
     eye = np.eye(dim, dtype=np.int64)
     out = []
     chunk = 1 << 14
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        k = len(idx)
-        gmats = {}
-        for t, g in enumerate(gens):
-            sel = (idx // (img_count**t)) % img_count
-            gmats[g] = all_mats[sel]  # (k, dim, dim)
-        wstack = np.empty((len(words), k, dim, dim), dtype=np.int64)
-        for wi, word in enumerate(words):
-            Mw = np.broadcast_to(eye, (k, dim, dim)).copy()
-            for g in word:
-                Mw = np.matmul(Mw, gmats[g]) % n
-            wstack[wi] = Mw
-        act = np.einsum("iw,wkab->kiab", coeff, wstack) % n
-        ok = ~(np.einsum("j,kjab->kab", A.unit, act) % n != eye).any(axis=(1, 2))
-        if ok.any():
-            sub = act[ok]
-            lhs = np.einsum("ijm,kmab->kijab", A.mul, sub) % n
-            rhs = np.einsum("kiam,kjmb->kijab", sub, sub) % n
-            ok2 = (lhs == rhs).all(axis=(1, 2, 3, 4))
-            for a in sub[ok2]:
-                out.append(SkewModule(A, a))
+    # Survivors of the stages so far, with the digits of unfixed generators
+    # zero: those generators get the zero matrix, so elements that depend
+    # on them get wrong actions, which no ready relation reads.
+    found = np.zeros(1, dtype=np.int64)
+    for s in range(G + 1):
+        width = img_count if s else 1
+        step = img_count ** (G - s)
+        kept = [found[:0]]
+        for start in range(0, len(found) * width, chunk):
+            f = np.arange(start, min(start + chunk, len(found) * width))
+            idx = found[f // width] + (f % width) * step
+            k = len(idx)
+            gmats = {}
+            for t, g in enumerate(gens):
+                gmats[g] = all_mats[(idx // (img_count**t)) % img_count]  # (k, dim, dim)
+            wstack = np.empty((len(words), k, dim, dim), dtype=np.int64)
+            for wi, word in enumerate(words):
+                Mw = np.broadcast_to(eye, (k, dim, dim)).copy()
+                for g in word:
+                    Mw = np.matmul(Mw, gmats[g]) % n
+                wstack[wi] = Mw
+            act = np.einsum("iw,wkab->kiab", coeff, wstack) % n
+            if unit_stage == s:
+                ok = (np.einsum("j,kjab->kab", A.unit, act) % n == eye).all(axis=(1, 2))
+                idx, act = idx[ok], act[ok]
+            for p, i, j in pairs:
+                if p == s:
+                    lhs = np.einsum("m,kmab->kab", A.mul[i, j], act) % n
+                    ok = (lhs == (act[:, i] @ act[:, j]) % n).all(axis=(1, 2))
+                    idx, act = idx[ok], act[ok]
+            kept.append(idx)
+            if s == G:
+                out.extend(SkewModule(A, a) for a in act)
+        found = np.concatenate(kept)
     return out
 
 
@@ -801,22 +850,15 @@ def enumerate_module_presheaves(
     ]
     for ranks in rank_tuples:
         action_choices = [obj_structures[x][ranks[x]] for x in range(cat.n_objects)]
-        map_choices = []
-        for f in nonid:
-            shape = (ranks[cat.cod(f)], ranks[cat.dom(f)])
-            count = n ** (shape[0] * shape[1])
-            mats = []
-            for idx in range(count):
-                vals = [(idx // (n**c)) % n for c in range(shape[0] * shape[1])]
-                mats.append(np.array(vals, dtype=np.int64).reshape(shape))
-            map_choices.append(mats)
+        shapes = [(ranks[cat.cod(f)], ranks[cat.dom(f)]) for f in nonid]
         combos = 1
         for ch in action_choices:
             combos *= max(len(ch), 1)
-        for ch in map_choices:
-            combos *= len(ch)
+        for rows, cols in shapes:
+            combos *= n ** (rows * cols)
         if combos > budget:
             raise BudgetExceededError("module presheaf enumeration", combos, budget)
+        map_choices = [_all_matrices(n, rows, cols) for rows, cols in shapes]
         for actions in itertools.product(*action_choices):
             for mats in itertools.product(*map_choices):
                 maps = []

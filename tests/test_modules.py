@@ -1,29 +1,34 @@
 """Module presheaves, skew modules, the stacking equivalence, and the
 sheaf/torsion/perpendicular predicates."""
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torsite import linalg
-from torsite.algebra import constant_presheaf
-from torsite.errors import NotPrimeError
+from torsite.algebra import BaseRing, FiniteAlgebra, constant_presheaf
+from torsite.errors import BudgetExceededError, InputError, NotPrimeError
 from torsite.fixtures import (
     a2_category,
     a2_mixed_presheaf,
     c2_monoid_category,
     field_algebra,
+    group_algebra_c2,
     product_field_algebra,
     standard_fixtures,
     t2_algebra,
     terminal_category,
+    zero_algebra,
 )
 from torsite.grskew import build_gr, build_skew_algebra, enumerate_linear_topologies, linearize_topology
 from torsite.modules import (
     ModulePresheaf,
     SkewModule,
+    _all_matrices,
     _cocycle_constraints,
+    _generating_words,
     _hom_constraints,
     direct_sum,
     enumerate_module_presheaves,
@@ -128,6 +133,142 @@ def test_structure_counts_small():
     assert len(enumerate_skew_module_structures(t2_algebra(2), 1)) == 2
     assert len(enumerate_skew_module_structures(product_field_algebra(2, 2), 1)) == 2
     assert len(enumerate_skew_module_structures(field_algebra(2), 2)) == 1
+
+
+def oracle_skew_module_structures(
+    A, dim: int, budget: int = 2**22
+) -> list:
+    """Reference: every candidate tested against all relations at once."""
+    n = A.base.modulus
+    if dim == 0:
+        return [zero_skew_module(A)]
+    if A.rank == 0:
+        return []  # only the zero space admits a unital structure
+    gens, words, vecs = _generating_words(A)
+    coeff = linalg.solve_left(vecs, np.eye(A.rank, dtype=np.int64), n)  # (rank, n_words)
+    if coeff is None:
+        raise InputError("basis not reachable from generating words")
+    img_count = n ** (dim * dim)
+    total = img_count ** len(gens)
+    if total > budget:
+        raise BudgetExceededError("module structure enumeration", total, budget)
+    digits = np.arange(img_count)
+    cells = [(digits // (n**c)) % n for c in range(dim * dim)]
+    all_mats = np.stack(cells, axis=1).reshape(img_count, dim, dim).astype(np.int64)
+    eye = np.eye(dim, dtype=np.int64)
+    out = []
+    chunk = 1 << 14
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        k = len(idx)
+        gmats = {}
+        for t, g in enumerate(gens):
+            sel = (idx // (img_count**t)) % img_count
+            gmats[g] = all_mats[sel]  # (k, dim, dim)
+        wstack = np.empty((len(words), k, dim, dim), dtype=np.int64)
+        for wi, word in enumerate(words):
+            Mw = np.broadcast_to(eye, (k, dim, dim)).copy()
+            for g in word:
+                Mw = np.matmul(Mw, gmats[g]) % n
+            wstack[wi] = Mw
+        act = np.einsum("iw,wkab->kiab", coeff, wstack) % n
+        ok = ~(np.einsum("j,kjab->kab", A.unit, act) % n != eye).any(axis=(1, 2))
+        if ok.any():
+            sub = act[ok]
+            lhs = np.einsum("ijm,kmab->kijab", A.mul, sub) % n
+            rhs = np.einsum("kiam,kjmb->kijab", sub, sub) % n
+            ok2 = (lhs == rhs).all(axis=(1, 2, 3, 4))
+            for a in sub[ok2]:
+                out.append(SkewModule(A, a))
+    return out
+
+
+def _skew_of_constant(cat, alg):
+    return build_skew_algebra(cat, constant_presheaf(cat, alg))
+
+
+def radical_square_zero_algebra(names):
+    """F2[x, y]/(x, y)^2 with its basis 1, x, y in the order of names.  Each
+    product of two of x, y is an associativity relation implied by no other,
+    so a dropped pair (i, j) with b_i, b_j in {x, y} admits new structures
+    by dimension 3."""
+    one = names.index("1")
+    mul = np.zeros((3, 3, 3), dtype=np.int64)
+    for k in range(3):
+        mul[one, k, k] = mul[k, one, k] = 1
+    return FiniteAlgebra(BaseRing(2), mul, np.eye(3, dtype=np.int64)[one], tuple(names))
+
+
+@pytest.mark.parametrize(
+    "make, dim_bound",
+    [
+        (lambda: t2_algebra(2), 3),
+        (lambda: product_field_algebra(2, 2), 3),
+        (lambda: group_algebra_c2(2), 3),
+        (lambda: t2_algebra(3), 2),
+        (lambda: _skew_of_constant(c2_monoid_category(), field_algebra(3)), 2),
+        (lambda: build_skew_algebra(a2_category(), a2_mixed_presheaf(2)), 2),
+        (lambda: t2_algebra(4), 1),
+        (lambda: radical_square_zero_algebra(["x", "y", "1"]), 3),
+        (lambda: radical_square_zero_algebra(["1", "x", "y"]), 3),
+        (lambda: radical_square_zero_algebra(["x", "1", "y"]), 3),
+    ],
+    ids=["t2_f2", "f2xf2", "f2c2", "t2_f3", "c2_f3", "a2_mixed", "t2_z4", "rsz_xy1", "rsz_1xy", "rsz_x1y"],
+)
+def test_structure_enumeration_matches_oracle(make, dim_bound):
+    A = make()
+    for m in range(dim_bound + 1):
+        got = [(V.dim, V.act.tobytes()) for V in enumerate_skew_module_structures(A, m)]
+        want = [(V.dim, V.act.tobytes()) for V in oracle_skew_module_structures(A, m)]
+        assert got == want, m
+
+
+def test_structure_enumeration_budget_and_edges():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_skew_module_structures(t2_algebra(2), 4)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # F2 is spanned by its unit: no generator, so no table of the
+        # 2**16 candidate matrices; the one structure is the identity
+        (V,) = enumerate_skew_module_structures(field_algebra(2), 4)
+        unit_only_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.what, err.value.needed, err.value.budget) == (
+        "module structure enumeration", 2**32, 2**22,
+    )
+    assert refused_peak < 1 << 20 and unit_only_peak < 1 << 20
+    assert np.array_equal(V.act, np.eye(4, dtype=np.int64)[None])
+    (Z,) = enumerate_skew_module_structures(t2_algebra(2), 0)
+    assert Z.act.shape == (3, 0, 0)
+    assert enumerate_skew_module_structures(zero_algebra(2), 2) == []
+
+
+def test_presheaf_enumeration_refuses_before_building_map_tables(monkeypatch):
+    built = []
+
+    def recording(n, rows, cols):
+        built.append((rows, cols))
+        return _all_matrices(n, rows, cols)
+
+    monkeypatch.setattr("torsite.modules._all_matrices", recording)
+    cat = a2_category()
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_module_presheaves(cat, constant_presheaf(cat, field_algebra(2)), 2, budget=1)
+    # ranks (1, 1) are the first with more than one candidate: 2 maps F2 -> F2
+    assert (err.value.what, err.value.needed, err.value.budget) == ("module presheaf enumeration", 2, 1)
+    assert (1, 1) not in built
+
+
+@pytest.mark.parametrize("n, rows, cols", [(2, 3, 3), (3, 1, 2), (4, 2, 1), (2, 0, 3), (5, 2, 0)])
+def test_all_matrices_numbering(n, rows, cols):
+    mats = _all_matrices(n, rows, cols)
+    assert mats.dtype == np.int64 and mats.shape == (n ** (rows * cols), rows, cols)
+    for idx, M in enumerate(mats):
+        want = [(idx // n**c) % n for c in range(rows * cols)]
+        assert M.ravel().tolist() == want
 
 
 def test_structure_enumeration_matches_brute_force_dim2():
