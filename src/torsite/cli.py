@@ -181,7 +181,7 @@ def cmd_gr(args) -> int:
 def cmd_linearize(args) -> int:
     cat, R, J = _load_site(args.presheaf, args.topology)
     gr = build_gr(cat, R)
-    Jp = linearize_topology(gr, J)
+    Jp = linearize_topology(gr, J, args.budget)
     doc = {
         "schema": REPORT_SCHEMA,
         "command": "linearize",
@@ -197,7 +197,7 @@ def _predicate_command(args, predicate, name: str) -> int:
     cat, R, J = _load_site(args.presheaf, args.topology)
     M = files.load_module(args.module, cat, R)
     gr = build_gr(cat, R)
-    Jp = linearize_topology(gr, J)
+    Jp = linearize_topology(gr, J, args.budget)
     res = predicate(M, Jp)
     witness = res.witness
     if isinstance(witness, dict) and "cover" in witness:
@@ -355,10 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args):
+    """Refuse numeric flags outside their range before any work is done."""
+    if getattr(args, "budget", 1) < 1:
+        raise InputError(f"--budget: expected an integer >= 1, got {args.budget}")
+    if getattr(args, "dim_bound", 0) < 0:
+        raise InputError(f"--dim-bound: expected an integer >= 0, got {args.dim_bound}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except BudgetExceededError as exc:
         _say(f"budget exceeded: {exc}")

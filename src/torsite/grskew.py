@@ -382,14 +382,16 @@ class LinearTopology:
         return f"LinearTopology(covers per object: {sizes})"
 
 
-def linearize_topology(gr: GrCategory, J: GrothendieckTopology) -> LinearTopology:
+def linearize_topology(
+    gr: GrCategory, J: GrothendieckTopology, budget: int = DEFAULT_LINEAR_BUDGET
+) -> LinearTopology:
     """Smallest family of linear sieves containing the linearized covers."""
     covers = []
     for x in range(gr.cat.n_objects):
         floors = [linearize_sieve(gr, S) for S in J.covers_at(x)]
         chosen = [
             T
-            for T in gr.linear_sieves_on(x)
+            for T in gr.linear_sieves_on(x, budget)
             if any(T.contains(F) for F in floors)
         ]
         covers.append(chosen)

@@ -387,123 +387,52 @@ class PredicateResult:
         return self.value
 
 
-def _embed_hom_vector(skew: SkewAlgebra, gr: GrCategory, y: int, x: int, t) -> np.ndarray:
-    out = np.zeros(skew.rank, dtype=np.int64)
-    for k, p in enumerate(gr.hom_pairs[(y, x)]):
-        out[skew.pair_index[p]] = t[k]
-    return out
+def _sieve_rows(skew: SkewAlgebra, gr: GrCategory, T) -> np.ndarray:
+    """The rows of the linear sieve T, component by component, in skew-algebra coordinates."""
+    blocks = []
+    for y, comp in enumerate(T.components):
+        block = np.zeros((comp.shape[0], skew.rank), dtype=np.int64)
+        block[:, [skew.pair_index[p] for p in gr.hom_pairs[(y, T.target)]]] = comp
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
-    """Evaluation against every cover must be bijective onto the natural maps."""
-    gr = Jp.gr
+    """Restriction V e_x = Hom(e_x A, V) -> Hom(T, V) must be bijective for every cover T of x.
+
+    A map T -> V is its value Phi, of shape (g, dim V), on the g rows G of
+    T.  Hom(T, V) is the kernel of one matrix: the map constraints for the
+    action of A on row coordinates (G * b_j == C_j @ G), and r @ Phi == 0
+    for every relation r @ G == 0 among the rows.  The relations are
+    empty over a field; over Z/n they make the choice of C_j irrelevant.
+    The restriction of m is Phi_m[k] = m * G[k].
+    """
     skew = V.algebra
     n = skew.base.modulus
-    cat = skew.cat
-    for x in range(cat.n_objects):
-        Ex = V.act_of(skew.object_idempotent(x))
-        Bx = linalg.howell_form(Ex, n, V.dim)
-        fix_x = (Ex - np.eye(V.dim, dtype=np.int64)) % n
+    right = regular_module(skew).act
+    for x in range(skew.cat.n_objects):
+        Bx = linalg.howell_form(V.act_of(skew.object_idempotent(x)), n, V.dim)
         for ci, T in enumerate(Jp.covers_at(x)):
-            elems = []
-            index = {}
-            for y in range(cat.n_objects):
-                lst = list(linalg.span_elements(T.components[y], n))
-                elems.append(lst)
-                index[y] = {v.tobytes(): k for k, v in enumerate(lst)}
-            offs = {}
-            total = 0
-            for y in range(cat.n_objects):
-                for k in range(len(elems[y])):
-                    offs[(y, k)] = total
-                    total += V.dim
-            mats = {
-                (y, k): V.act_of(_embed_hom_vector(skew, gr, y, x, t))
-                for y in range(cat.n_objects)
-                for k, t in enumerate(elems[y])
-            }
-            cols = []
-
-            def slot_constraint(parts):
-                col = np.zeros(total, dtype=np.int64)
-                for (y, k), vec in parts:
-                    col[offs[(y, k)] : offs[(y, k)] + V.dim] += vec
-                cols.append(col % n)
-
-            for y in range(cat.n_objects):
-                Ey = V.act_of(skew.object_idempotent(y))
-                fix = (Ey - np.eye(V.dim, dtype=np.int64)) % n
-                zero_k = index[y][np.zeros(gr.hom_rank(y, x), dtype=np.int64).tobytes()]
-                for c in range(V.dim):
-                    slot_constraint([((y, zero_k), np.eye(V.dim, dtype=np.int64)[c])])
-                    for k in range(len(elems[y])):
-                        slot_constraint([((y, k), fix[:, c])])
-                for k1 in range(len(elems[y])):
-                    for k2 in range(k1, len(elems[y])):
-                        s = ((elems[y][k1] + elems[y][k2]) % n).tobytes()
-                        k3 = index[y][s]
-                        for c in range(V.dim):
-                            e = np.eye(V.dim, dtype=np.int64)[c]
-                            slot_constraint(
-                                [((y, k3), e), ((y, k1), (-e) % n), ((y, k2), (-e) % n)]
-                            )
-                for k, t in enumerate(elems[y]):
-                    for z in range(cat.n_objects):
-                        for ii in range(gr.hom_rank(z, y)):
-                            u = np.zeros(gr.hom_rank(z, y), dtype=np.int64)
-                            u[ii] = 1
-                            tu = gr.compose(z, y, x, t, u)
-                            k2 = index[z].get(tu.tobytes())
-                            if k2 is None:
-                                raise InputError("cover is not closed under precomposition")
-                            U = V.act_of(_embed_hom_vector(skew, gr, z, y, u))
-                            for c in range(V.dim):
-                                e = np.eye(V.dim, dtype=np.int64)[c]
-                                slot_constraint(
-                                    [((z, k2), e), ((y, k), (-U[:, c]) % n)]
-                                )
-            Cmat = (
-                np.stack(cols, axis=1) if cols else np.zeros((total, 0), dtype=np.int64)
+            G = _sieve_rows(skew, Jp.gr, T)
+            width = G.shape[0] * V.dim
+            C = _restricted_action(G, right, n, "cover is not closed under precomposition")
+            relations = np.kron(linalg.kernel_left(G, n).T, np.eye(V.dim, dtype=np.int64))
+            homs = linalg.kernel_left(
+                np.concatenate([_hom_constraints(SkewModule(skew, C), V), relations], axis=1), n
             )
-            solutions = linalg.kernel_left(Cmat, n)
-
-            def ev(mrow):
-                out = np.zeros(total, dtype=np.int64)
-                for (y, k), mat in mats.items():
-                    out[offs[(y, k)] : offs[(y, k)] + V.dim] = (mrow @ mat) % n
-                return out
-
-            # injectivity: x-block elements killed by every cover element
-            gen_mats = [
-                V.act_of(_embed_hom_vector(skew, gr, y, x, trow))
-                for y in range(cat.n_objects)
-                for trow in T.components[y]
-            ]
-            inj_cols = [fix_x] + [Mt % n for Mt in gen_mats]
-            inj = linalg.kernel_left(np.concatenate(inj_cols, axis=1), n)
-            if linalg.span_size(inj, n) != 1:
+            acts = np.einsum("kj,jil->kil", G, V.act) % n  # m * G[k] == m @ acts[k]
+            restricted = np.einsum("mi,kil->mkl", Bx, acts).reshape(Bx.shape[0], width)
+            image = linalg.howell_form(restricted % n, n, width)
+            witness = {"object": skew.cat.objects[x], "cover": ci}
+            kernel = linalg.span_size(Bx, n) // linalg.span_size(image, n)
+            if kernel != 1:
                 return PredicateResult(
-                    False,
-                    {
-                        "object": cat.objects[x],
-                        "cover": ci,
-                        "reason": "not injective",
-                        "kernel-size": linalg.span_size(inj, n),
-                    },
+                    False, {**witness, "reason": "not injective", "kernel-size": kernel}
                 )
-            image = linalg.howell_form(
-                linalg.as_matrix([ev(row) for row in Bx], total), n, total
-            )
-            missing = int(linalg.reduce_vector(image, solutions, n).any(axis=1).sum())
+            missing = int(linalg.reduce_vector(image, homs, n).any(axis=1).sum())
             if missing:
                 return PredicateResult(
-                    False,
-                    {
-                        "object": cat.objects[x],
-                        "cover": ci,
-                        "reason": "not surjective",
-                        "unmatched-solutions": missing,
-                    },
+                    False, {**witness, "reason": "not surjective", "unmatched-solutions": missing}
                 )
     return PredicateResult(True)
 
@@ -517,13 +446,10 @@ def torsion_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     for x in range(cat.n_objects):
         Ex = V.act_of(skew.object_idempotent(x))
         Bx = linalg.howell_form(Ex, n, V.dim)
-        gen_mats = {}
-        for ci, T in enumerate(Jp.covers_at(x)):
-            gen_mats[ci] = [
-                V.act_of(_embed_hom_vector(skew, gr, y, x, trow))
-                for y in range(cat.n_objects)
-                for trow in T.components[y]
-            ]
+        gen_mats = {
+            ci: [V.act_of(row) for row in _sieve_rows(skew, gr, T)]
+            for ci, T in enumerate(Jp.covers_at(x))
+        }
         for m in linalg.span_elements(Bx, n):
             if not m.any():
                 continue
@@ -566,15 +492,7 @@ def representable_module(skew: SkewAlgebra, x: int) -> tuple:
 def representable_quotient(skew: SkewAlgebra, gr: GrCategory, x: int, T) -> SkewModule:
     """hom(-, x) / T for a linear sieve T on x (prime modulus)."""
     P, idx = representable_module(skew, x)
-    pos = {skew.pairs[g]: k for k, g in enumerate(idx)}
-    rows = []
-    for y in range(skew.cat.n_objects):
-        for trow in T.components[y]:
-            row = np.zeros(len(idx), dtype=np.int64)
-            for k, p in enumerate(gr.hom_pairs[(y, x)]):
-                row[pos[p]] = trow[k]
-            rows.append(row)
-    Q, _, _ = quotient_module(P, linalg.as_matrix(rows, len(idx)))
+    Q, _, _ = quotient_module(P, _sieve_rows(skew, gr, T)[:, idx])
     return Q
 
 

@@ -320,7 +320,29 @@ def test_cli_check_sheaf_yes_no(capsys):
         fx("a2_s1_module.json"),
     )
     assert code == 1 and doc["value"] is False
-    assert doc["witness"]["reason"]
+    assert doc["witness"] == {"object": "2", "reason": "not surjective", "unmatched-solutions": 1}
+
+
+def test_cli_check_sheaf_over_z4(capsys, tmp_path):
+    # rank 1 over Z/4 on the terminal site: the zero sieve covers under D = {},
+    # so all 4 elements restrict to 0; the full topology asks nothing
+    cat = terminal_category()
+    R = constant_presheaf(cat, field_algebra(4))
+    M = ModulePresheaf(cat, R, [1], [np.eye(1, dtype=np.int64)], [np.ones((1, 1, 1), dtype=np.int64)])
+    paths = {}
+    for name, doc in (
+        ("presheaf", files.presheaf_to_doc(cat, R)),
+        ("empty", files.topology_to_doc(subcategory_topology(cat, []))),
+        ("full", files.topology_to_doc(trivial_topology(cat))),
+        ("module", files.module_to_doc(M)),
+    ):
+        paths[name] = str(tmp_path / f"{name}.json")
+        files.dump_json(doc, paths[name])
+    code, doc, _ = run_cli(capsys, "check-sheaf", paths["presheaf"], paths["empty"], paths["module"])
+    assert code == 1
+    assert doc["witness"] == {"object": "*", "reason": "not injective", "kernel-size": 4}
+    code, doc, _ = run_cli(capsys, "check-sheaf", paths["presheaf"], paths["full"], paths["module"])
+    assert code == 0 and doc["value"] is True
 
 
 def test_cli_check_torsion_yes_no(capsys):
@@ -564,6 +586,38 @@ def test_cli_budget_exit_code(capsys):
         capsys, "classify", fx("a2_f2.json"), fx("a2_trivial_topology.json"), "--budget", "4"
     )
     assert code == 3 and doc["kind"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["linearize", fx("a2_f2.json"), fx("a2_trivial_topology.json")],
+        ["check-sheaf", fx("a2_f2.json"), fx("a2_obj1_topology.json"), fx("a2_s1_module.json")],
+        ["check-torsion", fx("a2_f2.json"), fx("a2_obj1_topology.json"), fx("a2_s1_module.json")],
+    ],
+    ids=["linearize", "check-sheaf", "check-torsion"],
+)
+def test_cli_budget_reaches_linearization(capsys, argv):
+    code, doc, _ = run_cli(capsys, *argv, "--budget", "1")
+    assert code == 3 and doc["kind"] == "budget"
+    assert "submodule enumeration" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", fx("a2_f2.json"), fx("a2_trivial_topology.json"), "--budget", "-5"], "--budget"),
+        (["linearize", fx("a2_f2.json"), fx("a2_trivial_topology.json"), "--budget", "0"], "--budget"),
+        (["classify", fx("a2_f2.json"), fx("a2_trivial_topology.json"), "--dim-bound", "-1"], "--dim-bound"),
+        (["recollement", fx("a2_f2.json"), "--idempotent", "1,0,0", "--dim-bound", "-1"], "--dim-bound"),
+    ],
+    ids=["budget-negative", "budget-zero", "classify-dim-bound", "recollement-dim-bound"],
+)
+def test_cli_refuses_out_of_range_flags(capsys, argv, flag):
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc["kind"] == "input" and doc["error"].startswith(flag + ":")
+    assert "input error" in err
 
 
 def test_cli_output_file(tmp_path, capsys):

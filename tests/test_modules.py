@@ -12,6 +12,7 @@ from torsite.algebra import BaseRing, FiniteAlgebra, constant_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
 from torsite.fixtures import (
     a2_category,
+    fixture_presheaves,
     a2_mixed_presheaf,
     c2_monoid_category,
     field_algebra,
@@ -22,9 +23,20 @@ from torsite.fixtures import (
     terminal_category,
     zero_algebra,
 )
-from torsite.grskew import build_gr, build_skew_algebra, enumerate_linear_topologies, linearize_topology
+from torsite.grskew import (
+    GrCategory,
+    LinearSieve,
+    LinearTopology,
+    SkewAlgebra,
+    build_gr,
+    build_skew_algebra,
+    enumerate_linear_topologies,
+    linearize_topology,
+    maximal_linear_sieve,
+)
 from torsite.modules import (
     ModulePresheaf,
+    PredicateResult,
     SkewModule,
     _all_matrices,
     _cocycle_constraints,
@@ -471,6 +483,210 @@ def test_sheaf_iff_perpendicular_small():
                 lhs = is_sheaf(M, Jp).value
                 rhs = perpendicular_check(M, Jp).value
                 assert lhs == rhs, (name, M.ranks)
+
+
+def _embed_hom_vector(skew: SkewAlgebra, gr: GrCategory, y: int, x: int, t) -> np.ndarray:
+    out = np.zeros(skew.rank, dtype=np.int64)
+    for k, p in enumerate(gr.hom_pairs[(y, x)]):
+        out[skew.pair_index[p]] = t[k]
+    return out
+
+
+def oracle_sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
+    """Reference: one block of unknowns per element of each cover.
+
+    Evaluation against every cover must be bijective onto the natural maps."""
+    gr = Jp.gr
+    skew = V.algebra
+    n = skew.base.modulus
+    cat = skew.cat
+    for x in range(cat.n_objects):
+        Ex = V.act_of(skew.object_idempotent(x))
+        Bx = linalg.howell_form(Ex, n, V.dim)
+        fix_x = (Ex - np.eye(V.dim, dtype=np.int64)) % n
+        for ci, T in enumerate(Jp.covers_at(x)):
+            elems = []
+            index = {}
+            for y in range(cat.n_objects):
+                lst = list(linalg.span_elements(T.components[y], n))
+                elems.append(lst)
+                index[y] = {v.tobytes(): k for k, v in enumerate(lst)}
+            offs = {}
+            total = 0
+            for y in range(cat.n_objects):
+                for k in range(len(elems[y])):
+                    offs[(y, k)] = total
+                    total += V.dim
+            mats = {
+                (y, k): V.act_of(_embed_hom_vector(skew, gr, y, x, t))
+                for y in range(cat.n_objects)
+                for k, t in enumerate(elems[y])
+            }
+            cols = []
+
+            def slot_constraint(parts):
+                col = np.zeros(total, dtype=np.int64)
+                for (y, k), vec in parts:
+                    col[offs[(y, k)] : offs[(y, k)] + V.dim] += vec
+                cols.append(col % n)
+
+            for y in range(cat.n_objects):
+                Ey = V.act_of(skew.object_idempotent(y))
+                fix = (Ey - np.eye(V.dim, dtype=np.int64)) % n
+                zero_k = index[y][np.zeros(gr.hom_rank(y, x), dtype=np.int64).tobytes()]
+                for c in range(V.dim):
+                    slot_constraint([((y, zero_k), np.eye(V.dim, dtype=np.int64)[c])])
+                    for k in range(len(elems[y])):
+                        slot_constraint([((y, k), fix[:, c])])
+                for k1 in range(len(elems[y])):
+                    for k2 in range(k1, len(elems[y])):
+                        s = ((elems[y][k1] + elems[y][k2]) % n).tobytes()
+                        k3 = index[y][s]
+                        for c in range(V.dim):
+                            e = np.eye(V.dim, dtype=np.int64)[c]
+                            slot_constraint(
+                                [((y, k3), e), ((y, k1), (-e) % n), ((y, k2), (-e) % n)]
+                            )
+                for k, t in enumerate(elems[y]):
+                    for z in range(cat.n_objects):
+                        for ii in range(gr.hom_rank(z, y)):
+                            u = np.zeros(gr.hom_rank(z, y), dtype=np.int64)
+                            u[ii] = 1
+                            tu = gr.compose(z, y, x, t, u)
+                            k2 = index[z].get(tu.tobytes())
+                            if k2 is None:
+                                raise InputError("cover is not closed under precomposition")
+                            U = V.act_of(_embed_hom_vector(skew, gr, z, y, u))
+                            for c in range(V.dim):
+                                e = np.eye(V.dim, dtype=np.int64)[c]
+                                slot_constraint(
+                                    [((z, k2), e), ((y, k), (-U[:, c]) % n)]
+                                )
+            Cmat = (
+                np.stack(cols, axis=1) if cols else np.zeros((total, 0), dtype=np.int64)
+            )
+            solutions = linalg.kernel_left(Cmat, n)
+
+            def ev(mrow):
+                out = np.zeros(total, dtype=np.int64)
+                for (y, k), mat in mats.items():
+                    out[offs[(y, k)] : offs[(y, k)] + V.dim] = (mrow @ mat) % n
+                return out
+
+            # injectivity: x-block elements killed by every cover element
+            gen_mats = [
+                V.act_of(_embed_hom_vector(skew, gr, y, x, trow))
+                for y in range(cat.n_objects)
+                for trow in T.components[y]
+            ]
+            inj_cols = [fix_x] + [Mt % n for Mt in gen_mats]
+            inj = linalg.kernel_left(np.concatenate(inj_cols, axis=1), n)
+            if linalg.span_size(inj, n) != 1:
+                return PredicateResult(
+                    False,
+                    {
+                        "object": cat.objects[x],
+                        "cover": ci,
+                        "reason": "not injective",
+                        "kernel-size": linalg.span_size(inj, n),
+                    },
+                )
+            image = linalg.howell_form(
+                linalg.as_matrix([ev(row) for row in Bx], total), n, total
+            )
+            missing = int(linalg.reduce_vector(image, solutions, n).any(axis=1).sum())
+            if missing:
+                return PredicateResult(
+                    False,
+                    {
+                        "object": cat.objects[x],
+                        "cover": ci,
+                        "reason": "not surjective",
+                        "unmatched-solutions": missing,
+                    },
+                )
+    return PredicateResult(True)
+
+
+def _oracle_cases_all_topologies(name):
+    """Every linear topology x every module presheaf of total dim <= 3."""
+    _, cat, R = next(f for f in fixture_presheaves() if f[0] == name)
+    gr = build_gr(cat, R)
+    skew = build_skew_algebra(cat, R)
+    mods = [psi_to_gr(M, skew) for M in enumerate_module_presheaves(cat, R, 3)]
+    return [(V, Jp) for Jp in enumerate_linear_topologies(gr) for V in mods]
+
+
+def _oracle_cases_one_sieve(cat, n, dim, all_structures=False):
+    """The family {maximal, T} at x, maximal elsewhere, for every linear sieve T on x.
+
+    Over Z/n these are the covers whose rows have relations (2 * (2) == 0
+    in Z/4), which the relations block of sheaf_check must read.  The
+    modules are the module presheaves, whose blocks V e_x are free, or
+    with all_structures every module on (Z/n)^d: over Z/6 these include
+    blocks such as 3 * Z/6, of size 2 but one Howell row."""
+    R = constant_presheaf(cat, field_algebra(n))
+    gr = build_gr(cat, R)
+    skew = build_skew_algebra(cat, R)
+    if all_structures:
+        mods = [V for d in range(dim + 1) for V in enumerate_skew_module_structures(skew, d)]
+    else:
+        mods = [psi_to_gr(M, skew) for M in enumerate_module_presheaves(cat, R, dim)]
+    cases = []
+    for x in range(cat.n_objects):
+        for T in gr.linear_sieves_on(x):
+            covers = [[maximal_linear_sieve(gr, y)] for y in range(cat.n_objects)]
+            covers[x] = list({maximal_linear_sieve(gr, x), T})
+            cases.extend((V, LinearTopology(gr, covers)) for V in mods)
+    return cases
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(functools.partial(_oracle_cases_all_topologies, name) for name, _, _ in standard_fixtures()),
+        lambda: _oracle_cases_one_sieve(terminal_category(), 4, 2),
+        lambda: _oracle_cases_one_sieve(terminal_category(), 6, 2),
+        lambda: _oracle_cases_one_sieve(a2_category(), 4, 2),
+        lambda: _oracle_cases_one_sieve(a2_category(), 6, 2),
+        lambda: _oracle_cases_one_sieve(c2_monoid_category(), 6, 1),
+        lambda: _oracle_cases_one_sieve(a2_category(), 6, 1, all_structures=True),
+    ],
+    ids=[
+        *(name for name, _, _ in standard_fixtures()),
+        *("terminal_z4", "terminal_z6", "a2_z4", "a2_z6", "c2_z6", "a2_z6_structures"),
+    ],
+)
+def test_sheaf_check_matches_oracle(make):
+    cases = make()
+    assert cases
+    for V, Jp in cases:
+        got = sheaf_check(V, Jp)
+        want = oracle_sheaf_check(V, Jp)
+        assert (got.value, got.witness) == (want.value, want.witness), V.act.tolist()
+
+
+def test_sheaf_check_refuses_cover_not_closed_under_precomposition():
+    cat, R, gr, _ = a2_site()
+    # id2 without a: id2 . a = a is missing
+    T = LinearSieve(gr, 1, [np.zeros((0, 1), dtype=np.int64), np.eye(1, dtype=np.int64)])
+    Jp = LinearTopology(gr, [[maximal_linear_sieve(gr, 0)], [maximal_linear_sieve(gr, 1), T]])
+    V = regular_module(build_skew_algebra(cat, R))
+    with pytest.raises(InputError, match="not closed under precomposition"):
+        sheaf_check(V, Jp)
+
+
+def test_sheaf_witnesses_without_covers_on_a2():
+    # D = {}: the zero sieve covers 2, and Hom(0, V) = 0 leaves all of V(2) in the kernel
+    cat = a2_category()
+    R = constant_presheaf(cat, field_algebra(2))
+    Jp = linearize_topology(build_gr(cat, R), subcategory_topology(cat, []))
+    for r2, size in ((1, 2), (2, 4)):
+        res = is_sheaf(a2_presheaf(0, r2, np.zeros((r2, 0))), Jp)
+        assert not res.value
+        assert res.witness["object"] == "2"
+        assert res.witness["reason"] == "not injective"
+        assert res.witness["kernel-size"] == size
 
 
 def test_representable_quotient_dimensions():
