@@ -7,7 +7,10 @@ The one-object collapse of the same data is the skew algebra R[C], and
 summing hom components gives an isomorphism onto it.
 
 Linear sieves on Gr(R) are subfunctors of hom(-, x); linear topologies
-are checked and enumerated by finite linear algebra over Z/n.
+are checked and enumerated by finite linear algebra over Z/n.  Each
+GrCategory keeps, per sieve, its subfunctor report and the table of its
+pullbacks along every morphism, so certifying many topologies on one
+Gr(R) computes each pullback once.
 """
 from __future__ import annotations
 
@@ -49,7 +52,9 @@ class GrCategory:
             for y in range(cat.n_objects):
                 for z in range(cat.n_objects):
                     self._tables[(x, y, z)] = self._build_table(x, y, z)
-        self._sieve_cache = {}
+        self._sieve_cache = {}  # x -> (search sizes, sieves on x)
+        self._reports = {}  # sieve key -> validate_linear_sieve report
+        self._pullbacks = {}  # (sieve key, y) -> pullback keys
 
     def hom_rank(self, x: int, y: int) -> int:
         return len(self.hom_pairs[(x, y)])
@@ -87,9 +92,37 @@ class GrCategory:
         return v
 
     def linear_sieves_on(self, x: int, budget: int = DEFAULT_LINEAR_BUDGET) -> list:
+        """Every linear sieve on x, in key order.
+
+        The search runs once per object; every call checks its budget
+        against the search sizes, so a cached list is never returned where
+        a fresh search would raise.
+        """
         if x not in self._sieve_cache:
             self._sieve_cache[x] = _enumerate_linear_sieves(self, x, budget)
-        return self._sieve_cache[x]
+        sizes, sieves = self._sieve_cache[x]
+        _check_sieve_budget(self.base.modulus, sizes, budget)
+        return sieves
+
+    def sieve_report(self, T: "LinearSieve") -> ValidationReport:
+        """validate_linear_sieve(T), computed once per sieve."""
+        rep = self._reports.get(T.key())
+        if rep is None:
+            rep = self._reports[T.key()] = validate_linear_sieve(T)
+        return rep
+
+    def pullback_keys(self, T: "LinearSieve", y: int) -> tuple:
+        """Keys of f^*(T) for every f in hom(y, T.target), in all_vectors order.
+
+        Entry vector_index(f) belongs to f; each is computed once by
+        pullback_linear_sieve.
+        """
+        keys = self._pullbacks.get((T.key(), y))
+        if keys is None:
+            vecs = linalg.all_vectors(self.hom_rank(y, T.target), self.base.modulus)
+            keys = tuple(pullback_linear_sieve(self, T, y, f).key() for f in vecs)
+            self._pullbacks[(T.key(), y)] = keys
+        return keys
 
     def __repr__(self):
         return f"GrCategory({self.cat!r})"
@@ -239,9 +272,10 @@ class LinearSieve:
                 linalg.as_matrix(components[y], width), n, width
             ))
         self.components = tuple(comps)
+        self._key = (target, tuple(linalg.span_key(H) for H in comps))
 
     def key(self):
-        return (self.target, tuple(linalg.span_key(H) for H in self.components))
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, LinearSieve) and self.key() == other.key()
@@ -335,23 +369,46 @@ def pullback_linear_sieve(gr: GrCategory, T: LinearSieve, y: int, f_vec) -> Line
     return LinearSieve(gr, y, comps)
 
 
-def _enumerate_linear_sieves(gr: GrCategory, x: int, budget: int) -> list:
-    per_object = []
+def vector_index(f, n: int) -> int:
+    """Position of f in linalg.all_vectors(len(f), n)."""
+    i = 0
+    for t in f:
+        i = i * n + int(t)
+    return i
+
+
+def _check_sieve_budget(n: int, sizes, budget: int):
+    """Raise as a sieve search with these (width, submodule count) pairs would."""
     total = 1
-    for y in range(gr.cat.n_objects):
-        subs = linalg.enumerate_submodules(
-            gr.hom_rank(y, x), gr.base.modulus, budget=budget
-        )
-        per_object.append(subs)
-        total *= len(subs)
+    for width, count in sizes:
+        if n**width > budget:
+            raise BudgetExceededError("submodule enumeration", n**width, budget)
+        if count > budget:
+            raise BudgetExceededError("submodule enumeration", budget + 1, budget)
+        total *= count
         if total > budget:
             raise BudgetExceededError("linear sieve enumeration", total, budget)
+
+
+def _enumerate_linear_sieves(gr: GrCategory, x: int, budget: int) -> tuple:
+    """(search sizes, sieves on x in key order); valid sieves' reports are kept."""
+    n = gr.base.modulus
+    per_object = []
+    sizes = []
+    for y in range(gr.cat.n_objects):
+        width = gr.hom_rank(y, x)
+        subs = linalg.enumerate_submodules(width, n, budget=budget)
+        per_object.append(subs)
+        sizes.append((width, len(subs)))
+        _check_sieve_budget(n, sizes, budget)
     out = []
     for combo in itertools.product(*per_object):
         T = LinearSieve(gr, x, list(combo))
-        if validate_linear_sieve(T).ok:
+        rep = validate_linear_sieve(T)
+        if rep.ok:
+            gr._reports[T.key()] = rep
             out.append(T)
-    return sorted(out, key=lambda t: t.key())
+    return sizes, sorted(out, key=lambda t: t.key())
 
 
 class LinearTopology:
@@ -399,54 +456,79 @@ def linearize_topology(
 
 
 def is_linear_topology(gr: GrCategory, Jp: LinearTopology) -> ValidationReport:
+    """Certify Jp: covers are subfunctors, maximal sieves cover, stability
+    under pullback, transitivity.  Pullbacks come from gr's table."""
     rep = ValidationReport("linear topology")
     n = gr.base.modulus
-    for x in range(gr.cat.n_objects):
+    objs = range(gr.cat.n_objects)
+    for x in objs:
         for T in Jp.covers_at(x):
-            sub = validate_linear_sieve(T)
+            sub = gr.sieve_report(T)
             rep.checked += sub.checked
             if not sub.ok:
                 rep.add("covers-are-subfunctors", (x,))
     if not rep.ok:
         return rep
-    for x in range(gr.cat.n_objects):
+    for x in objs:
         rep.checked += 1
         if not Jp.contains(maximal_linear_sieve(gr, x)):
             rep.add("maximal-subfunctor-covers", (x,))
-    for x in range(gr.cat.n_objects):
+    covering = Jp.key()
+    for x in objs:
         for T in Jp.covers_at(x):
-            for y in range(gr.cat.n_objects):
-                for f_vec in linalg.all_vectors(gr.hom_rank(y, x), n):
+            for y in objs:
+                vecs = itertools.product(range(n), repeat=gr.hom_rank(y, x))
+                for key, f in zip(gr.pullback_keys(T, y), vecs):
                     rep.checked += 1
-                    if not Jp.contains(pullback_linear_sieve(gr, T, y, f_vec)):
-                        rep.add(
-                            "stability",
-                            (x, y, tuple(int(t) for t in f_vec)),
-                        )
+                    if key not in covering[y]:
+                        rep.add("stability", (x, y, f))
                         break
-    for x in range(gr.cat.n_objects):
+    for x in objs:
         for S1 in Jp.covers_at(x):
             for S2 in gr.linear_sieves_on(x):
                 if Jp.contains(S2):
                     continue
                 rep.checked += 1
-                forced = True
-                for y in range(gr.cat.n_objects):
-                    for f_vec in linalg.span_elements(S1.components[y], n):
-                        if not Jp.contains(pullback_linear_sieve(gr, S2, y, f_vec)):
-                            forced = False
-                            break
-                    if not forced:
-                        break
+                forced = all(
+                    gr.pullback_keys(S2, y)[vector_index(f, n)] in covering[y]
+                    for y in objs
+                    for f in linalg.span_elements(S1.components[y], n)
+                )
                 if forced:
                     rep.add("transitivity", (x, S2.key()[1], S1.key()[1]))
     return rep
 
 
-def enumerate_linear_topologies(
-    gr: GrCategory, budget: int = DEFAULT_LINEAR_BUDGET
-) -> list:
-    """All linear topologies on Gr(R), canonical order.
+def sort_topologies(topologies) -> list:
+    """The canonical report order of linear topologies."""
+    return sorted(topologies, key=lambda Jp: tuple(sorted(map(sorted, Jp.key()))))
+
+
+def ideal_topology(
+    gr: GrCategory, skew: SkewAlgebra, ideal_rows, budget: int = DEFAULT_LINEAR_BUDGET
+) -> LinearTopology:
+    """J_I: at each object x, the linear sieves T whose T(y) contains the
+    floor I(y, x) = I intersected with hom(y, x), for every y.
+
+    I is two-sided and the object idempotents sum to 1, so I(y, x) is the
+    block of the rows of I on the skew-basis pairs of hom(y, x).  For a
+    finite-dimensional R[C] every linear topology is J_I for exactly one
+    idempotent ideal I (J. P. Jans, 1965; B. Stenstrom, Rings of
+    Quotients, ch. VI).
+    """
+    rows = linalg.as_matrix(ideal_rows, skew.rank)
+    objs = range(gr.cat.n_objects)
+    covers = []
+    for x in objs:
+        floor = LinearSieve(gr, x, [
+            rows[:, [skew.pair_index[p] for p in gr.hom_pairs[(y, x)]]] for y in objs
+        ])
+        covers.append([T for T in gr.linear_sieves_on(x, budget) if T.contains(floor)])
+    return LinearTopology(gr, covers)
+
+
+def linear_topology_candidates(gr: GrCategory, budget: int = DEFAULT_LINEAR_BUDGET) -> list:
+    """The cover families the power-set search tries, one list per object.
 
     Families must contain the maximal subfunctor; a family containing the
     zero subfunctor must be everything (transitivity via pullbacks along 0
@@ -469,9 +551,18 @@ def enumerate_linear_topologies(
         total *= len(fams)
         if total > budget:
             raise BudgetExceededError("linear topology enumeration", total, budget)
+    return per_object
+
+
+def enumerate_linear_topologies(
+    gr: GrCategory, budget: int = DEFAULT_LINEAR_BUDGET
+) -> list:
+    """All linear topologies on Gr(R), canonical order, by certifying every
+    candidate family.  The oracle for ideal_topology, which classify uses.
+    """
     out = []
-    for assignment in itertools.product(*per_object):
+    for assignment in itertools.product(*linear_topology_candidates(gr, budget)):
         Jp = LinearTopology(gr, assignment)
         if is_linear_topology(gr, Jp).ok:
             out.append(Jp)
-    return sorted(out, key=lambda Jp: tuple(sorted(map(sorted, Jp.key()))))
+    return sort_topologies(out)

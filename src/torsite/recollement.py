@@ -306,9 +306,19 @@ def verify_recollement(
     """
     rec = Recollement(A, e)
     n = A.base.modulus
-    UA = ModuleUniverse(A, dim_bound, budget)
-    UX = ModuleUniverse(rec.corner, dim_bound, budget)
-    UY = ModuleUniverse(rec.quotient, dim_bound, budget)
+    # one universe per distinct algebra: A/0 and the corner 1A1 have A's
+    # structure constants, and so can the corner and the quotient
+    universes = {}
+
+    def universe(B: FiniteAlgebra) -> ModuleUniverse:
+        key = (B.base.modulus, B.mul.tobytes(), B.unit.tobytes())
+        if key not in universes:
+            universes[key] = ModuleUniverse(B, dim_bound, budget)
+        return universes[key]
+
+    UA = universe(A)
+    UX = universe(rec.corner)
+    UY = universe(rec.quotient)
     inflated = [rec.i_star(N) for N in UY.members]
     restricted = [rec.j_star(M) for M in UA.members]
     failures = []

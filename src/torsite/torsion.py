@@ -17,7 +17,13 @@ from . import linalg
 from .algebra import AlgebraPresheaf, FiniteAlgebra, restrict_presheaf
 from .errors import BudgetExceededError, InputError, NotPrimeError
 from .fincat import FiniteCategory, full_subcategory
-from .grskew import build_gr, build_skew_algebra, enumerate_linear_topologies
+from .grskew import (
+    build_gr,
+    build_skew_algebra,
+    ideal_topology,
+    is_linear_topology,
+    sort_topologies,
+)
 from .modules import (
     SkewModule,
     extension_cocycle_space,
@@ -774,7 +780,9 @@ def classify(
     Finds the unique full subcategory D with subcategory topology J
     (input error if none), restricts R to D, and classifies: linear
     topologies as hereditary torsion pairs, idempotent ideals as TTF
-    triples, central idempotents as split TTF triples.
+    triples, central idempotents as split TTF triples.  The linear
+    topologies are the J_I of the idempotent ideals I, each certified by
+    is_linear_topology; a failed certificate or two equal J_I clear ok.
     """
     matches = matching_subcategories(cat, J)
     if not matches:
@@ -786,9 +794,14 @@ def classify(
     skew = build_skew_algebra(sub, RD)
     universe = ModuleUniverse(skew, dim_bound, budget)
 
+    ideals = enumerate_idempotent_ideals(skew)
+    topologies = [ideal_topology(gr, skew, I.matrix, budget) for I in ideals]
+    ok = len(set(topologies)) == len(topologies) and all(
+        is_linear_topology(gr, Jp).ok for Jp in topologies
+    )
+
     hereditary = []
-    ok = True
-    for Jp in enumerate_linear_topologies(gr, budget=budget):
+    for Jp in sort_topologies(topologies):
         xs = frozenset(
             i for i, V in enumerate(universe.members) if torsion_check(V, Jp).value
         )
@@ -800,7 +813,7 @@ def classify(
         ok = False
 
     triples = []
-    for I in enumerate_idempotent_ideals(skew):
+    for I in ideals:
         t = ttf_from_idempotent_ideal(I, universe)
         ok = ok and t.ok
         triples.append(t)

@@ -1,9 +1,14 @@
 """Skew category algebras, the linear Grothendieck construction, and
 linearized topologies, pinned against hand-computed values."""
+import glob
+import itertools
+import json
+import os
+
 import numpy as np
 import pytest
 
-from torsite import linalg
+from torsite import files, linalg
 from torsite.algebra import constant_presheaf, validate_algebra
 from torsite.errors import BudgetExceededError
 from torsite.fixtures import (
@@ -19,24 +24,33 @@ from torsite.fixtures import (
     terminal_category,
 )
 from torsite.grskew import (
+    LinearSieve,
     LinearTopology,
     build_gr,
     build_skew_algebra,
     end_generator_iso,
     enumerate_linear_topologies,
+    ideal_topology,
     is_linear_topology,
+    linear_topology_candidates,
     linearize_sieve,
     linearize_topology,
     maximal_linear_sieve,
     pullback_linear_sieve,
+    sort_topologies,
     validate_linear_sieve,
+    vector_index,
     zero_linear_sieve,
 )
+from torsite.report import ValidationReport
 from torsite.topology import (
     enumerate_topologies,
     subcategory_topology,
     trivial_topology,
 )
+from torsite.torsion import ModuleUniverse, enumerate_idempotent_ideals
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 EXPECTED_DIMS = {"terminal_f2": 1, "a2_f2": 3, "c2_f2": 2, "terminal_f2xf2": 2}
 
@@ -287,3 +301,186 @@ def test_enumeration_budget_guard():
     gr = build_gr(cat, R)
     with pytest.raises(BudgetExceededError):
         enumerate_linear_topologies(gr, budget=1)
+
+
+def test_linear_sieves_on_checks_budget_on_every_call():
+    cat = a2_category()
+    R = constant_presheaf(cat, field_algebra(2))
+    gr = build_gr(cat, R)
+    assert len(gr.linear_sieves_on(1)) == 3
+    with pytest.raises(BudgetExceededError) as cached:
+        gr.linear_sieves_on(1, 1)
+    with pytest.raises(BudgetExceededError) as fresh:
+        build_gr(cat, R).linear_sieves_on(1, 1)
+    want = ("submodule enumeration", 2, 1)
+    assert (cached.value.what, cached.value.needed, cached.value.budget) == want
+    assert (fresh.value.what, fresh.value.needed, fresh.value.budget) == want
+    # the cached list still serves calls within budget
+    assert len(gr.linear_sieves_on(1, 9)) == 3
+    with pytest.raises(BudgetExceededError) as product:
+        gr.linear_sieves_on(1, 2)
+    assert (product.value.what, product.value.needed) == ("linear sieve enumeration", 4)
+
+
+def test_vector_index_is_all_vectors_order():
+    for width, n in ((0, 2), (1, 3), (2, 2), (3, 4)):
+        got = [vector_index(f, n) for f in linalg.all_vectors(width, n)]
+        assert got == list(range(n**width))
+
+
+# ---------------------------------------------------------------------------
+# linear topologies from idempotent ideals, against the power-set search
+
+
+def _presheaf_files():
+    out = []
+    for d in ("perfbench/sites", "fixtures"):
+        for path in sorted(glob.glob(os.path.join(ROOT, d, "*.json"))):
+            with open(path) as fh:
+                if "algebras" in json.load(fh):
+                    out.append(path)
+    return out
+
+
+PRESHEAF_FILES = _presheaf_files()
+# the power-set search takes ~8 s on this site (16 385 families)
+POWER_SET_TOO_SLOW = {"idem_f2xf2.json"}
+
+
+def check_ideal_topologies(cat, R, power_set=True):
+    """J_I of every idempotent ideal I: certified, distinct, 2^s of them,
+    and (with power_set) equal to the power-set search, in order."""
+    gr = build_gr(cat, R)
+    skew = build_skew_algebra(cat, R)
+    tops = sort_topologies(
+        ideal_topology(gr, skew, I.matrix) for I in enumerate_idempotent_ideals(skew)
+    )
+    assert all(is_linear_topology(gr, Jp).ok for Jp in tops)
+    assert len(set(tops)) == len(tops)
+    # one hereditary torsion class per set of simple modules (Jans)
+    assert len(tops) == 2 ** len(ModuleUniverse(skew, 1).simple_indices)
+    if power_set:
+        oracle = enumerate_linear_topologies(build_gr(cat, R))
+        assert [Jp.key() for Jp in tops] == [Jp.key() for Jp in oracle]
+
+
+@pytest.mark.parametrize(
+    "path", PRESHEAF_FILES, ids=[os.path.relpath(p, ROOT) for p in PRESHEAF_FILES]
+)
+def test_ideal_topologies_match_power_set_search(path):
+    cat, R = files.load_presheaf(path)
+    check_ideal_topologies(cat, R, os.path.basename(path) not in POWER_SET_TOO_SLOW)
+
+
+def test_presheaf_files_cover_the_benchmark_sites():
+    names = {os.path.relpath(p, ROOT) for p in PRESHEAF_FILES}
+    assert len(names) >= 15 and "perfbench/sites/idem_f2xf2.json" in names
+
+
+def test_ideal_topologies_of_the_mixed_presheaf():
+    check_ideal_topologies(a2_category(), a2_mixed_presheaf())
+
+
+# ---------------------------------------------------------------------------
+# the certificate against the element-by-element pullbacks
+
+
+def oracle_is_linear_topology(gr, Jp):
+    """is_linear_topology before the pullback table, kept verbatim."""
+    rep = ValidationReport("linear topology")
+    n = gr.base.modulus
+    for x in range(gr.cat.n_objects):
+        for T in Jp.covers_at(x):
+            sub = validate_linear_sieve(T)
+            rep.checked += sub.checked
+            if not sub.ok:
+                rep.add("covers-are-subfunctors", (x,))
+    if not rep.ok:
+        return rep
+    for x in range(gr.cat.n_objects):
+        rep.checked += 1
+        if not Jp.contains(maximal_linear_sieve(gr, x)):
+            rep.add("maximal-subfunctor-covers", (x,))
+    for x in range(gr.cat.n_objects):
+        for T in Jp.covers_at(x):
+            for y in range(gr.cat.n_objects):
+                for f_vec in linalg.all_vectors(gr.hom_rank(y, x), n):
+                    rep.checked += 1
+                    if not Jp.contains(pullback_linear_sieve(gr, T, y, f_vec)):
+                        rep.add(
+                            "stability",
+                            (x, y, tuple(int(t) for t in f_vec)),
+                        )
+                        break
+    for x in range(gr.cat.n_objects):
+        for S1 in Jp.covers_at(x):
+            for S2 in gr.linear_sieves_on(x):
+                if Jp.contains(S2):
+                    continue
+                rep.checked += 1
+                forced = True
+                for y in range(gr.cat.n_objects):
+                    for f_vec in linalg.span_elements(S1.components[y], n):
+                        if not Jp.contains(pullback_linear_sieve(gr, S2, y, f_vec)):
+                            forced = False
+                            break
+                    if not forced:
+                        break
+                if forced:
+                    rep.add("transitivity", (x, S2.key()[1], S1.key()[1]))
+    return rep
+
+
+ORACLE_SITES = {
+    "a2_f2": (a2_category, lambda: field_algebra(2)),
+    "c2_f3": (c2_monoid_category, lambda: field_algebra(3)),
+    "terminal_f2xf2": (terminal_category, lambda: product_field_algebra(2, 2)),
+    "a2_z4": (a2_category, lambda: field_algebra(4)),
+}
+
+
+def _oracle_gr(name):
+    make_cat, make_alg = ORACLE_SITES[name]
+    cat = make_cat()
+    return build_gr(cat, constant_presheaf(cat, make_alg()))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SITES))
+def test_is_linear_topology_matches_oracle_on_every_candidate(name):
+    gr = _oracle_gr(name)
+    families = list(itertools.product(*linear_topology_candidates(gr)))
+    verdicts = set()
+    for fams in families:
+        Jp = LinearTopology(gr, fams)
+        got = is_linear_topology(gr, Jp)
+        assert got == oracle_is_linear_topology(gr, Jp), fams
+        verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
+def test_is_linear_topology_matches_oracle_on_a_non_subfunctor_cover():
+    gr = _oracle_gr("a2_f2")
+    # id2 without a is not closed under precomposition with a
+    T = LinearSieve(gr, 1, [np.zeros((0, 1), dtype=np.int64), np.eye(1, dtype=np.int64)])
+    Jp = LinearTopology(gr, [[maximal_linear_sieve(gr, 0)], [maximal_linear_sieve(gr, 1), T]])
+    got = is_linear_topology(gr, Jp)
+    assert got == oracle_is_linear_topology(gr, Jp)
+    assert [v.rule for v in got.violations] == ["covers-are-subfunctors"]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SITES))
+def test_pullback_table_matches_direct_pullbacks(name):
+    gr = _oracle_gr(name)
+    n = gr.base.modulus
+    entries = 0
+    for x in range(gr.cat.n_objects):
+        for T in gr.linear_sieves_on(x):
+            for y in range(gr.cat.n_objects):
+                table = gr.pullback_keys(T, y)
+                vecs = list(linalg.all_vectors(gr.hom_rank(y, x), n))
+                assert len(table) == len(vecs)
+                for f, key in zip(vecs, table):
+                    assert key == pullback_linear_sieve(gr, T, y, f).key()
+                    assert table[vector_index(f, n)] == key
+                entries += len(table)
+    assert entries

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from torsite import recollement
 from torsite.cli import main
 from torsite.errors import InputError, NotPrimeError
 from torsite.fixtures import group_algebra_c2, product_field_algebra, t2_algebra
@@ -180,3 +181,29 @@ def test_cli_recollement_failure_exits_1(monkeypatch, capsys):
         name == "restriction_coextension_triangles" for name, _ in doc["failures"]
     )
     assert "restriction_coextension_triangles=FAIL" in captured.err
+
+
+@pytest.mark.parametrize(
+    "e, sizes, ranks_built",
+    [
+        ([0, 0, 0], {"middle": 13, "corner": 1, "quotient": 13}, [3, 0]),
+        ([1, 0, 1], {"middle": 13, "corner": 13, "quotient": 1}, [3, 0]),
+        (E11, {"middle": 13, "corner": 4, "quotient": 4}, [3, 1]),
+        (E22, {"middle": 13, "corner": 4, "quotient": 4}, [3, 1]),
+    ],
+    ids=["zero", "unit", "e11", "e22"],
+)
+def test_verify_recollement_builds_one_universe_per_algebra(monkeypatch, e, sizes, ranks_built):
+    # A/0 and 1A1 have A's structure constants; for e11 and e22 of T2(F2)
+    # the corner and the quotient are both F2
+    built = []
+    universe = recollement.ModuleUniverse
+
+    def counted(B, *args):
+        built.append(B.rank)
+        return universe(B, *args)
+
+    monkeypatch.setattr(recollement, "ModuleUniverse", counted)
+    rep = verify_recollement(t2_algebra(2), e, dim_bound=3)
+    assert rep.ok and rep.universe_sizes == sizes
+    assert built == ranks_built

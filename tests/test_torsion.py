@@ -4,10 +4,12 @@ triangular 2x2 algebra, the product field, and the order-2 group algebra
 over F2."""
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+from torsite import files, grskew
 from torsite import torsion as tn
 from torsite.algebra import constant_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
@@ -33,7 +35,8 @@ from torsite.modules import (
     regular_module,
     submodule_module,
 )
-from torsite.topology import enumerate_topologies, matching_subcategories
+from torsite.report import ValidationReport
+from torsite.topology import GrothendieckTopology, enumerate_topologies, matching_subcategories
 
 E11 = [1, 0, 0]
 E12 = [0, 1, 0]
@@ -692,3 +695,72 @@ def test_classify_is_deterministic():
     assert [w.x_indices for w in a.hereditary_pairs] == [
         w.x_indices for w in b.hereditary_pairs
     ]
+
+
+def test_classify_takes_topologies_from_idempotent_ideals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("power-set search reached from classify")
+
+    monkeypatch.setattr(grskew, "enumerate_linear_topologies", refuse)
+    calls = []
+    enumerate_idempotent_ideals = tn.enumerate_idempotent_ideals
+
+    def counted(A, *args, **kwargs):
+        calls.append(A)
+        return enumerate_idempotent_ideals(A, *args, **kwargs)
+
+    monkeypatch.setattr(tn, "enumerate_idempotent_ideals", counted)
+    cat = a2_category()
+    R = constant_presheaf(cat, field_algebra(2))
+    J = next(J for J in enumerate_topologies(cat) if matching_subcategories(cat, J) == [(0, 1)])
+    rep = tn.classify(cat, R, J, dim_bound=2)
+    assert rep.ok and rep.counts["linear_topologies"] == 4
+    assert len(calls) == 1
+
+
+def test_classify_fails_on_a_bad_certificate(monkeypatch):
+    def reject(gr, Jp):
+        rep = ValidationReport("linear topology")
+        rep.add("stability", (0,))
+        return rep
+
+    monkeypatch.setattr(tn, "is_linear_topology", reject)
+    cat = terminal_category()
+    R = constant_presheaf(cat, field_algebra(2))
+    J = next(J for J in enumerate_topologies(cat) if matching_subcategories(cat, J) == [(0,)])
+    rep = tn.classify(cat, R, J, dim_bound=1)
+    assert not rep.ok and rep.counts["linear_topologies"] == 2
+
+
+SITES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "sites")
+
+
+def _reach_counts(members, topologies, central):
+    return {
+        "universe_members": members,
+        "linear_topologies": topologies,
+        "hereditary_torsion_pairs": topologies,
+        "idempotent_ideals": topologies,
+        "ttf_triples": topologies,
+        "central_idempotents": central,
+        "split_ttf_triples": central,
+    }
+
+
+@pytest.mark.parametrize(
+    "presheaf, counts",
+    [
+        # c2_f2xf2 and a2_f2xf2 as frozen in perfbench/workloads.json under
+        # "excluded"; idem_f2xf2 has four simples, so 2^4 of each
+        ("c2_f2xf2", _reach_counts(8, 4, 4)),
+        ("idem_f2xf2", _reach_counts(15, 16, 16)),
+        ("a2_f2xf2", _reach_counts(17, 16, 4)),
+    ],
+)
+def test_classify_reaches_the_f2xf2_sites_at_dim_2(presheaf, counts):
+    cat, R = files.load_presheaf(os.path.join(SITES, f"{presheaf}.json"))
+    J = files.load_topology(os.path.join(SITES, f"{presheaf.split('_')[0]}_full_topology.json"))
+    J = GrothendieckTopology(cat, [list(J.covers_at(x)) for x in range(cat.n_objects)])
+    rep = tn.classify(cat, R, J, dim_bound=2)
+    assert rep.ok
+    assert rep.counts == counts
