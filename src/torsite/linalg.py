@@ -124,22 +124,9 @@ def _echelon(work: list, n: int, width: int) -> list:
     return work[:r]
 
 
-def howell_form(rows, n: int, width: int | None = None) -> np.ndarray:
-    """Canonical Howell form of the span of the given rows.
-
-    Beyond echelon shape (increasing pivot columns, pivots dividing n,
-    entries above a pivot reduced modulo it) the result satisfies the
-    Howell property: any span element supported on columns >= j lies in
-    the span of the rows with leading column >= j.  That last property is
-    what makes kernel extraction from an augmented form correct over a
-    non-field Z/n.
-    """
-    if width is None:
-        a = np.asarray(rows, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError("width is required for ambiguous input")
-        width = a.shape[1]
-    work = _echelon([r for r in (as_matrix(rows, width) % n).tolist() if any(r)], n, width)
+def _howell_rows(work: list, n: int, width: int) -> list:
+    """Howell form, as int rows, of the span of int rows with entries in [0, n)."""
+    work = _echelon([r for r in work if any(r)], n, width)
     # enforce the Howell property: annihilator multiples of each row must
     # already lie in the span of the lower rows
     for _ in range(width * (n.bit_length() + 2) + 8):
@@ -158,6 +145,25 @@ def howell_form(rows, n: int, width: int | None = None) -> np.ndarray:
         work = new
     else:  # pragma: no cover
         raise RuntimeError("howell iteration failed to stabilize")
+    return work
+
+
+def howell_form(rows, n: int, width: int | None = None) -> np.ndarray:
+    """Canonical Howell form of the span of the given rows.
+
+    Beyond echelon shape (increasing pivot columns, pivots dividing n,
+    entries above a pivot reduced modulo it) the result satisfies the
+    Howell property: any span element supported on columns >= j lies in
+    the span of the rows with leading column >= j.  That last property is
+    what makes kernel extraction from an augmented form correct over a
+    non-field Z/n.
+    """
+    if width is None:
+        a = np.asarray(rows, dtype=np.int64)
+        if a.ndim != 2:
+            raise ValueError("width is required for ambiguous input")
+        width = a.shape[1]
+    work = _howell_rows((as_matrix(rows, width) % n).tolist(), n, width)
     if not work:
         return np.zeros((0, width), dtype=np.int64)
     return np.array(work, dtype=np.int64)
@@ -196,6 +202,18 @@ def in_span(H: np.ndarray, v, n: int) -> bool:
     return not reduce_vector(H, v, n).any()
 
 
+def _augmented_howell(A: np.ndarray, n: int) -> list:
+    """Howell form of [A mod n | I] as int rows; A has shape (m, k)."""
+    m, k = A.shape
+    unit = [0] * m
+    rows = []
+    for i, row in enumerate((A % n).tolist()):
+        row += unit
+        row[k + i] = 1
+        rows.append(row)
+    return _howell_rows(rows, n, k + m)
+
+
 def solve_left(A, b, n: int):
     """One solution x of x @ A == b (mod n), or None.
 
@@ -208,8 +226,7 @@ def solve_left(A, b, n: int):
     A = np.asarray(A, dtype=np.int64)
     m, k = A.shape
     b = np.asarray(b, dtype=np.int64) % n
-    aug = howell_form(np.hstack([A % n, np.eye(m, dtype=np.int64)]), n, k + m).tolist() if m else []
-    H = [row for row in aug if _leading(row) < k]
+    H = [row for row in _augmented_howell(A, n) if _leading(row) < k]
     rest = _reduce(H, [row + [0] * m for row in np.atleast_2d(b).tolist()], n)
     if any(any(row[:k]) for row in rest):
         return None
@@ -223,8 +240,7 @@ def kernel_left(A, n: int) -> np.ndarray:
     m, k = A.shape
     if m == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    aug = howell_form(np.hstack([A % n, np.eye(m, dtype=np.int64)]), n, k + m).tolist()
-    return as_matrix([row[k:] for row in aug if not any(row[:k])], m)
+    return as_matrix([row[k:] for row in _augmented_howell(A, n) if not any(row[:k])], m)
 
 
 def matrix_inverse(A, n: int):

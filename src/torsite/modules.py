@@ -744,16 +744,49 @@ def enumerate_skew_module_structures(
     return out
 
 
+def _compatible_maps(cat: FiniteCategory, R: AlgebraPresheaf, actions, stacks) -> np.ndarray:
+    """Which of k candidates pass functoriality and map-action compatibility.
+
+    stacks[f] is the (k, rank cod f, rank dom f) stack of the candidates'
+    matrices of morphism f; actions are the (valid) actions of every
+    object.  These are the relations of validate_module_presheaf that read
+    a map, tested on all candidates at once.
+    """
+    n = R.base.modulus
+    ok = np.ones(stacks[0].shape[0], dtype=bool)
+    for g in range(cat.n_morphisms):
+        for f in range(cat.n_morphisms):
+            gf = int(cat.compose_table[g, f])
+            if gf >= 0:
+                ok &= (np.matmul(stacks[g], stacks[f]) % n == stacks[gf]).all(axis=(1, 2))
+    for f in range(cat.n_morphisms):
+        x, y = cat.dom(f), cat.cod(f)
+        # moved[j] acts on M(x) as the basis element j of R(y) restricted along f
+        moved = np.einsum("jm,mkl->jkl", R.map(f) % n, actions[x]) % n
+        lhs = np.einsum("jab,kbc->kjac", actions[y], stacks[f]) % n
+        rhs = np.einsum("kab,jbc->kjac", stacks[f], moved) % n
+        ok &= (lhs == rhs).all(axis=(1, 2, 3))
+    return ok
+
+
 def enumerate_module_presheaves(
     cat: FiniteCategory, R: AlgebraPresheaf, max_total: int, budget: int = 2**22
 ) -> list:
-    """All valid module presheaves of total dimension <= max_total."""
+    """All valid module presheaves of total dimension <= max_total.
+
+    For each rank tuple the candidates come in the order of
+    itertools.product over the action choices, then over the matrices of
+    the non-identity morphisms (numbered as in _all_matrices).  Identity
+    morphisms get identity matrices, and the actions are valid module
+    structures, so the remaining relations of validate_module_presheaf
+    are tested on chunks of map candidates at once.
+    """
     n = R.base.modulus
     out = []
     obj_structures = {}
     for x in range(cat.n_objects):
         obj_structures[x] = {
-            m: enumerate_skew_module_structures(R.algebra(x), m, budget)
+            m: [V for V in enumerate_skew_module_structures(R.algebra(x), m, budget) if validate_skew_module(V).ok]
             for m in range(max_total + 1)
         }
     rank_tuples = [
@@ -766,6 +799,7 @@ def enumerate_module_presheaves(
     nonid = [
         f for f in range(cat.n_morphisms) if f not in cat.identity
     ]
+    chunk = 1 << 14
     for ranks in rank_tuples:
         action_choices = [obj_structures[x][ranks[x]] for x in range(cat.n_objects)]
         shapes = [(ranks[cat.cod(f)], ranks[cat.dom(f)]) for f in nonid]
@@ -776,20 +810,30 @@ def enumerate_module_presheaves(
             combos *= n ** (rows * cols)
         if combos > budget:
             raise BudgetExceededError("module presheaf enumeration", combos, budget)
-        map_choices = [_all_matrices(n, rows, cols) for rows, cols in shapes]
+        map_choices = dict(zip(nonid, (_all_matrices(n, rows, cols) for rows, cols in shapes)))
+        total = n ** sum(rows * cols for rows, cols in shapes)
         for actions in itertools.product(*action_choices):
-            for mats in itertools.product(*map_choices):
-                maps = []
-                k = 0
+            acts = [V.act for V in actions]
+            for start in range(0, total, chunk):
+                c = np.arange(start, min(start + chunk, total))
+                # candidate c takes matrix digits[f][c] of f, the last
+                # morphism's digit varying fastest as in itertools.product
+                digits, stride = {}, total
+                for f, table in map_choices.items():
+                    stride //= len(table)
+                    digits[f] = (c // stride) % len(table)
+                stacks = []
                 for f in range(cat.n_morphisms):
-                    if f in cat.identity:
-                        maps.append(np.eye(ranks[cat.dom(f)], dtype=np.int64))
+                    if f in map_choices:
+                        stacks.append(map_choices[f][digits[f]])
                     else:
-                        maps.append(mats[k])
-                        k += 1
-                M = ModulePresheaf(
-                    cat, R, ranks, maps, [V.act for V in actions]
-                )
-                if validate_module_presheaf(M).ok:
-                    out.append(M)
+                        r = ranks[cat.dom(f)]
+                        stacks.append(np.broadcast_to(np.eye(r, dtype=np.int64), (len(c), r, r)))
+                for i in np.flatnonzero(_compatible_maps(cat, R, acts, stacks)):
+                    maps = [
+                        map_choices[f][digits[f][i]] if f in map_choices
+                        else np.eye(ranks[cat.dom(f)], dtype=np.int64)
+                        for f in range(cat.n_morphisms)
+                    ]
+                    out.append(ModulePresheaf(cat, R, ranks, maps, acts))
     return out

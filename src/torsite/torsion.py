@@ -355,23 +355,33 @@ class ModuleUniverse:
         """The sequence x_a -> a -> y_a of every member a, computed once per X.
 
         x_a is the trace of the members in xs inside a, stacked from their
-        hom bases in index order.  The sequences are shared by every
-        witness for X, so they and their arrays are read-only.
+        hom bases in index order.  Two cases need no elimination: for a in
+        xs the identity of a is a map from X, so x_a = a, whose Howell form
+        is the identity (the modulus is prime); when Hom(X, a) = 0, x_a = 0.
+        Both sequences split.  The sequences are shared by every witness
+        for X, so they and their arrays are read-only.
         """
         if xs not in self._sequences:
             sources = sorted(xs)
+            zero = self.zero_index()
             sequences = []
             for a_idx, a in enumerate(self.members):
-                rows = trace_in_module([H for i in sources for H in self.hom_basis(i, a_idx)], a)
-                S, incl = submodule_module(a, rows)
-                Q, proj, _ = quotient_module(a, rows)
-                incl.setflags(write=False)
-                proj.setflags(write=False)
-                sequences.append(
-                    TorsionSequence(
+                eye = np.eye(a.dim, dtype=np.int64)
+                maps = () if a_idx in xs else [H for i in sources for H in self.hom_basis(i, a_idx)]
+                if a_idx in xs:
+                    seq = TorsionSequence(a_idx, eye, a_idx, zero, np.zeros((a.dim, 0), dtype=np.int64), True)
+                elif not maps:
+                    seq = TorsionSequence(a_idx, np.zeros((0, a.dim), dtype=np.int64), zero, a_idx, eye, True)
+                else:
+                    rows = trace_in_module(maps, a)
+                    S, incl = submodule_module(a, rows)
+                    Q, proj, _ = quotient_module(a, rows)
+                    seq = TorsionSequence(
                         a_idx, incl, self.index_of(S), self.index_of(Q), proj, _splits(self, a, S, incl)
                     )
-                )
+                seq.sub_rows.setflags(write=False)
+                seq.projection.setflags(write=False)
+                sequences.append(seq)
             self._sequences[xs] = tuple(sequences)
         return self._sequences[xs]
 

@@ -403,6 +403,61 @@ def test_howell_form_bytes_match_the_numpy_oracle(case):
     assert got.tobytes() == want.tobytes()
 
 
+# solve_left and kernel_left before they built [A | I] as int rows: the
+# augmented matrix went through np.hstack, np.eye and howell_form.
+def oracle_solve_left(A, b, n: int):
+    A = np.asarray(A, dtype=np.int64)
+    m, k = A.shape
+    b = np.asarray(b, dtype=np.int64) % n
+    aug = linalg.howell_form(np.hstack([A % n, np.eye(m, dtype=np.int64)]), n, k + m).tolist() if m else []
+    H = [row for row in aug if linalg._leading(row) < k]
+    rest = linalg._reduce(H, [row + [0] * m for row in np.atleast_2d(b).tolist()], n)
+    if any(any(row[:k]) for row in rest):
+        return None
+    x = np.array([[(-t) % n for t in row[k:]] for row in rest], dtype=np.int64).reshape(len(rest), m)
+    return x if b.ndim == 2 else x[0]
+
+
+def oracle_kernel_left(A, n: int) -> np.ndarray:
+    A = np.asarray(A, dtype=np.int64)
+    m, k = A.shape
+    if m == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    aug = linalg.howell_form(np.hstack([A % n, np.eye(m, dtype=np.int64)]), n, k + m).tolist()
+    return linalg.as_matrix([row[k:] for row in aug if not any(row[:k])], m)
+
+
+def assert_same_solves_and_kernel(A, targets, n):
+    got, want = linalg.kernel_left(A, n), oracle_kernel_left(A, n)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    for b in targets:
+        got, want = linalg.solve_left(A, b, n), oracle_solve_left(A, b, n)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@PROPERTY
+@given(howell_inputs(), st.data())
+def test_solve_and_kernel_bytes_match_the_hstack_oracle(case, data):
+    n, A = case
+    m, k = A.shape
+    r = data.draw(st.integers(0, 3))
+    entries = st.lists(st.integers(0, n - 1), min_size=r * max(m, k), max_size=r * max(m, k))
+    flat = np.array(data.draw(entries), dtype=np.int64)
+    inside = (flat[: r * m].reshape(r, m) @ A) % n  # solvable
+    free = flat[: r * k].reshape(r, k)  # often outside the span
+    assert_same_solves_and_kernel(A, [inside, free] + list(inside) + list(free), n)
+
+
+@pytest.mark.parametrize("n", [2, 6, 9])
+@pytest.mark.parametrize("m, k", [(0, 0), (0, 3), (3, 0), (2, 2)])
+def test_solve_and_kernel_match_the_hstack_oracle_on_empty_shapes(n, m, k):
+    A = np.arange(m * k, dtype=np.int64).reshape(m, k) % n
+    targets = [np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64), np.ones((2, k), dtype=np.int64)]
+    assert_same_solves_and_kernel(A, targets, n)
+
+
 @st.composite
 def small_spans(draw):
     """(n, A) with n ** width and n ** rows <= 4096, so every span element can be listed."""

@@ -1,6 +1,7 @@
 """Module presheaves, skew modules, the stacking equivalence, and the
 sheaf/torsion/perpendicular predicates."""
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,15 +9,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torsite import linalg
-from torsite.algebra import BaseRing, FiniteAlgebra, constant_presheaf
+from torsite.algebra import AlgebraPresheaf, BaseRing, FiniteAlgebra, constant_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
+from torsite.fincat import FiniteCategory
 from torsite.fixtures import (
     a2_category,
     fixture_presheaves,
     a2_mixed_presheaf,
+    a3_category,
     c2_monoid_category,
     field_algebra,
     group_algebra_c2,
+    idempotent_monoid_category,
     product_field_algebra,
     standard_fixtures,
     t2_algebra,
@@ -63,6 +67,7 @@ from torsite.modules import (
     torsion_check,
     validate_module_presheaf,
     validate_skew_module,
+    zero_module_presheaf,
     zero_skew_module,
 )
 from torsite.topology import subcategory_topology, trivial_topology
@@ -281,6 +286,94 @@ def test_all_matrices_numbering(n, rows, cols):
     for idx, M in enumerate(mats):
         want = [(idx // n**c) % n for c in range(rows * cols)]
         assert M.ravel().tolist() == want
+
+
+# The enumerator before candidates were validated in stacks: one
+# validate_module_presheaf call per candidate.
+def oracle_module_presheaves(
+    cat: FiniteCategory, R: AlgebraPresheaf, max_total: int, budget: int = 2**22
+) -> list:
+    """All valid module presheaves of total dimension <= max_total."""
+    n = R.base.modulus
+    out = []
+    obj_structures = {}
+    for x in range(cat.n_objects):
+        obj_structures[x] = {
+            m: enumerate_skew_module_structures(R.algebra(x), m, budget)
+            for m in range(max_total + 1)
+        }
+    rank_tuples = [
+        ranks
+        for ranks in itertools.product(range(max_total + 1), repeat=cat.n_objects)
+        if sum(ranks) <= max_total
+    ]
+    if cat.n_objects == 0:
+        return [zero_module_presheaf(cat, R)]
+    nonid = [
+        f for f in range(cat.n_morphisms) if f not in cat.identity
+    ]
+    for ranks in rank_tuples:
+        action_choices = [obj_structures[x][ranks[x]] for x in range(cat.n_objects)]
+        shapes = [(ranks[cat.cod(f)], ranks[cat.dom(f)]) for f in nonid]
+        combos = 1
+        for ch in action_choices:
+            combos *= max(len(ch), 1)
+        for rows, cols in shapes:
+            combos *= n ** (rows * cols)
+        if combos > budget:
+            raise BudgetExceededError("module presheaf enumeration", combos, budget)
+        map_choices = [_all_matrices(n, rows, cols) for rows, cols in shapes]
+        for actions in itertools.product(*action_choices):
+            for mats in itertools.product(*map_choices):
+                maps = []
+                k = 0
+                for f in range(cat.n_morphisms):
+                    if f in cat.identity:
+                        maps.append(np.eye(ranks[cat.dom(f)], dtype=np.int64))
+                    else:
+                        maps.append(mats[k])
+                        k += 1
+                M = ModulePresheaf(
+                    cat, R, ranks, maps, [V.act for V in actions]
+                )
+                if validate_module_presheaf(M).ok:
+                    out.append(M)
+    return out
+
+
+def _presheaf_entries(mods):
+    return [
+        (M.ranks, [(A.shape, A.tobytes()) for A in M.maps], [(A.shape, A.tobytes()) for A in M.actions])
+        for M in mods
+    ]
+
+
+def _presheaf_site(name):
+    if name == "a2_z4":
+        return a2_category(), constant_presheaf(a2_category(), field_algebra(4))
+    if name == "c2_z6":
+        return c2_monoid_category(), constant_presheaf(c2_monoid_category(), field_algebra(6))
+    if name == "a2_mixed":
+        return a2_category(), a2_mixed_presheaf(2)
+    if name == "a3_f2":  # three non-identity morphisms fix the candidate order
+        return a3_category(), constant_presheaf(a3_category(), field_algebra(2))
+    if name == "idem_f2":
+        return idempotent_monoid_category(), constant_presheaf(idempotent_monoid_category(), field_algebra(2))
+    return {fixture: (cat, R) for fixture, cat, R in fixture_presheaves()}[name]
+
+
+@pytest.mark.parametrize(
+    "name, max_total",
+    [
+        ("terminal_f2", 3), ("a2_f2", 3), ("c2_f2", 3), ("terminal_f2xf2", 3),
+        ("a2_z4", 2), ("c2_z6", 2), ("a2_mixed", 2), ("a3_f2", 3), ("idem_f2", 3),
+    ],
+)
+def test_presheaf_enumeration_matches_oracle(name, max_total):
+    cat, R = _presheaf_site(name)
+    got = _presheaf_entries(enumerate_module_presheaves(cat, R, max_total))
+    assert got == _presheaf_entries(oracle_module_presheaves(cat, R, max_total))
+    assert len(got) > max_total
 
 
 def test_structure_enumeration_matches_brute_force_dim2():

@@ -32,6 +32,7 @@ from torsite.modules import (
     hom_modules,
     hom_skew,
     phi_from_gr,
+    quotient_module,
     regular_module,
     submodule_module,
 )
@@ -764,3 +765,75 @@ def test_classify_reaches_the_f2xf2_sites_at_dim_2(presheaf, counts):
     rep = tn.classify(cat, R, J, dim_bound=2)
     assert rep.ok
     assert rep.counts == counts
+
+
+# ---------------------------------------------------------------------------
+# torsion sequences against the per-member loop
+
+
+def oracle_torsion_sequences(universe, xs):
+    """ModuleUniverse.torsion_sequences before its forced cases: every
+    member pays for its trace, sub, quotient and splitting test."""
+    sources = sorted(xs)
+    sequences = []
+    for a_idx, a in enumerate(universe.members):
+        rows = tn.trace_in_module([H for i in sources for H in universe.hom_basis(i, a_idx)], a)
+        S, incl = submodule_module(a, rows)
+        Q, proj, _ = quotient_module(a, rows)
+        incl.setflags(write=False)
+        proj.setflags(write=False)
+        sequences.append(
+            tn.TorsionSequence(
+                a_idx, incl, universe.index_of(S), universe.index_of(Q), proj, tn._splits(universe, a, S, incl)
+            )
+        )
+    return tuple(sequences)
+
+
+def assert_sequences_match_oracle(universe, xs):
+    got = universe.torsion_sequences(xs)
+    want = oracle_torsion_sequences(universe, xs)
+    assert len(got) == len(want) == len(universe)
+    for g, w in zip(got, want):
+        assert (g.member, g.sub_class, g.quot_class, g.splits) == (w.member, w.sub_class, w.quot_class, w.splits)
+        for a, b in ((g.sub_rows, w.sub_rows), (g.projection, w.projection)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable
+
+
+def _distinct_presheaf_files():
+    by_bytes = {}
+    for d in (SITES, os.path.join(os.path.dirname(__file__), "..", "fixtures")):
+        for name in sorted(os.listdir(d)):
+            with open(os.path.join(d, name), "rb") as fh:
+                data = fh.read()
+            if b'"algebras"' in data:
+                by_bytes.setdefault(data, name)
+    return sorted(by_bytes.values())
+
+
+@pytest.mark.parametrize("presheaf", _distinct_presheaf_files())
+def test_torsion_sequences_match_oracle_on_classify_classes(presheaf, monkeypatch):
+    cat, R = files.load_presheaf(os.path.join(SITES, presheaf))
+    J = files.load_topology(os.path.join(SITES, f"{presheaf.split('_')[0]}_full_topology.json"))
+    J = GrothendieckTopology(cat, [list(J.covers_at(x)) for x in range(cat.n_objects)])
+    seen = []
+    sequences = tn.ModuleUniverse.torsion_sequences
+
+    def recording(universe, xs):
+        seen.append((universe, xs))
+        return sequences(universe, xs)
+
+    monkeypatch.setattr(tn.ModuleUniverse, "torsion_sequences", recording)
+    for dim in (2, 3):
+        seen.clear()
+        assert tn.classify(cat, R, J, dim_bound=dim).ok
+        (universe,) = {u for u, _ in seen}
+        for xs in {xs for _, xs in seen}:
+            assert_sequences_match_oracle(universe, xs)
+        if len(universe) <= 7:
+            # every class, closed or not, with or without the zero member
+            for size in range(len(universe) + 1):
+                for xs in itertools.combinations(range(len(universe)), size):
+                    assert_sequences_match_oracle(universe, frozenset(xs))
+
