@@ -197,11 +197,11 @@ def criterion_8_split_ttf() -> str:
 
 def criterion_9_recollement() -> str:
     """Recollement checks pass for the zero, unit, and corner idempotents."""
-    from .recollement import verify_recollement
+    from .recollement import verify_recollements
 
     A = t2_algebra(2)
-    for label, e in (("0", [0, 0, 0]), ("1", list(A.unit)), ("e22", [0, 0, 1])):
-        rep = verify_recollement(A, e, dim_bound=3)
+    labels, idempotents = ("0", "1", "e22"), ([0, 0, 0], list(A.unit), [0, 0, 1])
+    for label, rep in zip(labels, verify_recollements(A, idempotents, dim_bound=3)):
         _check(rep.ok, f"e={label}: {rep.failures[:1]}")
     return "all checks pass for e in {0, 1, e22}"
 

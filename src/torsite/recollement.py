@@ -11,6 +11,7 @@ triangle identities member by member.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,37 @@ def quotient_algebra(A: FiniteAlgebra, ideal_rows: np.ndarray) -> tuple:
     return FiniteAlgebra(A.base, mul, unit, names), proj, sec
 
 
+def _read_only(value):
+    """value with every array in it made read-only; lists become tuples."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, SkewModule):
+        value.act.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        value = tuple(_read_only(v) for v in value)
+    return value
+
+
+def _stored(functor):
+    """Compute functor(self, N) once per action tensor of N, in self._values.
+
+    The shape is part of the key: over a rank-0 algebra every action
+    tensor has empty bytes.  The stored value is shared by every caller,
+    so it is returned read-only.
+    """
+    name = functor.__name__
+
+    @functools.wraps(functor)
+    def stored(self, N: SkewModule):
+        key = (name, N.act.shape, N.act.tobytes())
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = _read_only(functor(self, N))
+        return value
+
+    return stored
+
+
 def _is_module_map(S: SkewModule, T: SkewModule, F: np.ndarray) -> bool:
     n = S.algebra.base.modulus
     for j in range(S.algebra.rank):
@@ -79,6 +111,9 @@ class Recollement:
     (j_! j^* M -> M), ``hom_unit`` (M -> j_* j^* M) and ``hom_counit``
     (j^* j_* N -> N).  The other two, M -> i_* i^* M and i_* i^! M -> M,
     are the projection of ``i_upper`` and the inclusion of ``i_shriek``.
+
+    Each of the six functors is computed once per distinct argument
+    module and instance, and its value is read-only.
     """
 
     def __init__(self, A: FiniteAlgebra, e):
@@ -90,6 +125,7 @@ class Recollement:
             raise NotPrimeError(n, "recollement verification")
         self.A = A
         self.e = e
+        self._values = {}  # (functor, action shape, action bytes) -> value
         self.corner, self.corner_rows = corner_algebra(A, e)
         self.ideal = ideal_generated_by(A, [e])
         self.quotient, self.alg_proj, self.alg_sec = quotient_algebra(
@@ -120,6 +156,7 @@ class Recollement:
 
     # -- the six functors ---------------------------------------------------
 
+    @_stored
     def j_star(self, M: SkewModule) -> tuple:
         """M -> Me as a corner module; returns (module, rows in M)."""
         n = self.A.base.modulus
@@ -131,6 +168,7 @@ class Recollement:
         n = self.A.base.modulus
         return _coords_rows(rowsN, (rowsM @ F) % n, n, "restricted map")
 
+    @_stored
     def i_star(self, N: SkewModule) -> SkewModule:
         """Inflation of a quotient-algebra module along A -> A/AeA."""
         act = np.stack(
@@ -138,6 +176,7 @@ class Recollement:
         ) if self.A.rank else np.zeros((0, N.dim, N.dim), dtype=np.int64)
         return SkewModule(self.A, act)
 
+    @_stored
     def i_upper(self, M: SkewModule) -> tuple:
         """M -> M / M*AeA; returns (quotient module, projection, section)."""
         Qa, proj, sec = quotient_module(M, module_times_ideal(M, self.ideal))
@@ -146,6 +185,7 @@ class Recollement:
         ) if self.quotient.rank else np.zeros((0, Qa.dim, Qa.dim), dtype=np.int64)
         return SkewModule(self.quotient, act), proj, sec
 
+    @_stored
     def i_shriek(self, M: SkewModule) -> tuple:
         """The largest submodule killed by AeA; returns (module, rows in M)."""
         n = self.A.base.modulus
@@ -153,6 +193,7 @@ class Recollement:
         act = _restricted_action(K, [M.act_of(s) for s in self.alg_sec], n, "socle action")
         return SkewModule(self.quotient, act), K
 
+    @_stored
     def j_shriek(self, N: SkewModule) -> tuple:
         """N tensor_{eAe} eA; returns (module, projection, section).
 
@@ -163,8 +204,8 @@ class Recollement:
         p = self.eA_rows.shape[0]
         m = N.dim * p
         eye_N, eye_p = np.eye(N.dim, dtype=np.int64), np.eye(p, dtype=np.int64)
-        free = np.array([np.kron(eye_N, a) for a in self.ea_right], dtype=np.int64)
-        rel = [np.kron(N.act[t], eye_p) - np.kron(eye_N, c) for t, c in enumerate(self.ea_corner)]
+        free = np.array([linalg.kron(eye_N, a) for a in self.ea_right], dtype=np.int64)
+        rel = [linalg.kron(N.act[t], eye_p) - linalg.kron(eye_N, c) for t, c in enumerate(self.ea_corner)]
         rel = np.array(rel, dtype=np.int64).reshape(len(rel) * m, m) % n
         return quotient_module(SkewModule(self.A, free.reshape(self.A.rank, m, m)), rel)
 
@@ -173,12 +214,13 @@ class Recollement:
         p = self.eA_rows.shape[0]
         _, projN, secN = dataN
         _, projN2, _ = dataN2
-        return (secN @ np.kron(G, np.eye(p, dtype=np.int64)) @ projN2) % n
+        return (secN @ linalg.kron(G, np.eye(p, dtype=np.int64)) @ projN2) % n
 
     def _hom_rows(self, basis, dim: int) -> np.ndarray:
         n = self.A.base.modulus
         return linalg.as_matrix([B.reshape(-1) % n for B in basis], self.Ae_rows.shape[0] * dim)
 
+    @_stored
     def j_lower(self, N: SkewModule) -> tuple:
         """Corner-module maps Ae -> N as a right A-module.
 
@@ -190,7 +232,7 @@ class Recollement:
         flat = self._hom_rows(basis, N.dim)
         # B -> L @ B on the flattened hom space is v -> v @ kron(L^T, 1)
         eye_N = np.eye(N.dim, dtype=np.int64)
-        act = _restricted_action(flat, [np.kron(L.T, eye_N) for L in self.ae_left], n, "hom module action")
+        act = _restricted_action(flat, [linalg.kron(L.T, eye_N) for L in self.ae_left], n, "hom module action")
         return SkewModule(self.A, act), basis
 
     def j_lower_map(self, N, basisN, N2, basisN2, G) -> np.ndarray:
@@ -222,7 +264,7 @@ class Recollement:
         """
         n = self.A.base.modulus
         _, proj, _ = shriek
-        emb = np.kron(np.eye(N.dim, dtype=np.int64), self.e_in_eA)
+        emb = linalg.kron(np.eye(N.dim, dtype=np.int64), self.e_in_eA)
         return _coords_rows(rows, (emb @ proj) % n, n, "tensor unit")
 
     def tensor_counit(self, M: SkewModule, rows: np.ndarray, shriek: tuple) -> np.ndarray:
@@ -304,10 +346,18 @@ def verify_recollement(
     coextension and pullback -| inflation -| socle) satisfy both triangle
     identities with genuinely module-linear units and counits.
     """
-    rec = Recollement(A, e)
-    n = A.base.modulus
-    # one universe per distinct algebra: A/0 and the corner 1A1 have A's
-    # structure constants, and so can the corner and the quotient
+    return verify_recollements(A, [e], dim_bound, budget)[0]
+
+
+def verify_recollements(
+    A: FiniteAlgebra, idempotents, dim_bound: int = 3, budget: int = 2**22
+) -> list:
+    """verify_recollement for each idempotent in turn; one report per e.
+
+    Every distinct algebra among A and the corners and quotients gets one
+    module universe, shared by all the idempotents: A/0 and the corner
+    1A1 have A's structure constants, and so can a corner and a quotient.
+    """
     universes = {}
 
     def universe(B: FiniteAlgebra) -> ModuleUniverse:
@@ -316,6 +366,13 @@ def verify_recollement(
             universes[key] = ModuleUniverse(B, dim_bound, budget)
         return universes[key]
 
+    return [_verify(Recollement(A, e), universe) for e in idempotents]
+
+
+def _verify(rec: Recollement, universe) -> RecollementReport:
+    """The checks of verify_recollement for rec; universe(B) gives B's universe."""
+    A = rec.A
+    n = A.base.modulus
     UA = universe(A)
     UX = universe(rec.corner)
     UY = universe(rec.quotient)

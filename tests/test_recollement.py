@@ -2,11 +2,12 @@
 for idempotents of the upper triangular 2x2 algebra and friends."""
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from torsite import recollement
+from torsite import acceptance, recollement
 from torsite.cli import main
 from torsite.errors import InputError, NotPrimeError
 from torsite.fixtures import group_algebra_c2, product_field_algebra, t2_algebra
@@ -16,6 +17,7 @@ from torsite.recollement import (
     corner_algebra,
     quotient_algebra,
     verify_recollement,
+    verify_recollements,
 )
 from torsite.torsion import ideal_generated_by
 
@@ -207,3 +209,158 @@ def test_verify_recollement_builds_one_universe_per_algebra(monkeypatch, e, size
     rep = verify_recollement(t2_algebra(2), e, dim_bound=3)
     assert rep.ok and rep.universe_sizes == sizes
     assert built == ranks_built
+
+
+# -- the per-instance functor table -------------------------------------------
+
+FUNCTORS = ("j_star", "i_star", "i_upper", "i_shriek", "j_shriek", "j_lower")
+
+
+def same_value(a, b):
+    """Equal in type, and every array equal in dtype, shape and bytes."""
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, SkewModule):
+        return isinstance(b, SkewModule) and same_value(a.act, b.act)
+    if isinstance(a, (tuple, list)):
+        return (
+            isinstance(b, (tuple, list))
+            and len(a) == len(b)
+            and all(same_value(x, y) for x, y in zip(a, b))
+        )
+    return False
+
+
+def record_functor_calls(monkeypatch):
+    """Record (instance, undecorated functor, argument, value) for every call."""
+    calls = []
+    for name in FUNCTORS:
+        stored = getattr(Recollement, name)
+
+        def recorded(self, N, stored=stored):
+            value = stored(self, N)
+            calls.append((self, stored.__wrapped__, N, value))
+            return value
+
+        monkeypatch.setattr(Recollement, name, recorded)
+    return calls
+
+
+ORACLE_CASES = [
+    pytest.param(t2_algebra(2), e, 3, id=f"t2f2-{label}-d3")
+    for label, e in (("0", [0, 0, 0]), ("1", [1, 0, 1]), ("e11", E11), ("e22", E22))
+] + [
+    pytest.param(t2_algebra(3), E22, 2, id="t2f3-e22-d2"),
+    pytest.param(product_field_algebra(2, 2), [1, 0], 3, id="f2xf2-10-d3"),
+    pytest.param(group_algebra_c2(2), [1, 0], 2, id="c2-1-d2"),
+    pytest.param(group_algebra_c2(2), [0, 0], 2, id="c2-0-d2"),
+]
+
+
+@pytest.mark.parametrize("A, e, d", ORACLE_CASES)
+def test_stored_functor_values_equal_fresh_computations(monkeypatch, A, e, d):
+    calls = record_functor_calls(monkeypatch)
+    assert verify_recollement(A, e, dim_bound=d).ok
+    assert calls
+    for rec, unstored, N, value in calls:
+        assert same_value(value, unstored(rec, N)), (unstored.__name__, N.key())
+
+
+def test_functor_table_counts_at_e22(monkeypatch):
+    # calls of each functor during one verification -> values computed
+    calls, computed = Counter(), Counter()
+    for name in FUNCTORS:
+        unstored = getattr(Recollement, name).__wrapped__
+
+        def counted(self, N, name=name, unstored=unstored):
+            computed[name] += 1
+            return unstored(self, N)
+
+        counted.__name__ = name
+        stored = recollement._stored(counted)
+
+        def called(self, N, name=name, stored=stored):
+            calls[name] += 1
+            return stored(self, N)
+
+        monkeypatch.setattr(Recollement, name, called)
+    assert verify_recollement(t2_algebra(2), E22, dim_bound=3).ok
+    assert {name: (calls[name], computed[name]) for name in FUNCTORS} == {
+        "j_star": (47, 16),
+        "i_star": (30, 4),
+        "i_upper": (30, 13),
+        "i_shriek": (30, 13),
+        "j_shriek": (21, 4),
+        "j_lower": (21, 4),
+    }
+
+
+def test_functor_values_are_read_only():
+    A = t2_algebra(2)
+    rec = Recollement(A, E22)
+    M = regular_module(A)
+    Me, rows = rec.j_star(M)
+    QM, proj, sec = rec.i_upper(M)
+    SM, K = rec.i_shriek(M)
+    JN, projJ, secJ = rec.j_shriek(Me)
+    HN, basis = rec.j_lower(Me)
+    iQM = rec.i_star(QM)
+    arrays = [Me.act, rows, QM.act, proj, sec, SM.act, K, JN.act, projJ, secJ, HN.act, iQM.act, *basis]
+    assert basis
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+    assert isinstance(basis, tuple)  # the stored basis cannot grow either
+    # a second call returns the stored value itself
+    assert rec.j_star(M)[1] is rows and rec.j_lower(Me)[1] is basis
+
+
+def test_functor_table_keys_on_the_action_shape():
+    # Over the rank-0 quotient of e = 1 every action tensor has empty bytes.
+    # These are not unital modules (the zero ring has only the zero module),
+    # so verification never meets them, but the functors accept them.
+    A = t2_algebra(2)
+    rec = Recollement(A, A.unit)
+    assert rec.quotient.rank == 0
+    for d in (1, 2, 1):
+        N = SkewModule(rec.quotient, np.zeros((0, d, d), dtype=np.int64))
+        assert rec.i_star(N).act.shape == (3, d, d)
+
+
+def test_functor_tables_are_per_instance():
+    A = t2_algebra(2)
+    M = regular_module(A)
+    one, two = Recollement(A, E22), Recollement(A, E11)
+    assert one.j_star(M)[0].dim == 2 and two.j_star(M)[0].dim == 1
+    assert one.j_star(M)[0].dim == 2
+
+
+# -- several idempotents share the universes ---------------------------------
+
+
+def test_verify_recollements_matches_one_call_per_idempotent():
+    A = t2_algebra(2)
+    idempotents = [[0, 0, 0], list(A.unit), E11, E22]
+    together = verify_recollements(A, idempotents, dim_bound=2)
+    for e, rep in zip(idempotents, together):
+        alone = verify_recollement(A, e, dim_bound=2)
+        assert repr(rep) == repr(alone)
+    assert verify_recollements(A, [], dim_bound=2) == []
+
+
+def test_criterion_9_builds_each_universe_once(monkeypatch):
+    built = []
+    universe = recollement.ModuleUniverse
+
+    def counted(B, *args):
+        built.append(B.rank)
+        return universe(B, *args)
+
+    monkeypatch.setattr(recollement, "ModuleUniverse", counted)
+    assert acceptance.criterion_9_recollement() == "all checks pass for e in {0, 1, e22}"
+    assert built == [3, 0, 1]
