@@ -10,7 +10,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 import numpy as np
@@ -364,14 +363,9 @@ def _check_flags(args):
         raise InputError(f"--dim-bound: expected an integer >= 0, got {args.dim_bound}")
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser() once per process, on the first call of main."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         _check_flags(args)
         return args.func(args)

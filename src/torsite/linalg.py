@@ -81,19 +81,6 @@ def as_matrix(rows, width: int) -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """np.kron(a, b) for a matrix a and a matrix or single row b.
-
-    One broadcast product and a reshape; np.kron's handling of arbitrary
-    dimensions costs several times more on the small matrices used here.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if b.ndim == 1:
-        b = b[None, :]
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
-
-
 def _leading(row) -> int:
     """Column of the first nonzero entry of a row, or -1 for a zero row."""
     for j, x in enumerate(row):

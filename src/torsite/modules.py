@@ -416,7 +416,7 @@ def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
             G = _sieve_rows(skew, Jp.gr, T)
             width = G.shape[0] * V.dim
             C = _restricted_action(G, right, n, "cover is not closed under precomposition")
-            relations = linalg.kron(linalg.kernel_left(G, n).T, np.eye(V.dim, dtype=np.int64))
+            relations = np.kron(linalg.kernel_left(G, n).T, np.eye(V.dim, dtype=np.int64))
             homs = linalg.kernel_left(
                 np.concatenate([_hom_constraints(SkewModule(skew, C), V), relations], axis=1), n
             )
@@ -517,7 +517,7 @@ def ext1_skew(V: SkewModule, W: SkewModule) -> int:
     PI = V.act.transpose(1, 0, 2).reshape(m * d, m)
     K = linalg.kernel_left(PI, n)  # Omega, rows in the free module
     kw = K.shape[0]
-    act_free = [linalg.kron(np.eye(m, dtype=np.int64), A.mul[:, j, :]) % n for j in range(d)]
+    act_free = [np.kron(np.eye(m, dtype=np.int64), A.mul[:, j, :]) % n for j in range(d)]
     Omega = SkewModule(A, _restricted_action(K, act_free, n, "syzygy action"))
     homs = hom_skew(Omega, W)
     if not homs:

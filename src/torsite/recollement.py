@@ -204,8 +204,8 @@ class Recollement:
         p = self.eA_rows.shape[0]
         m = N.dim * p
         eye_N, eye_p = np.eye(N.dim, dtype=np.int64), np.eye(p, dtype=np.int64)
-        free = np.array([linalg.kron(eye_N, a) for a in self.ea_right], dtype=np.int64)
-        rel = [linalg.kron(N.act[t], eye_p) - linalg.kron(eye_N, c) for t, c in enumerate(self.ea_corner)]
+        free = np.array([np.kron(eye_N, a) for a in self.ea_right], dtype=np.int64)
+        rel = [np.kron(N.act[t], eye_p) - np.kron(eye_N, c) for t, c in enumerate(self.ea_corner)]
         rel = np.array(rel, dtype=np.int64).reshape(len(rel) * m, m) % n
         return quotient_module(SkewModule(self.A, free.reshape(self.A.rank, m, m)), rel)
 
@@ -214,7 +214,7 @@ class Recollement:
         p = self.eA_rows.shape[0]
         _, projN, secN = dataN
         _, projN2, _ = dataN2
-        return (secN @ linalg.kron(G, np.eye(p, dtype=np.int64)) @ projN2) % n
+        return (secN @ np.kron(G, np.eye(p, dtype=np.int64)) @ projN2) % n
 
     def _hom_rows(self, basis, dim: int) -> np.ndarray:
         n = self.A.base.modulus
@@ -232,7 +232,7 @@ class Recollement:
         flat = self._hom_rows(basis, N.dim)
         # B -> L @ B on the flattened hom space is v -> v @ kron(L^T, 1)
         eye_N = np.eye(N.dim, dtype=np.int64)
-        act = _restricted_action(flat, [linalg.kron(L.T, eye_N) for L in self.ae_left], n, "hom module action")
+        act = _restricted_action(flat, [np.kron(L.T, eye_N) for L in self.ae_left], n, "hom module action")
         return SkewModule(self.A, act), basis
 
     def j_lower_map(self, N, basisN, N2, basisN2, G) -> np.ndarray:
@@ -264,7 +264,7 @@ class Recollement:
         """
         n = self.A.base.modulus
         _, proj, _ = shriek
-        emb = linalg.kron(np.eye(N.dim, dtype=np.int64), self.e_in_eA)
+        emb = np.kron(np.eye(N.dim, dtype=np.int64), self.e_in_eA)
         return _coords_rows(rows, (emb @ proj) % n, n, "tensor unit")
 
     def tensor_counit(self, M: SkewModule, rows: np.ndarray, shriek: tuple) -> np.ndarray:

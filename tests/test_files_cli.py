@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from torsite import cli, files
+from torsite import files
 from torsite.algebra import constant_presheaf
 from torsite.cli import main
 from torsite.errors import InputError
@@ -634,44 +634,3 @@ def test_cli_deterministic_output(capsys):
     _, doc2, _ = run_cli(capsys, "classify", fx("a2_f2.json"), fx("a2_trivial_topology.json"))
     assert doc1 == doc2
     assert files.dump_json(doc1) == files.dump_json(doc2)
-
-
-def test_cli_builds_its_parser_once_per_process(capsys, monkeypatch):
-    runs = [
-        ["skew", fx("a2_f2.json")],
-        ["classify", fx("a2_f2.json"), fx("a2_obj2_topology.json"), "--dim-bound", "2"],
-        ["recollement", fx("a2_f2.json"), "--idempotent", "0,1,0", "--dim-bound", "2"],
-    ]
-
-    def outcome(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = ("exit", exc.code)
-        return code, capsys.readouterr().out
-
-    fresh = []
-    for argv in runs:
-        cli._parser.cache_clear()
-        fresh.append(outcome(argv))
-    helps = {}
-    for argv in (["--help"], ["recollement", "--help"]):
-        cli._parser.cache_clear()
-        helps[tuple(argv)] = outcome(argv)
-    cli._parser.cache_clear()
-    bad = outcome(["classify", fx("a2_f2.json"), "--no-such-flag"])
-
-    built = []
-    build = cli.build_parser
-
-    def counted():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
-    cli._parser.cache_clear()
-    assert [outcome(argv) for argv in runs] == fresh
-    assert {argv: outcome(list(argv)) for argv in helps} == helps
-    assert outcome(["classify", fx("a2_f2.json"), "--no-such-flag"]) == bad == (("exit", 2), "")
-    assert helps[("--help",)][0] == ("exit", 0)
-    assert len(built) == 1

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from torsite import linalg
 
@@ -484,32 +483,3 @@ def test_howell_property_by_brute_force(case):
         for v in span:
             if not v[:j].any():
                 assert not linalg.reduce_vector(lower, v, n).any(), (j, v.tolist())
-
-
-int64_matrices = hnp.arrays(
-    np.int64,
-    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4),
-    elements=st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
-)
-int64_rows = hnp.arrays(
-    np.int64,
-    hnp.array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=4),
-    elements=st.integers(-(2**40), 2**40),
-)
-
-
-@PROPERTY
-@given(int64_matrices, st.one_of(int64_matrices, int64_rows))
-def test_kron_matches_numpy(a, b):
-    # a 1-D b is one row, as in np.kron; products wrap alike on overflow
-    want, got = np.kron(a, b), linalg.kron(a, b)
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("sa, sb", [((0, 3), (2, 2)), ((2, 0), (3, 1)), ((2, 3), (0, 0)), ((2, 2), (0,)), ((0, 0), (3,))])
-def test_kron_zero_size_shapes(sa, sb):
-    a = np.arange(math.prod(sa), dtype=np.int64).reshape(sa)
-    b = np.arange(math.prod(sb), dtype=np.int64).reshape(sb)
-    want, got = np.kron(a, b), linalg.kron(a, b)
-    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
