@@ -162,9 +162,6 @@ class AlgebraPresheaf:
     def map(self, f: int) -> np.ndarray:
         return self.maps[f]
 
-    def apply(self, f: int, v) -> np.ndarray:
-        return (np.asarray(v, dtype=np.int64) @ self.maps[f]) % self.base.modulus
-
 
 def validate_presheaf(R: AlgebraPresheaf) -> ValidationReport:
     cat = R.cat

@@ -249,12 +249,3 @@ def full_subcategory(cat: FiniteCategory, objects) -> FullSubcategory:
         if cat.dom(m) in subset and cat.cod(m) in subset
     )
     return FullSubcategory(cat, tuple(idx), mors)
-
-
-def idempotent_endomorphisms(cat: FiniteCategory) -> list:
-    """Morphisms f: x -> x with f after f = f (identities included)."""
-    out = []
-    for f in range(cat.n_morphisms):
-        if cat.dom(f) == cat.cod(f) and int(cat.compose_table[f, f]) == f:
-            out.append(f)
-    return out

@@ -455,7 +455,9 @@ def linearize_topology(
     return LinearTopology(gr, covers)
 
 
-def is_linear_topology(gr: GrCategory, Jp: LinearTopology) -> ValidationReport:
+def is_linear_topology(
+    gr: GrCategory, Jp: LinearTopology, budget: int = DEFAULT_LINEAR_BUDGET
+) -> ValidationReport:
     """Certify Jp: covers are subfunctors, maximal sieves cover, stability
     under pullback, transitivity.  Pullbacks come from gr's table."""
     rep = ValidationReport("linear topology")
@@ -485,7 +487,7 @@ def is_linear_topology(gr: GrCategory, Jp: LinearTopology) -> ValidationReport:
                         break
     for x in objs:
         for S1 in Jp.covers_at(x):
-            for S2 in gr.linear_sieves_on(x):
+            for S2 in gr.linear_sieves_on(x, budget):
                 if Jp.contains(S2):
                     continue
                 rep.checked += 1
@@ -563,6 +565,6 @@ def enumerate_linear_topologies(
     out = []
     for assignment in itertools.product(*linear_topology_candidates(gr, budget)):
         Jp = LinearTopology(gr, assignment)
-        if is_linear_topology(gr, Jp).ok:
+        if is_linear_topology(gr, Jp, budget).ok:
             out.append(Jp)
     return sort_topologies(out)

@@ -52,10 +52,6 @@ class ModulePresheaf:
                     f"action at {cat.objects[x]!r} has shape {self.actions[x].shape}, expected {want}"
                 )
 
-    @property
-    def total_rank(self) -> int:
-        return sum(self.ranks)
-
     def map(self, f: int) -> np.ndarray:
         return self.maps[f]
 
@@ -242,69 +238,6 @@ def hom_skew(V: SkewModule, W: SkewModule) -> list:
         return []
     K = linalg.kernel_left(_hom_constraints(V, W), V.algebra.base.modulus)
     return [row.reshape(v, w) for row in K]
-
-
-@dataclass
-class NatTransformation:
-    source: ModulePresheaf
-    target: ModulePresheaf
-    components: tuple
-
-
-def hom_modules(M: ModulePresheaf, N: ModulePresheaf) -> list:
-    """Basis of natural R-linear transformations M -> N."""
-    cat = M.cat
-    n = M.R.base.modulus
-    offs = []
-    total = 0
-    for x in range(cat.n_objects):
-        offs.append(total)
-        total += M.ranks[x] * N.ranks[x]
-    if total == 0:
-        return []
-
-    cols = []
-
-    def add_constraint(parts):
-        col = np.zeros(total, dtype=np.int64)
-        for x, block in parts:
-            col[offs[x] : offs[x] + block.size] += block.reshape(-1)
-        cols.append(col % n)
-
-    for f in range(cat.n_morphisms):
-        x, y = cat.dom(f), cat.cod(f)
-        # M(f) phi_x = phi_y N(f): entry (i, c) over phi-unknowns
-        for i in range(M.ranks[y]):
-            for c in range(N.ranks[x]):
-                blk_x = np.outer(M.maps[f][i], (np.arange(N.ranks[x]) == c).astype(np.int64))
-                blk_y = np.zeros((M.ranks[y], N.ranks[y]), dtype=np.int64)
-                blk_y[i] = (-N.maps[f][:, c]) % n
-                add_constraint([(x, blk_x % n), (y, blk_y)])
-    for x in range(cat.n_objects):
-        alg = M.R.algebra(x)
-        for j in range(alg.rank):
-            AM = M.actions[x][j]
-            AN = N.actions[x][j]
-            for i in range(M.ranks[x]):
-                for c in range(N.ranks[x]):
-                    blk = np.outer(AM[i], (np.arange(N.ranks[x]) == c).astype(np.int64))
-                    blk2 = np.zeros_like(blk)
-                    blk2[i] = (-AN[:, c]) % n
-                    add_constraint([(x, (blk + blk2) % n)])
-    Cmat = (
-        np.stack(cols, axis=1)
-        if cols
-        else np.zeros((total, 0), dtype=np.int64)
-    )
-    K = linalg.kernel_left(Cmat, n)
-    out = []
-    for row in K:
-        comps = []
-        for x in range(cat.n_objects):
-            size = M.ranks[x] * N.ranks[x]
-            comps.append(row[offs[x] : offs[x] + size].reshape(M.ranks[x], N.ranks[x]))
-        out.append(NatTransformation(M, N, tuple(comps)))
-    return out
 
 
 def psi_to_gr(M: ModulePresheaf, skew: SkewAlgebra | None = None) -> SkewModule:

@@ -43,22 +43,6 @@ def maximal_sieve(cat: FiniteCategory, x: int) -> Sieve:
     return Sieve(x, frozenset(cat.morphisms_into(x)))
 
 
-def empty_sieve(x: int) -> Sieve:
-    return Sieve(x, frozenset())
-
-
-def sieve_generated_by(cat: FiniteCategory, x: int, gens) -> Sieve:
-    """Smallest sieve on x containing the given morphisms into x."""
-    members = set()
-    for m in gens:
-        if cat.cod(m) != x:
-            raise InputError("generator does not end at the target object")
-        members.add(m)
-        for f in cat.morphisms_into(cat.dom(m)):
-            members.add(int(cat.compose_table[m, f]))
-    return Sieve(x, frozenset(members))
-
-
 def sieves_on(cat: FiniteCategory, x: int, budget: int | None = 2**22) -> list:
     """All sieves on x, sorted by bitmask."""
     into = cat.morphisms_into(x)

@@ -157,13 +157,6 @@ def trace_in_module(maps, target: SkewModule) -> np.ndarray:
     return linalg.howell_form(linalg.as_matrix(rows, target.dim), n, target.dim)
 
 
-def trace_ideal(A: FiniteAlgebra, modules) -> TwoSidedIdeal:
-    """Sum of images of all module maps from the given modules into A."""
-    R = regular_module(A)
-    H = trace_in_module([H for S in modules for H in hom_skew(S, R)], R)
-    return _ideal_from_rows(A, list(H))
-
-
 # ---------------------------------------------------------------------------
 # the bounded module universe
 
@@ -301,10 +294,6 @@ class ModuleUniverse:
         self._homs = {}
         self._sequences = {}
         self._maximal_sub_classes = {}
-        self._sub_rows = {}
-        self._sub_classes = {}
-        self._quot_classes = {}
-        self._middles = {}
 
     def _gl_group(self, m: int):
         if m not in self._gl:
@@ -411,50 +400,6 @@ class ModuleUniverse:
                 self.index_of(submodule_module(V, K)[0]) for K in kernels.values()
             )
         return self._maximal_sub_classes[i]
-
-    def submodule_rows(self, i: int) -> list:
-        if i not in self._sub_rows:
-            V = self.members[i]
-            self._sub_rows[i] = linalg.enumerate_submodules(
-                V.dim, self.algebra.base.modulus, list(V.act), self.budget
-            )
-        return self._sub_rows[i]
-
-    def sub_classes(self, i: int) -> frozenset:
-        if i not in self._sub_classes:
-            V = self.members[i]
-            out = set()
-            for H in self.submodule_rows(i):
-                S, _ = submodule_module(V, H)
-                out.add(self.index_of(S))
-            self._sub_classes[i] = frozenset(out)
-        return self._sub_classes[i]
-
-    def quot_classes(self, i: int) -> frozenset:
-        if i not in self._quot_classes:
-            V = self.members[i]
-            out = set()
-            for H in self.submodule_rows(i):
-                Q, _, _ = quotient_module(V, H)
-                out.add(self.index_of(Q))
-            self._quot_classes[i] = frozenset(out)
-        return self._quot_classes[i]
-
-    def middle_classes(self, quot_i: int, sub_j: int) -> frozenset:
-        """Classes of middle terms of extensions of member i by member j."""
-        key = (quot_i, sub_j)
-        if key not in self._middles:
-            V, W = self.members[quot_i], self.members[sub_j]
-            if V.dim + W.dim > self.dim_bound:
-                self._middles[key] = frozenset()
-            else:
-                Z, build = extension_cocycle_space(V, W)
-                n = self.algebra.base.modulus
-                out = set()
-                for c in linalg.span_elements(Z, n):
-                    out.add(self.index_of(build(c)))
-                self._middles[key] = frozenset(out)
-        return self._middles[key]
 
     def zero_index(self) -> int:
         return self.index_of(zero_skew_module(self.algebra))
@@ -693,48 +638,9 @@ def brute_force_torsion_pairs(universe: ModuleUniverse) -> list:
 
 
 def brute_force_hereditary_pairs(universe: ModuleUniverse) -> list:
-    """Torsion pairs whose torsion class is closed under submodules,
-    found by filtering subset candidates closed under submodules,
-    quotients, direct sums, and extensions."""
-    N = len(universe.members)
-    zero = universe.zero_index()
-    closed_masks = []
-    sub_m = [sum(1 << j for j in universe.sub_classes(i)) for i in range(N)]
-    quot_m = [sum(1 << j for j in universe.quot_classes(i)) for i in range(N)]
-    others = [i for i in range(N) if i != zero]
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            mask = (1 << zero) | sum(1 << i for i in combo)
-            ok = True
-            for i in range(N):
-                if (mask >> i) & 1:
-                    if (sub_m[i] | quot_m[i]) & ~mask:
-                        ok = False
-                        break
-            if ok:
-                for i in range(N):
-                    if not ok:
-                        break
-                    if not (mask >> i) & 1:
-                        continue
-                    for j in range(N):
-                        if (mask >> j) & 1:
-                            mid = sum(1 << t for t in universe.middle_classes(i, j))
-                            if mid & ~mask:
-                                ok = False
-                                break
-            if ok:
-                closed_masks.append(mask)
-    pairs = []
-    for mask in closed_masks:
-        xs = frozenset(i for i in range(N) if (mask >> i) & 1)
-        ys = universe.perp_of(xs)
-        if universe.pre_perp_of(ys) != xs:
-            continue
-        w = torsion_pair_check(xs, ys, universe)
-        if w.ok and w.hereditary:
-            pairs.append(w)
-    return pairs
+    """The torsion pairs of brute_force_torsion_pairs whose torsion class
+    is closed under submodules."""
+    return [w for w in brute_force_torsion_pairs(universe) if w.hereditary]
 
 
 def brute_force_ttf_triples(universe: ModuleUniverse) -> list:
@@ -804,10 +710,10 @@ def classify(
     skew = build_skew_algebra(sub, RD)
     universe = ModuleUniverse(skew, dim_bound, budget)
 
-    ideals = enumerate_idempotent_ideals(skew)
+    ideals = enumerate_idempotent_ideals(skew, budget)
     topologies = [ideal_topology(gr, skew, I.matrix, budget) for I in ideals]
     ok = len(set(topologies)) == len(topologies) and all(
-        is_linear_topology(gr, Jp).ok for Jp in topologies
+        is_linear_topology(gr, Jp, budget).ok for Jp in topologies
     )
 
     hereditary = []

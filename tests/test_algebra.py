@@ -101,8 +101,7 @@ def test_mixed_presheaf_validates_and_restricts():
     assert R2.algebra(0).rank == 2
     # restriction along the arrow is the first projection
     a = cat.morphism_index("a")
-    assert (R.apply(a, np.array([1, 0])) == np.array([1])).all()
-    assert (R.apply(a, np.array([0, 1])) == np.array([0])).all()
+    assert R.map(a).tolist() == [[1], [0]]
 
 
 def test_presheaf_functoriality_violation_detected():

@@ -6,7 +6,6 @@ from torsite.errors import InputError
 from torsite.fincat import (
     FiniteCategory,
     full_subcategory,
-    idempotent_endomorphisms,
     validate_category,
 )
 
@@ -114,17 +113,6 @@ def test_full_subcategory_empty():
     assert validate_category(sub).ok
 
 
-def test_idempotent_endomorphisms():
-    cat = fixtures.idempotent_monoid_category()
-    idem = idempotent_endomorphisms(cat)
-    names = {cat.morphisms[f].name for f in idem}
-    assert names == {"e", "p"}
-    c2 = fixtures.c2_monoid_category()
-    assert [c2.morphisms[f].name for f in idempotent_endomorphisms(c2)] == ["e"]
-    a2 = fixtures.a2_category()
-    assert len(idempotent_endomorphisms(a2)) == 2  # the two identities
-
-
 def test_duplicate_names_rejected():
     with pytest.raises(InputError):
         FiniteCategory.from_data(
@@ -140,4 +128,3 @@ def test_empty_category_tables():
     cat = fixtures.empty_category()
     assert cat.n_objects == 0
     assert cat.compose_table.shape == (0, 0)
-    assert idempotent_endomorphisms(cat) == []

@@ -44,6 +44,7 @@ from torsite.grskew import (
 )
 from torsite.report import ValidationReport
 from torsite.topology import (
+    Sieve,
     enumerate_topologies,
     subcategory_topology,
     trivial_topology,
@@ -170,9 +171,7 @@ def test_linearize_sieve_matches_span():
     a_index = next(
         f for f in range(cat.n_morphisms) if cat.morphisms[f].name == "a"
     )
-    from torsite.topology import sieve_generated_by
-
-    S = sieve_generated_by(cat, 1, [a_index])
+    S = Sieve(1, frozenset({a_index}))
     T = linearize_sieve(gr, S)
     assert validate_linear_sieve(T).ok
     # T(1) = all of hom(1, 2), T(2) = 0

@@ -3,6 +3,7 @@ sheaf/torsion/perpendicular predicates."""
 import functools
 import itertools
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -51,7 +52,6 @@ from torsite.modules import (
     enumerate_skew_module_structures,
     ext1_dimension_by_enumeration,
     ext1_skew,
-    hom_modules,
     hom_skew,
     is_sheaf,
     is_torsion,
@@ -216,6 +216,23 @@ def radical_square_zero_algebra(names):
     return FiniteAlgebra(BaseRing(2), mul, np.eye(3, dtype=np.int64)[one], tuple(names))
 
 
+def dependent_words_algebra():
+    """Z/4 with basis 1, x, z, y, where x*x = 2y, x*z = y and every other
+    product of x, z and y is zero, rebased by P: new basis vector i is
+    sum_j P[i, j] old_j.  Its generating words are dependent over Z/4, and
+    the unit is not the empty word alone."""
+    old = np.zeros((4, 4, 4), dtype=np.int64)
+    for k in range(4):
+        old[0, k, k] = old[k, 0, k] = 1
+    old[1, 1, 3] = 2
+    old[1, 2, 3] = 1
+    P = np.array([[2, 2, 1, 1], [2, 2, 2, 1], [3, 1, 1, 3], [1, 0, 2, 2]], dtype=np.int64)
+    P_inv = np.array([[2, 0, 0, 1], [3, 2, 3, 1], [3, 1, 0, 0], [0, 3, 2, 0]], dtype=np.int64)
+    assert np.array_equal(P @ P_inv % 4, np.eye(4, dtype=np.int64))
+    mul = np.einsum("ia,jb,abc,ck->ijk", P, P, old, P_inv) % 4
+    return FiniteAlgebra(BaseRing(4), mul, P_inv[0])
+
+
 @pytest.mark.parametrize(
     "make, dim_bound",
     [
@@ -229,11 +246,20 @@ def radical_square_zero_algebra(names):
         (lambda: radical_square_zero_algebra(["x", "y", "1"]), 3),
         (lambda: radical_square_zero_algebra(["1", "x", "y"]), 3),
         (lambda: radical_square_zero_algebra(["x", "1", "y"]), 3),
+        (dependent_words_algebra, 2),
     ],
-    ids=["t2_f2", "f2xf2", "f2c2", "t2_f3", "c2_f3", "a2_mixed", "t2_z4", "rsz_xy1", "rsz_1xy", "rsz_x1y"],
+    ids=["t2_f2", "f2xf2", "f2c2", "t2_f3", "c2_f3", "a2_mixed", "t2_z4", "rsz_xy1", "rsz_1xy", "rsz_x1y", "dep_z4"],
 )
 def test_structure_enumeration_matches_oracle(make, dim_bound):
     A = make()
+    if make is dependent_words_algebra:
+        # the unit check of the enumerator reads coefficients on more words
+        # than the empty one
+        _, words, vecs = _generating_words(A)
+        coeff = linalg.solve_left(vecs, np.eye(A.rank, dtype=np.int64), 4)
+        assert words == [(), (0,), (2,), (0, 0), (2, 0)]
+        assert (A.unit @ coeff % 4).tolist() == [1, 2, 0, 1, 2]
+        assert [len(enumerate_skew_module_structures(A, m)) for m in range(3)] == [1, 4, 376]
     for m in range(dim_bound + 1):
         got = [(V.dim, V.act.tobytes()) for V in enumerate_skew_module_structures(A, m)]
         want = [(V.dim, V.act.tobytes()) for V in oracle_skew_module_structures(A, m)]
@@ -435,7 +461,7 @@ def test_psi_of_presheaf_is_valid_module():
         for M in enumerate_module_presheaves(cat, R, 2):
             V = psi_to_gr(M, skew)
             assert validate_skew_module(V).ok, name
-            assert V.dim == M.total_rank
+            assert V.dim == sum(M.ranks)
 
 
 def test_phi_after_psi_is_identity():
@@ -551,7 +577,7 @@ def test_trivial_topology_everything_is_a_sheaf():
         Jp = linearize_topology(gr, trivial_topology(cat))
         for M in enumerate_module_presheaves(cat, R, 2):
             assert is_sheaf(M, Jp).value, name
-            assert is_torsion(M, Jp).value == (M.total_rank == 0), name
+            assert is_torsion(M, Jp).value == (sum(M.ranks) == 0), name
 
 
 def test_zero_cover_topology_on_terminal():
@@ -563,7 +589,7 @@ def test_zero_cover_topology_on_terminal():
     assert len(dense.covers_at(0)) == 2  # max and zero
     for M in enumerate_module_presheaves(cat, R, 2):
         assert is_torsion(M, dense).value
-        assert is_sheaf(M, dense).value == (M.total_rank == 0)
+        assert is_sheaf(M, dense).value == (sum(M.ranks) == 0)
 
 
 def test_sheaf_iff_perpendicular_small():
@@ -791,6 +817,71 @@ def test_representable_quotient_dimensions():
     )
     # quotient by the maximal sieve is zero, by the a-generated sieve is 1-dim
     assert dims == [0, 1]
+
+
+# The presheaf-side Hom route: natural R-linear transformations solved
+# from the naturality and linearity equations, one column per equation.
+@dataclass
+class NatTransformation:
+    source: ModulePresheaf
+    target: ModulePresheaf
+    components: tuple
+
+
+def hom_modules(M: ModulePresheaf, N: ModulePresheaf) -> list:
+    """Basis of natural R-linear transformations M -> N."""
+    cat = M.cat
+    n = M.R.base.modulus
+    offs = []
+    total = 0
+    for x in range(cat.n_objects):
+        offs.append(total)
+        total += M.ranks[x] * N.ranks[x]
+    if total == 0:
+        return []
+
+    cols = []
+
+    def add_constraint(parts):
+        col = np.zeros(total, dtype=np.int64)
+        for x, block in parts:
+            col[offs[x] : offs[x] + block.size] += block.reshape(-1)
+        cols.append(col % n)
+
+    for f in range(cat.n_morphisms):
+        x, y = cat.dom(f), cat.cod(f)
+        # M(f) phi_x = phi_y N(f): entry (i, c) over phi-unknowns
+        for i in range(M.ranks[y]):
+            for c in range(N.ranks[x]):
+                blk_x = np.outer(M.maps[f][i], (np.arange(N.ranks[x]) == c).astype(np.int64))
+                blk_y = np.zeros((M.ranks[y], N.ranks[y]), dtype=np.int64)
+                blk_y[i] = (-N.maps[f][:, c]) % n
+                add_constraint([(x, blk_x % n), (y, blk_y)])
+    for x in range(cat.n_objects):
+        alg = M.R.algebra(x)
+        for j in range(alg.rank):
+            AM = M.actions[x][j]
+            AN = N.actions[x][j]
+            for i in range(M.ranks[x]):
+                for c in range(N.ranks[x]):
+                    blk = np.outer(AM[i], (np.arange(N.ranks[x]) == c).astype(np.int64))
+                    blk2 = np.zeros_like(blk)
+                    blk2[i] = (-AN[:, c]) % n
+                    add_constraint([(x, (blk + blk2) % n)])
+    Cmat = (
+        np.stack(cols, axis=1)
+        if cols
+        else np.zeros((total, 0), dtype=np.int64)
+    )
+    K = linalg.kernel_left(Cmat, n)
+    out = []
+    for row in K:
+        comps = []
+        for x in range(cat.n_objects):
+            size = M.ranks[x] * N.ranks[x]
+            comps.append(row[offs[x] : offs[x] + size].reshape(M.ranks[x], N.ranks[x]))
+        out.append(NatTransformation(M, N, tuple(comps)))
+    return out
 
 
 def test_hom_modules_matches_hom_skew():

@@ -3,13 +3,14 @@ the three classifications, pinned to hand-checked values for the upper
 triangular 2x2 algebra, the product field, and the order-2 group algebra
 over F2."""
 import dataclasses
+import functools
 import itertools
 import os
 
 import numpy as np
 import pytest
 
-from torsite import files, grskew
+from torsite import files, grskew, linalg
 from torsite import torsion as tn
 from torsite.algebra import constant_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
@@ -19,6 +20,7 @@ from torsite.fixtures import (
     a3_category,
     c2_monoid_category,
     field_algebra,
+    fixture_presheaves,
     group_algebra_c2,
     idempotent_monoid_category,
     product_field_algebra,
@@ -29,7 +31,6 @@ from torsite.modules import (
     SkewModule,
     direct_sum,
     enumerate_skew_module_structures,
-    hom_modules,
     hom_skew,
     phi_from_gr,
     quotient_module,
@@ -38,6 +39,8 @@ from torsite.modules import (
 )
 from torsite.report import ValidationReport
 from torsite.topology import GrothendieckTopology, enumerate_topologies, matching_subcategories
+
+from test_modules import hom_modules
 
 E11 = [1, 0, 0]
 E12 = [0, 1, 0]
@@ -119,19 +122,25 @@ def test_centers_and_central_idempotents(t2):
     assert not tn.is_central_idempotent(t2, E12)  # central test fails earlier: not idempotent
 
 
+def trace_ideal(A, modules) -> tn.TwoSidedIdeal:
+    """Sum of the images of all module maps from the given modules into A."""
+    R = regular_module(A)
+    return tn.ideal_generated_by(A, tn.trace_in_module([H for S in modules for H in hom_skew(S, R)], R))
+
+
 def test_trace_ideal_always_idempotent(t2, t2_universe):
     mods = t2_universe.members
     for picks in itertools.chain(
         itertools.combinations(range(len(mods)), 1),
         itertools.combinations(range(len(mods)), 2),
     ):
-        I = tn.trace_ideal(t2, [mods[p] for p in picks])
+        I = trace_ideal(t2, [mods[p] for p in picks])
         assert tn.is_idempotent_ideal(I)
 
 
 def test_trace_ideal_of_projective_is_corner(t2):
     P1, _ = submodule_module(regular_module(t2), np.array([E11, E12]))
-    I = tn.trace_ideal(t2, [P1])
+    I = trace_ideal(t2, [P1])
     assert I.size == 4 and I.contains(E11) and I.contains(E12)
 
 
@@ -190,6 +199,15 @@ def test_universe_budget_on_right_ideals():
 
 def _skew(cat, coefficients):
     return tn.build_skew_algebra(cat, constant_presheaf(cat, coefficients))
+
+
+@functools.cache
+def sub_classes(U: tn.ModuleUniverse, i: int) -> frozenset:
+    """Classes of every submodule of member i, read off the full submodule
+    lattice: the reference for the hereditary flag."""
+    V = U.members[i]
+    lattice = linalg.enumerate_submodules(V.dim, U.algebra.base.modulus, list(V.act), U.budget)
+    return frozenset(U.index_of(submodule_module(V, H)[0]) for H in lattice)
 
 
 @pytest.mark.parametrize(
@@ -355,26 +373,6 @@ def test_classify_computes_each_hom_space_once(monkeypatch):
     assert calls["splits"] <= len(classes) * N
 
 
-def test_sub_quot_middle_classes(t2, t2_universe):
-    s1, s2, p1 = simple_classes(t2, t2_universe)
-    zero = t2_universe.zero_index()
-    assert t2_universe.sub_classes(p1) == {zero, s2, p1}
-    assert t2_universe.quot_classes(p1) == {zero, s1, p1}
-    # extensions of S1 (quotient) by S2 (sub): split and the projective
-    mids = t2_universe.middle_classes(s1, s2)
-    assert p1 in mids and len(mids) == 2
-    assert t2_universe.middle_classes(s2, s1) == {
-        t2_universe.index_of(
-            SkewModule(
-                t2,
-                np.array(
-                    [[[0, 0], [0, 1]], [[0, 0], [0, 0]], [[1, 0], [0, 0]]]
-                ),
-            )
-        )
-    }
-
-
 @pytest.mark.parametrize(
     "make, dim_bound",
     [
@@ -393,9 +391,9 @@ def test_maximal_submodules_generate_the_submodule_lattice(make, dim_bound):
     zero = U.zero_index()
     assert U.maximal_sub_classes(zero) == frozenset()
     for i in range(len(U)):
-        below = {j for k in U.maximal_sub_classes(i) for j in U.sub_classes(k)}
-        assert U.sub_classes(i) == {i} | below, i
-    simples = [i for i in range(len(U)) if U.sub_classes(i) == {zero, i} and i != zero]
+        below = {j for k in U.maximal_sub_classes(i) for j in sub_classes(U, k)}
+        assert sub_classes(U, i) == {i} | below, i
+    simples = [i for i in range(len(U)) if sub_classes(U, i) == {zero, i} and i != zero]
     assert list(U.simple_indices) == simples
     assert all(U.maximal_sub_classes(s) == {zero} for s in simples)
 
@@ -411,24 +409,8 @@ def test_hereditary_flag_matches_full_submodule_lattice(t2_universe):
     pairs = tn.brute_force_torsion_pairs(t2_universe)
     assert len(pairs) == 5
     for w in pairs:
-        closed = all(t2_universe.sub_classes(i) <= w.x_indices for i in w.x_indices)
+        closed = all(sub_classes(t2_universe, i) <= w.x_indices for i in w.x_indices)
         assert w.hereditary == closed
-
-
-def test_classify_never_enumerates_member_submodules(monkeypatch):
-    # the full submodule lattice of a member is an oracle for
-    # brute_force_hereditary_pairs only
-    def refuse(self, i):
-        raise AssertionError("submodule lattice reached from classify")
-
-    for name in ("submodule_rows", "sub_classes", "quot_classes"):
-        monkeypatch.setattr(tn.ModuleUniverse, name, refuse)
-    cat = a2_category()
-    R = constant_presheaf(cat, field_algebra(2))
-    J = next(J for J in enumerate_topologies(cat) if matching_subcategories(cat, J) == [(0, 1)])
-    rep = tn.classify(cat, R, J, dim_bound=3)
-    assert rep.ok and rep.counts["hereditary_torsion_pairs"] == 4
-    assert all(w.hereditary for w in rep.hereditary_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +461,21 @@ def _is_add(universe, i, gens):
     return i in seen
 
 
-def test_hereditary_pairs_by_closure(t2_universe):
-    hered = tn.brute_force_hereditary_pairs(t2_universe)
-    assert len(hered) == 4
-    assert all(p.hereditary for p in hered)
-    pairs = tn.brute_force_torsion_pairs(t2_universe)
-    assert {p.x_indices for p in hered} == {
-        p.x_indices for p in pairs if p.hereditary
-    }
+def _hereditary_universes():
+    for name, cat, R in fixture_presheaves():
+        skew = tn.build_skew_algebra(cat, R)
+        for d in (1, 2, 3):
+            yield f"{name}/d{d}", tn.ModuleUniverse(skew, d)
+    yield "t2_f3/d2", tn.ModuleUniverse(t2_algebra(3), 2)
+    yield "f2xf2/d3", tn.ModuleUniverse(product_field_algebra(2, 2), 3)
+
+
+def test_hereditary_pairs_are_two_to_the_simples():
+    # a hereditary class of a finite-dimensional algebra is fixed by the
+    # simples it contains (Jans, 1965); the unfiltered search finds 5 pairs
+    # on a2_f2 at d >= 2 and on T2(F3)
+    for key, U in _hereditary_universes():
+        assert len(tn.brute_force_hereditary_pairs(U)) == 2 ** len(U.simple_indices), key
 
 
 def test_torsion_pair_check_sequences(t2, t2_universe):
@@ -720,7 +709,7 @@ def test_classify_takes_topologies_from_idempotent_ideals(monkeypatch):
 
 
 def test_classify_fails_on_a_bad_certificate(monkeypatch):
-    def reject(gr, Jp):
+    def reject(gr, Jp, budget):
         rep = ValidationReport("linear topology")
         rep.add("stability", (0,))
         return rep
@@ -765,6 +754,32 @@ def test_classify_reaches_the_f2xf2_sites_at_dim_2(presheaf, counts):
     rep = tn.classify(cat, R, J, dim_bound=2)
     assert rep.ok
     assert rep.counts == counts
+
+
+def test_classify_passes_its_budget_to_every_stage(monkeypatch):
+    # the idempotent ideals and every linear-sieve search, the certificate
+    # of each J_I included, run under the caller's budget
+    budgets = []
+    ideals = tn.enumerate_idempotent_ideals
+    sieves = grskew.GrCategory.linear_sieves_on
+
+    def spy_ideals(A, budget=2**20):
+        budgets.append(("ideals", budget))
+        return ideals(A, budget)
+
+    def spy_sieves(self, x, budget=grskew.DEFAULT_LINEAR_BUDGET):
+        budgets.append(("sieves", budget))
+        return sieves(self, x, budget)
+
+    monkeypatch.setattr(tn, "enumerate_idempotent_ideals", spy_ideals)
+    monkeypatch.setattr(grskew.GrCategory, "linear_sieves_on", spy_sieves)
+    cat, R = files.load_presheaf(os.path.join(SITES, "a2_f2.json"))
+    J = files.load_topology(os.path.join(SITES, "a2_full_topology.json"))
+    J = GrothendieckTopology(cat, [list(J.covers_at(x)) for x in range(cat.n_objects)])
+    rep = tn.classify(cat, R, J, dim_bound=2, budget=2**21)
+    assert rep.ok
+    assert {stage for stage, _ in budgets} == {"ideals", "sieves"}
+    assert {budget for _, budget in budgets} == {2**21}
 
 
 # ---------------------------------------------------------------------------
