@@ -501,9 +501,9 @@ def is_linear_topology(
     return rep
 
 
-def sort_topologies(topologies) -> list:
-    """The canonical report order of linear topologies."""
-    return sorted(topologies, key=lambda Jp: tuple(sorted(map(sorted, Jp.key()))))
+def topology_order(Jp: LinearTopology) -> tuple:
+    """Sort key of the canonical report order of linear topologies."""
+    return tuple(sorted(map(sorted, Jp.key())))
 
 
 def ideal_topology(
@@ -567,4 +567,4 @@ def enumerate_linear_topologies(
         Jp = LinearTopology(gr, assignment)
         if is_linear_topology(gr, Jp, budget).ok:
             out.append(Jp)
-    return sort_topologies(out)
+    return sorted(out, key=topology_order)

@@ -392,15 +392,16 @@ def _verify(rec: Recollement, universe) -> RecollementReport:
 
     # image of inflation = kernel of corner restriction, as universe classes
     ker = {i for i, M in enumerate(UA.members) if not (M.act_of(rec.e) % n).any()}
-    img = {UA.index_of(iN) for iN in inflated}
-    if img != ker:
-        failures.append(("image_matches_kernel", (sorted(img), sorted(ker))))
+    classes = [UA.index_of(iN) for iN in inflated]
+    if set(classes) != ker:
+        failures.append(("image_matches_kernel", (sorted(set(classes)), sorted(ker))))
 
-    # full faithfulness of inflation
+    # full faithfulness of inflation; Hom dimensions are invariant under
+    # isomorphism, so the right side is read from UA's table
     for a in range(len(UY)):
         for b in range(len(UY)):
             lhs = UY.hom_dim(a, b)
-            rhs = len(hom_skew(inflated[a], inflated[b]))
+            rhs = UA.hom_dim(classes[a], classes[b])
             if lhs != rhs:
                 failures.append(("inflation_fully_faithful", (a, b, lhs, rhs)))
 

@@ -22,7 +22,7 @@ from .grskew import (
     build_skew_algebra,
     ideal_topology,
     is_linear_topology,
-    sort_topologies,
+    topology_order,
 )
 from .modules import (
     SkewModule,
@@ -269,11 +269,14 @@ class ModuleUniverse:
         self._canon_cache = {}
         zero = zero_skew_module(A)
         seen = {self._canon_key(zero): zero}
-        by_dim = [[zero]] + [[] for _ in range(dim_bound)]
+        by_dim = [[zero]]
         simples = {self._canon_key(S): S for S in _simple_modules(A, dim_bound, budget)}
         simples = [simples[k] for k in sorted(simples)]
         scanned = 0
-        for m in range(1, dim_bound + 1):
+        # one level at a time, and none without simples: a huge bound
+        # allocates nothing before the budget stops the build
+        for m in range(1, dim_bound + 1 if simples else 1):
+            by_dim.append([])
             for S in simples:
                 if S.dim > m:
                     continue
@@ -448,7 +451,6 @@ class TorsionSequence:
 @dataclass
 class TorsionPairWitness:
     ok: bool
-    universe: ModuleUniverse
     x_indices: frozenset
     y_indices: frozenset
     hereditary: bool = False
@@ -502,21 +504,35 @@ def torsion_pair_check(X, Y, universe: ModuleUniverse) -> TorsionPairWitness:
     # maximal submodules
     hereditary = all(universe.maximal_sub_classes(i) <= xs for i in xs)
     split = all(seq.splits for seq in sequences)
-    return TorsionPairWitness(
-        not failures, universe, xs, ys, hereditary, split, sequences, failures
-    )
+    return TorsionPairWitness(not failures, xs, ys, hereditary, split, sequences, failures)
 
 
 @dataclass
 class TTFTriple:
-    ok: bool
-    universe: ModuleUniverse
-    x_indices: frozenset
-    y_indices: frozenset
-    z_indices: frozenset
+    """(X, Y, Z) from the torsion pairs (X, Y) and (Y, Z)."""
+
     pair_xy: TorsionPairWitness
     pair_yz: TorsionPairWitness
-    split: bool
+
+    @property
+    def x_indices(self) -> frozenset:
+        return self.pair_xy.x_indices
+
+    @property
+    def y_indices(self) -> frozenset:
+        return self.pair_xy.y_indices
+
+    @property
+    def z_indices(self) -> frozenset:
+        return self.pair_yz.y_indices
+
+    @property
+    def split(self) -> bool:
+        return self.pair_xy.split and self.pair_yz.split
+
+    @property
+    def ok(self) -> bool:
+        return self.pair_xy.ok and self.pair_yz.ok and self.pair_xy.y_indices == self.pair_yz.x_indices
 
     def __bool__(self):
         return self.ok
@@ -559,48 +575,17 @@ def ttf_from_idempotent_ideal(I: TwoSidedIdeal, universe: ModuleUniverse) -> TTF
             ys.add(idx)
         if linalg.span_size(killed_by_ideal(V, I), n) == 1:
             zs.add(idx)
-    pair_xy = torsion_pair_check(xs, ys, universe)
-    pair_yz = torsion_pair_check(ys, zs, universe)
-    split = pair_xy.split and pair_yz.split
-    return TTFTriple(
-        pair_xy.ok and pair_yz.ok,
-        universe,
-        frozenset(xs),
-        frozenset(ys),
-        frozenset(zs),
-        pair_xy,
-        pair_yz,
-        split,
-    )
+    return TTFTriple(torsion_pair_check(xs, ys, universe), torsion_pair_check(ys, zs, universe))
 
 
 def split_ttf_from_central_idempotent(e, universe: ModuleUniverse) -> TTFTriple:
-    """The split TTF triple attached to a central idempotent."""
+    """The split TTF triple attached to a central idempotent e: the TTF
+    triple of the ideal AeA = eA, so X = Z = {M : Me = M} and
+    Y = {M : Me = 0}."""
     A = universe.algebra
     if not is_central_idempotent(A, e):
         raise InputError("element is not a central idempotent")
-    e = np.asarray(e, dtype=np.int64) % A.base.modulus
-    xs, ys = set(), set()
-    for idx, V in enumerate(universe.members):
-        E = V.act_of(e)
-        # e idempotent, so M*e = M iff E is the identity
-        if (E == np.eye(V.dim, dtype=np.int64)).all():
-            xs.add(idx)
-        if not E.any():
-            ys.add(idx)
-    pair_xy = torsion_pair_check(xs, ys, universe)
-    pair_yz = torsion_pair_check(ys, xs, universe)
-    ok = pair_xy.ok and pair_yz.ok and pair_xy.split and pair_yz.split
-    return TTFTriple(
-        ok,
-        universe,
-        frozenset(xs),
-        frozenset(ys),
-        frozenset(xs),
-        pair_xy,
-        pair_yz,
-        pair_xy.split and pair_yz.split,
-    )
+    return ttf_from_idempotent_ideal(ideal_generated_by(A, [e]), universe)
 
 
 # ---------------------------------------------------------------------------
@@ -647,23 +632,7 @@ def brute_force_ttf_triples(universe: ModuleUniverse) -> list:
     """All TTF triples by matching torsion pairs end to end."""
     pairs = brute_force_torsion_pairs(universe)
     by_x = {p.x_indices: p for p in pairs}
-    triples = []
-    for p in pairs:
-        q = by_x.get(p.y_indices)
-        if q is not None:
-            triples.append(
-                TTFTriple(
-                    True,
-                    universe,
-                    p.x_indices,
-                    p.y_indices,
-                    q.y_indices,
-                    p,
-                    q,
-                    p.split and q.split,
-                )
-            )
-    return triples
+    return [TTFTriple(p, by_x[p.y_indices]) for p in pairs if p.y_indices in by_x]
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +665,15 @@ def classify(
     Finds the unique full subcategory D with subcategory topology J
     (input error if none), restricts R to D, and classifies: linear
     topologies as hereditary torsion pairs, idempotent ideals as TTF
-    triples, central idempotents as split TTF triples.  The linear
-    topologies are the J_I of the idempotent ideals I, each certified by
-    is_linear_topology; a failed certificate or two equal J_I clear ok.
+    triples, central idempotents as split TTF triples.  The TTF triple
+    (X, Y, Z) of each idempotent ideal I is the one object certified;
+    the other two families are read off it (Jans, 1965).  The linear
+    topology of I is J_I, certified by is_linear_topology, and its
+    hereditary torsion pair is (Y, Z): the torsion class of J_I, found
+    by torsion_check on every member, must equal Y = {M : MI = 0}.  A
+    central idempotent e gives the triple of its ideal eA, which must be
+    split.  A failed certificate, a class mismatch, two equal J_I or two
+    equal triples clear ok.
     """
     matches = matching_subcategories(cat, J)
     if not matches:
@@ -711,38 +686,30 @@ def classify(
     universe = ModuleUniverse(skew, dim_bound, budget)
 
     ideals = enumerate_idempotent_ideals(skew, budget)
+    triples = [ttf_from_idempotent_ideal(I, universe) for I in ideals]
     topologies = [ideal_topology(gr, skew, I.matrix, budget) for I in ideals]
-    ok = len(set(topologies)) == len(topologies) and all(
-        is_linear_topology(gr, Jp, budget).ok for Jp in topologies
+    ok = (
+        len(set(topologies)) == len(topologies)
+        and all(is_linear_topology(gr, Jp, budget).ok for Jp in topologies)
+        and all(t.ok for t in triples)
+        and len({t.key() for t in triples}) == len(triples)
     )
 
     hereditary = []
-    for Jp in sort_topologies(topologies):
-        xs = frozenset(
-            i for i, V in enumerate(universe.members) if torsion_check(V, Jp).value
-        )
-        ys = universe.perp_of(xs)
-        w = torsion_pair_check(xs, ys, universe)
-        ok = ok and w.ok and w.hereditary
-        hereditary.append(w)
-    if len({(p.x_indices, p.y_indices) for p in hereditary}) != len(hereditary):
-        ok = False
+    for Jp, t in sorted(zip(topologies, triples), key=lambda pair: topology_order(pair[0])):
+        xs = frozenset(i for i, V in enumerate(universe.members) if torsion_check(V, Jp).value)
+        ok = ok and xs == t.y_indices and t.pair_yz.hereditary
+        hereditary.append(t.pair_yz)
 
-    triples = []
-    for I in ideals:
-        t = ttf_from_idempotent_ideal(I, universe)
-        ok = ok and t.ok
-        triples.append(t)
-    if len({t.key() for t in triples}) != len(triples):
-        ok = False
-
-    splits = []
-    for e in central_idempotents(skew):
-        t = split_ttf_from_central_idempotent(e, universe)
-        ok = ok and t.ok and t.split
-        splits.append(t)
-    if len({t.key() for t in splits}) != len(splits):
-        ok = False
+    by_ideal = dict(zip(ideals, triples))
+    cents = central_idempotents(skew)
+    splits = [by_ideal[I] for I in (ideal_generated_by(skew, [e]) for e in cents) if I in by_ideal]
+    ok = (
+        ok
+        and len(splits) == len(cents)
+        and all(t.split for t in splits)
+        and len({t.key() for t in splits}) == len(splits)
+    )
 
     counts = {
         "universe_members": len(universe),
@@ -750,7 +717,7 @@ def classify(
         "hereditary_torsion_pairs": len(hereditary),
         "idempotent_ideals": len(triples),
         "ttf_triples": len(triples),
-        "central_idempotents": len(splits),
+        "central_idempotents": len(cents),
         "split_ttf_triples": len(splits),
     }
     return ClassificationReport(

@@ -37,7 +37,7 @@ from torsite.grskew import (
     linearize_topology,
     maximal_linear_sieve,
     pullback_linear_sieve,
-    sort_topologies,
+    topology_order,
     validate_linear_sieve,
     vector_index,
     zero_linear_sieve,
@@ -351,8 +351,9 @@ def check_ideal_topologies(cat, R, power_set=True):
     and (with power_set) equal to the power-set search, in order."""
     gr = build_gr(cat, R)
     skew = build_skew_algebra(cat, R)
-    tops = sort_topologies(
-        ideal_topology(gr, skew, I.matrix) for I in enumerate_idempotent_ideals(skew)
+    tops = sorted(
+        (ideal_topology(gr, skew, I.matrix) for I in enumerate_idempotent_ideals(skew)),
+        key=topology_order,
     )
     assert all(is_linear_topology(gr, Jp).ok for Jp in tops)
     assert len(set(tops)) == len(tops)

@@ -6,14 +6,16 @@ import dataclasses
 import functools
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from torsite import files, grskew, linalg
 from torsite import torsion as tn
-from torsite.algebra import constant_presheaf
+from torsite.algebra import constant_presheaf, restrict_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
+from torsite.fincat import full_subcategory
 from torsite.fixtures import (
     a2_category,
     a2_mixed_presheaf,
@@ -26,6 +28,7 @@ from torsite.fixtures import (
     product_field_algebra,
     t2_algebra,
     terminal_category,
+    zero_algebra,
 )
 from torsite.modules import (
     SkewModule,
@@ -36,6 +39,7 @@ from torsite.modules import (
     quotient_module,
     regular_module,
     submodule_module,
+    torsion_check,
 )
 from torsite.report import ValidationReport
 from torsite.topology import GrothendieckTopology, enumerate_topologies, matching_subcategories
@@ -179,6 +183,18 @@ def test_universe_needs_prime_modulus():
 def test_universe_budget():
     with pytest.raises(BudgetExceededError):
         tn.ModuleUniverse(t2_algebra(2), 3, budget=100)
+
+
+def test_universe_of_a_rank_zero_algebra_ignores_a_huge_bound():
+    # no simples, so no level is built: nothing is allocated per level
+    tracemalloc.start()
+    try:
+        U = tn.ModuleUniverse(zero_algebra(2), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(U) == 1 and U.simple_indices == ()
+    assert peak < 5 * 2**20
 
 
 def test_universe_budget_on_extension_scan():
@@ -554,16 +570,39 @@ def test_ttf_rejects_non_idempotent_ideal(t2, t2_universe):
         tn.ttf_from_idempotent_ideal(rad, t2_universe)
 
 
+def test_ttf_triple_needs_one_middle_class(t2_universe):
+    pairs = tn.brute_force_torsion_pairs(t2_universe)
+    assert all(p.ok for p in pairs)
+    oks = [tn.TTFTriple(p, q).ok for p, q in itertools.product(pairs, repeat=2)]
+    want = [p.y_indices == q.x_indices for p, q in itertools.product(pairs, repeat=2)]
+    assert oks == want and sum(oks) == 4
+
+
+def assert_split_route(universe):
+    """split_ttf_from_central_idempotent against the action of each central
+    idempotent e: X = Z = {M : Me = M} and Y = {M : Me = 0}.  Returns the
+    triples."""
+    A = universe.algebra
+    triples = []
+    for e in tn.central_idempotents(A):
+        t = tn.split_ttf_from_central_idempotent(e, universe)
+        xs, ys = set(), set()
+        for idx, V in enumerate(universe.members):
+            E = V.act_of(e) % A.base.modulus
+            # e idempotent, so Me = M iff e acts as the identity
+            if (E == np.eye(V.dim, dtype=np.int64)).all():
+                xs.add(idx)
+            if not E.any():
+                ys.add(idx)
+        assert t.ok and t.split
+        assert (t.x_indices, t.y_indices, t.z_indices) == (xs, ys, xs)
+        triples.append(t)
+    return triples
+
+
 def test_split_ttf_from_central_idempotents(t2, t2_universe):
-    es = tn.central_idempotents(t2)
-    triples = [tn.split_ttf_from_central_idempotent(e, t2_universe) for e in es]
-    assert all(t.ok and t.split for t in triples)
+    triples = assert_split_route(t2_universe)
     assert len({t.key() for t in triples}) == 2
-    for e, t in zip(es, triples):
-        via_ideal = tn.ttf_from_idempotent_ideal(
-            tn.ideal_generated_by(t2, [e]), t2_universe
-        )
-        assert via_ideal.key() == t.key()
 
 
 def test_split_ttf_rejects_non_central(t2, t2_universe):
@@ -575,10 +614,8 @@ def test_split_ttf_rejects_non_central(t2, t2_universe):
 
 def test_product_field_split_ttf(kxk_universe):
     A = kxk_universe.algebra
-    es = tn.central_idempotents(A)
-    assert len(es) == 4
-    triples = [tn.split_ttf_from_central_idempotent(e, kxk_universe) for e in es]
-    assert all(t.ok and t.split for t in triples)
+    assert len(tn.central_idempotents(A)) == 4
+    triples = assert_split_route(kxk_universe)
     assert len({t.key() for t in triples}) == 4
     brute = tn.brute_force_ttf_triples(kxk_universe)
     assert {t.key() for t in triples} == {t.key() for t in brute}
@@ -725,6 +762,14 @@ def test_classify_fails_on_a_bad_certificate(monkeypatch):
 SITES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "sites")
 
 
+def load_site(presheaf, topology="full"):
+    """The presheaf of sites/<presheaf>.json with the topology of
+    sites/<category>_<topology>_topology.json, on the presheaf's category."""
+    cat, R = files.load_presheaf(os.path.join(SITES, f"{presheaf}.json"))
+    J = files.load_topology(os.path.join(SITES, f"{presheaf.split('_')[0]}_{topology}_topology.json"))
+    return cat, R, GrothendieckTopology(cat, [list(J.covers_at(x)) for x in range(cat.n_objects)])
+
+
 def _reach_counts(members, topologies, central):
     return {
         "universe_members": members,
@@ -748,9 +793,7 @@ def _reach_counts(members, topologies, central):
     ],
 )
 def test_classify_reaches_the_f2xf2_sites_at_dim_2(presheaf, counts):
-    cat, R = files.load_presheaf(os.path.join(SITES, f"{presheaf}.json"))
-    J = files.load_topology(os.path.join(SITES, f"{presheaf.split('_')[0]}_full_topology.json"))
-    J = GrothendieckTopology(cat, [list(J.covers_at(x)) for x in range(cat.n_objects)])
+    cat, R, J = load_site(presheaf)
     rep = tn.classify(cat, R, J, dim_bound=2)
     assert rep.ok
     assert rep.counts == counts
@@ -773,13 +816,29 @@ def test_classify_passes_its_budget_to_every_stage(monkeypatch):
 
     monkeypatch.setattr(tn, "enumerate_idempotent_ideals", spy_ideals)
     monkeypatch.setattr(grskew.GrCategory, "linear_sieves_on", spy_sieves)
-    cat, R = files.load_presheaf(os.path.join(SITES, "a2_f2.json"))
-    J = files.load_topology(os.path.join(SITES, "a2_full_topology.json"))
-    J = GrothendieckTopology(cat, [list(J.covers_at(x)) for x in range(cat.n_objects)])
+    cat, R, J = load_site("a2_f2")
     rep = tn.classify(cat, R, J, dim_bound=2, budget=2**21)
     assert rep.ok
     assert {stage for stage, _ in budgets} == {"ideals", "sieves"}
     assert {budget for _, budget in budgets} == {2**21}
+
+
+def test_classify_fails_when_the_topology_class_differs_from_y(monkeypatch):
+    # the torsion class of each J_I must equal Y of the triple of I; deny
+    # that one nonzero member is torsion
+    real = tn.torsion_check
+    denied = {}
+
+    def deny_one(V, Jp):
+        got = real(V, Jp)
+        if got.value and V.dim and denied.setdefault("act", V.act.tobytes()) == V.act.tobytes():
+            return dataclasses.replace(got, value=False)
+        return got
+
+    monkeypatch.setattr(tn, "torsion_check", deny_one)
+    cat, R, J = load_site("a2_f2")
+    rep = tn.classify(cat, R, J, dim_bound=2)
+    assert denied and not rep.ok
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +866,12 @@ def oracle_torsion_sequences(universe, xs):
 
 def assert_sequences_match_oracle(universe, xs):
     got = universe.torsion_sequences(xs)
-    want = oracle_torsion_sequences(universe, xs)
-    assert len(got) == len(want) == len(universe)
+    assert len(got) == len(universe)
+    assert_same_sequences(got, oracle_torsion_sequences(universe, xs))
+
+
+def assert_same_sequences(got, want):
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.member, g.sub_class, g.quot_class, g.splits) == (w.member, w.sub_class, w.quot_class, w.splits)
         for a, b in ((g.sub_rows, w.sub_rows), (g.projection, w.projection)):
@@ -829,9 +892,7 @@ def _distinct_presheaf_files():
 
 @pytest.mark.parametrize("presheaf", _distinct_presheaf_files())
 def test_torsion_sequences_match_oracle_on_classify_classes(presheaf, monkeypatch):
-    cat, R = files.load_presheaf(os.path.join(SITES, presheaf))
-    J = files.load_topology(os.path.join(SITES, f"{presheaf.split('_')[0]}_full_topology.json"))
-    J = GrothendieckTopology(cat, [list(J.covers_at(x)) for x in range(cat.n_objects)])
+    cat, R, J = load_site(presheaf.removesuffix(".json"))
     seen = []
     sequences = tn.ModuleUniverse.torsion_sequences
 
@@ -852,3 +913,51 @@ def test_torsion_sequences_match_oracle_on_classify_classes(presheaf, monkeypatc
                 for xs in itertools.combinations(range(len(universe)), size):
                     assert_sequences_match_oracle(universe, frozenset(xs))
 
+
+
+# ---------------------------------------------------------------------------
+# hereditary pairs and split triples against their own routes
+
+
+def oracle_hereditary_pairs(cat, R, J, dim_bound):
+    """classify's hereditary pairs by the topology route: the torsion class
+    T of each J_I from torsion_check, certified as the pair (T, T-perp), in
+    report order."""
+    RD = restrict_presheaf(R, full_subcategory(cat, matching_subcategories(cat, J)[0]))
+    gr, skew = grskew.build_gr(RD.cat, RD), grskew.build_skew_algebra(RD.cat, RD)
+    U = tn.ModuleUniverse(skew, dim_bound)
+    tops = [grskew.ideal_topology(gr, skew, I.matrix) for I in tn.enumerate_idempotent_ideals(skew)]
+    pairs = []
+    for Jp in sorted(tops, key=grskew.topology_order):
+        xs = frozenset(i for i, V in enumerate(U.members) if torsion_check(V, Jp).value)
+        pairs.append(tn.torsion_pair_check(xs, U.perp_of(xs), U))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "presheaf, topology, dim_bound",
+    [(name.removesuffix(".json"), "full", 2) for name in _distinct_presheaf_files()]
+    # the classify-d3 jobs of perfbench/workloads.json
+    + [("a2_f2", "full", 3), ("a3_f2", "13", 3), ("c2_f2", "full", 3), ("terminal_f2xf2", "full", 3)],
+)
+def test_hereditary_pairs_match_the_topology_route(presheaf, topology, dim_bound):
+    cat, R, J = load_site(presheaf, topology)
+    rep = tn.classify(cat, R, J, dim_bound=dim_bound)
+    want = oracle_hereditary_pairs(cat, R, J, dim_bound)
+    assert rep.ok and len(rep.hereditary_pairs) == len(want)
+    for g, w in zip(rep.hereditary_pairs, want):
+        assert (g.ok, g.x_indices, g.y_indices, g.hereditary, g.split, g.failures) == (
+            w.ok,
+            w.x_indices,
+            w.y_indices,
+            w.hereditary,
+            w.split,
+            w.failures,
+        )
+        assert_same_sequences(g.sequences, w.sequences)
+
+
+@pytest.mark.parametrize("presheaf", _distinct_presheaf_files())
+def test_split_ttf_matches_the_action_of_e_on_shipped_presheaves(presheaf):
+    cat, R = files.load_presheaf(os.path.join(SITES, presheaf))
+    assert_split_route(tn.ModuleUniverse(tn.build_skew_algebra(cat, R), 2))
