@@ -378,12 +378,16 @@ def vector_index(f, n: int) -> int:
 
 
 def _check_sieve_budget(n: int, sizes, budget: int):
-    """Raise as a sieve search with these (width, submodule count) pairs would."""
+    """Raise as a sieve search with these (width, submodule count, closures) triples would.
+
+    A search whose closures or submodules exceed the budget raises when the
+    running count first reaches budget + 1.
+    """
     total = 1
-    for width, count in sizes:
+    for width, count, closures in sizes:
         if n**width > budget:
             raise BudgetExceededError("submodule enumeration", n**width, budget)
-        if count > budget:
+        if count > budget or closures > budget:
             raise BudgetExceededError("submodule enumeration", budget + 1, budget)
         total *= count
         if total > budget:
@@ -399,7 +403,7 @@ def _enumerate_linear_sieves(gr: GrCategory, x: int, budget: int) -> tuple:
         width = gr.hom_rank(y, x)
         subs = linalg.enumerate_submodules(width, n, budget=budget)
         per_object.append(subs)
-        sizes.append((width, len(subs)))
+        sizes.append((width, len(subs), linalg.search_closures(subs, n, width)))
         _check_sieve_budget(n, sizes, budget)
     out = []
     for combo in itertools.product(*per_object):
@@ -418,6 +422,8 @@ class LinearTopology:
         if len(self.covers) != gr.cat.n_objects:
             raise InputError("need one cover set per object")
         self._keys = tuple(frozenset(t.key() for t in cs) for cs in self.covers)
+        # module-independent data per cover, filled by the predicates of torsite.modules
+        self._cover_tables = {}
 
     def covers_at(self, x: int):
         return self.covers[x]

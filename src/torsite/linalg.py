@@ -298,7 +298,9 @@ def enumerate_submodules(width: int, n: int, stable_under=(), budget: int | None
 
     Breadth-first closure: grow each known submodule by one ambient element
     at a time.  Returns Howell forms sorted by (size, bytes) so the output
-    order is deterministic.
+    order is deterministic.  The budget bounds n^width, the number of
+    stable_closure calls (search_closures of the result) and the number
+    of submodules found.
     """
     if budget is not None and n**width > budget:
         raise BudgetExceededError("submodule enumeration", n**width, budget)
@@ -307,11 +309,15 @@ def enumerate_submodules(width: int, n: int, stable_under=(), budget: int | None
     zero = np.zeros((0, width), dtype=np.int64)
     found = {span_key(zero): zero}
     frontier = [zero]
+    closures = 0
     while frontier:
         S = frontier.pop()
         for v in elements:
             if in_span(S, v, n):
                 continue
+            closures += 1
+            if budget is not None and closures > budget:
+                raise BudgetExceededError("submodule enumeration", closures, budget)
             gens = np.vstack([S, v.reshape(1, -1)]) if S.shape[0] else v.reshape(1, -1)
             T = stable_closure(gens, mats, n, width)
             k = span_key(T)
@@ -321,6 +327,15 @@ def enumerate_submodules(width: int, n: int, stable_under=(), budget: int | None
                 found[k] = T
                 frontier.append(T)
     return sorted(found.values(), key=lambda H: (span_size(H, n), span_key(H)))
+
+
+def search_closures(subs, n: int, width: int) -> int:
+    """The stable_closure calls of the enumerate_submodules search that found subs.
+
+    Each submodule S is grown once by every nonzero element outside it,
+    n^width - |S| of them.
+    """
+    return sum(n**width - span_size(H, n) for H in subs)
 
 
 def pivot_columns(H: np.ndarray) -> list:

@@ -276,32 +276,46 @@ def phi_from_gr(V: SkewModule) -> ModulePresheaf:
     cat = skew.cat
     R = skew.R
     n = skew.base.modulus
-    bases = []
+    bases, pivots = [], []
     for x in range(cat.n_objects):
         E = V.act_of(skew.object_idempotent(x))
         B = linalg.howell_form(E, n, V.dim)
-        if any(int(row[linalg._leading(row)]) != 1 for row in B):
+        piv = linalg.pivot_columns(B)
+        if (B[np.arange(len(piv)), piv] != 1).any():
             raise NotPrimeError(n, "free block decomposition")
         bases.append(B)
+        pivots.append(piv)
     if sum(B.shape[0] for B in bases) != V.dim:
         raise InputError("object idempotents do not decompose the carrier")
     ranks = [B.shape[0] for B in bases]
 
-    maps = []
+    # unit pivots: B[:, pivots] is the identity, so a row v lies in the
+    # span of B iff v == v[:, pivots] @ B, and v[:, pivots] are its coordinates
+    map_images = []
     for f in range(cat.n_morphisms):
         x, y = cat.dom(f), cat.cod(f)
         u = np.zeros(skew.rank, dtype=np.int64)
         for i, cval in enumerate(R.algebra(x).unit):
             u[skew.pair_index[(f, i)]] = cval
-        img = (bases[y] @ V.act_of(u)) % n
-        Mf = linalg.solve_left(bases[x], img, n)
-        if Mf is None:
-            raise InputError("carrier is not spanned by its blocks")
-        maps.append(Mf)
-    actions = []
+        map_images.append((bases[y] @ V.act_of(u)) % n)
+    action_images = []
     for x in range(cat.n_objects):
         idx = [skew.pair_index[(cat.identity[x], j)] for j in range(R.algebra(x).rank)]
-        actions.append(_restricted_action(bases[x], V.act[idx], n, "object block"))
+        action_images.append((bases[x] @ V.act[idx]) % n)
+    maps_outside = actions_outside = False
+    for x in range(cat.n_objects):
+        from_maps = [map_images[f] for f in range(cat.n_morphisms) if cat.dom(f) == x]
+        k = sum(img.shape[0] for img in from_maps)
+        rows = np.concatenate([*from_maps, *action_images[x]])  # the identity of x is in from_maps
+        outside = ((rows[:, pivots[x]] @ bases[x]) % n != rows).any(axis=1)
+        maps_outside |= bool(outside[:k].any())
+        actions_outside |= bool(outside[k:].any())
+    if maps_outside:
+        raise InputError("carrier is not spanned by its blocks")
+    if actions_outside:
+        raise InputError("object block: rows do not span a stable submodule")
+    maps = [img[:, pivots[cat.dom(f)]] for f, img in enumerate(map_images)]
+    actions = [img[:, :, pivots[x]] for x, img in enumerate(action_images)]
     M = ModulePresheaf(cat, R, ranks, maps, actions)
     M.block_bases = tuple(bases)
     return M
@@ -330,6 +344,29 @@ def _sieve_rows(skew: SkewAlgebra, gr: GrCategory, T) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _cover_table(Jp: LinearTopology, skew: SkewAlgebra, kind: str, x: int, ci: int, build):
+    """build(), the module-independent data of kind for cover ci at x, built once per topology.
+
+    Entries live on Jp, keyed on the algebra as well and holding it, so
+    data built for one algebra is never served for another.  A build that
+    raises stores nothing: the next call raises at the same point.
+    """
+    key = (kind, id(skew), x, ci)
+    entry = Jp._cover_tables.get(key)
+    if entry is None:
+        entry = Jp._cover_tables[key] = (skew, build())
+    return entry[1]
+
+
+def _sheaf_cover(skew: SkewAlgebra, gr: GrCategory, T) -> tuple:
+    """The rows G of T, the module C of the action on them (G * b_j == C.act[j] @ G),
+    and the relations r @ G == 0 among the rows, as columns."""
+    n = skew.base.modulus
+    G = _sieve_rows(skew, gr, T)
+    C = _restricted_action(G, regular_module(skew).act, n, "cover is not closed under precomposition")
+    return G, SkewModule(skew, C), linalg.kernel_left(G, n).T
+
+
 def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     """Restriction V e_x = Hom(e_x A, V) -> Hom(T, V) must be bijective for every cover T of x.
 
@@ -338,21 +375,18 @@ def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     action of A on row coordinates (G * b_j == C_j @ G), and r @ Phi == 0
     for every relation r @ G == 0 among the rows.  The relations are
     empty over a field; over Z/n they make the choice of C_j irrelevant.
-    The restriction of m is Phi_m[k] = m * G[k].
+    The restriction of m is Phi_m[k] = m * G[k].  G, C and the relations
+    do not depend on V: they are built once per cover and kept on Jp.
     """
     skew = V.algebra
     n = skew.base.modulus
-    right = regular_module(skew).act
     for x in range(skew.cat.n_objects):
         Bx = linalg.howell_form(V.act_of(skew.object_idempotent(x)), n, V.dim)
         for ci, T in enumerate(Jp.covers_at(x)):
-            G = _sieve_rows(skew, Jp.gr, T)
+            G, C, rel = _cover_table(Jp, skew, "sheaf", x, ci, lambda: _sheaf_cover(skew, Jp.gr, T))
             width = G.shape[0] * V.dim
-            C = _restricted_action(G, right, n, "cover is not closed under precomposition")
-            relations = np.kron(linalg.kernel_left(G, n).T, np.eye(V.dim, dtype=np.int64))
-            homs = linalg.kernel_left(
-                np.concatenate([_hom_constraints(SkewModule(skew, C), V), relations], axis=1), n
-            )
+            relations = np.kron(rel, np.eye(V.dim, dtype=np.int64))
+            homs = linalg.kernel_left(np.concatenate([_hom_constraints(C, V), relations], axis=1), n)
             acts = np.einsum("kj,jil->kil", G, V.act) % n  # m * G[k] == m @ acts[k]
             restricted = np.einsum("mi,kil->mkl", Bx, acts).reshape(Bx.shape[0], width)
             image = linalg.howell_form(restricted % n, n, width)
@@ -433,32 +467,47 @@ def _rank(rows: np.ndarray, n: int) -> int:
     return linalg.howell_form(rows, n, rows.shape[1]).shape[0]
 
 
+def _presentation(V: SkewModule) -> tuple:
+    """(K, Omega) for 0 -> Omega -> free -> V -> 0, V nonzero.
+
+    The free module has one generator per carrier basis vector of V; the
+    rows of K span Omega inside it.
+    """
+    A = V.algebra
+    n = A.base.modulus
+    d, m = A.rank, V.dim
+    # pi((a_i)) = sum_i e_i . a_i; row i * d + j is the image of e_i b_j
+    PI = V.act.transpose(1, 0, 2).reshape(m * d, m)
+    K = linalg.kernel_left(PI, n)
+    act_free = [np.kron(np.eye(m, dtype=np.int64), A.mul[:, j, :]) % n for j in range(d)]
+    return K, SkewModule(A, _restricted_action(K, act_free, n, "syzygy action"))
+
+
+def _ext1_from_presentation(V: SkewModule, K: np.ndarray, Omega: SkewModule, W: SkewModule) -> int:
+    """dim Ext^1(V, W): Hom(Omega, W) modulo the restrictions of maps free -> W."""
+    homs = hom_skew(Omega, W)
+    if not homs:
+        return 0
+    n = V.algebra.base.modulus
+    d, m, w, kw = V.algebra.rank, V.dim, W.dim, K.shape[0]
+    # the map free -> W sending e_i to the c-th basis vector of W, restricted to Omega:
+    # these rows lie in Hom(Omega, W), whose basis homs is independent (n is prime)
+    image = np.einsum("riq,qcl->icrl", K.reshape(kw, m, d), W.act).reshape(m * w, kw * w) % n
+    return len(homs) - _rank(image, n)
+
+
 def ext1_skew(V: SkewModule, W: SkewModule) -> int:
     """dim Ext^1(V, W) from the presentation 0 -> Omega -> free -> V -> 0.
 
     The free module has one generator per carrier basis vector of V;
     Ext^1 is Hom(Omega, W) modulo the restrictions of maps free -> W.
     """
-    A = V.algebra
-    n = A.base.modulus
+    n = V.algebra.base.modulus
     if not linalg.is_prime(n):
         raise NotPrimeError(n, "ext1")
-    d, m, w = A.rank, V.dim, W.dim
-    if m == 0 or w == 0:
+    if V.dim == 0 or W.dim == 0:
         return 0
-    # pi((a_i)) = sum_i e_i . a_i; row i * d + j is the image of e_i b_j
-    PI = V.act.transpose(1, 0, 2).reshape(m * d, m)
-    K = linalg.kernel_left(PI, n)  # Omega, rows in the free module
-    kw = K.shape[0]
-    act_free = [np.kron(np.eye(m, dtype=np.int64), A.mul[:, j, :]) % n for j in range(d)]
-    Omega = SkewModule(A, _restricted_action(K, act_free, n, "syzygy action"))
-    homs = hom_skew(Omega, W)
-    if not homs:
-        return 0
-    # the map free -> W sending e_i to the c-th basis vector of W, restricted to Omega:
-    # these rows lie in Hom(Omega, W), whose basis homs is independent (n is prime)
-    image = np.einsum("riq,qcl->icrl", K.reshape(kw, m, d), W.act).reshape(m * w, kw * w) % n
-    return len(homs) - _rank(image, n)
+    return _ext1_from_presentation(V, *_presentation(V), W)
 
 
 def _cocycle_constraints(V: SkewModule, W: SkewModule) -> np.ndarray:
@@ -518,7 +567,11 @@ def ext1_dimension_by_enumeration(V: SkewModule, W: SkewModule) -> int:
 
 
 def perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
-    """Hom and Ext^1 vanishing against every representable quotient."""
+    """Hom and Ext^1 vanishing against every representable quotient.
+
+    Each quotient and its presentation are built once per cover, when a
+    module first needs them, and kept on Jp.
+    """
     skew = _skew_of(Jp)
     if isinstance(M, ModulePresheaf):
         V = psi_to_gr(M, skew)
@@ -527,7 +580,7 @@ def perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
     gr = Jp.gr
     for x in range(skew.cat.n_objects):
         for ci, T in enumerate(Jp.covers_at(x)):
-            Q = representable_quotient(skew, gr, x, T)
+            Q = _cover_table(Jp, skew, "quotient", x, ci, lambda: representable_quotient(skew, gr, x, T))
             if Q.dim == 0:
                 continue
             if hom_skew(Q, V):
@@ -535,7 +588,10 @@ def perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
                     False,
                     {"object": skew.cat.objects[x], "cover": ci, "reason": "hom"},
                 )
-            if ext1_skew(Q, V):
+            # ext1_skew(Q, V), with Q's presentation kept
+            if V.dim and _ext1_from_presentation(
+                Q, *_cover_table(Jp, skew, "presentation", x, ci, lambda: _presentation(Q)), V
+            ):
                 return PredicateResult(
                     False,
                     {"object": skew.cat.objects[x], "cover": ci, "reason": "ext1"},

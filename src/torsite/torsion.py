@@ -8,7 +8,6 @@ Hom-vanishing plus an explicit exact sequence for every universe member.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -565,6 +564,11 @@ def ttf_from_idempotent_ideal(I: TwoSidedIdeal, universe: ModuleUniverse) -> TTF
     """
     if not is_idempotent_ideal(I):
         raise InputError("ideal is not idempotent")
+    return _ttf_triple(I, universe)
+
+
+def _ttf_triple(I: TwoSidedIdeal, universe: ModuleUniverse) -> TTFTriple:
+    """ttf_from_idempotent_ideal for an ideal already known to be idempotent."""
     n = universe.algebra.base.modulus
     xs, ys, zs = set(), set(), set()
     for idx, V in enumerate(universe.members):
@@ -592,33 +596,66 @@ def split_ttf_from_central_idempotent(e, universe: ModuleUniverse) -> TTFTriple:
 # brute-force oracles
 
 
+# Closures are computed for 2**_SUBSET_CHUNK_BITS candidate subsets at once.
+_SUBSET_CHUNK_BITS = 16
+
+
+def _subset_unions(values) -> np.ndarray:
+    """out[s] is the OR of values[t] over the bits t of s, by doubling."""
+    out = np.zeros(1, dtype=np.int64)
+    for v in values:
+        out = np.concatenate([out, out | v])
+    return out
+
+
 def brute_force_torsion_pairs(universe: ModuleUniverse) -> list:
-    """All torsion pairs on the universe by exhaustive subset search."""
+    """All torsion pairs on the universe by exhaustive subset search.
+
+    Every set X of members that contains zero is a candidate.  Y = X^perp
+    and its left perpendicular are computed for every candidate at once,
+    on int64 bitmasks over the members; the candidates with X equal to
+    the left perpendicular of Y are certified by torsion_pair_check, in
+    order of size, then lexicographically.
+    """
     N = len(universe.members)
     zero = universe.zero_index()
+    others = [i for i in range(N) if i != zero]
+    k = len(others)
+    if N > 63 or 2**k > universe.budget:
+        raise BudgetExceededError("brute-force torsion pair search", 2**k, universe.budget)
     hom_to = [0] * N  # bitmask over j of hom(member i, member j) != 0
-    hom_from = [0] * N
     for i in range(N):
         for j in range(N):
             if universe.hom_dim(i, j):
                 hom_to[i] |= 1 << j
-                hom_from[j] |= 1 << i
-    others = [i for i in range(N) if i != zero]
+    full = (1 << N) - 1
+    low = min(k, _SUBSET_CHUNK_BITS)
+    # candidate s holds others[t] for every bit t of s; its low bits index these tables
+    low_x = _subset_unions([1 << i for i in others[:low]])
+    low_hom = _subset_unions([hom_to[i] for i in others[:low]])
+    closed = []
+    for high in range(1 << (k - low)):
+        xmask, hom_union = 1 << zero, 0
+        for t, i in enumerate(others[low:]):
+            if (high >> t) & 1:
+                xmask |= 1 << i
+                hom_union |= hom_to[i]
+        xmask = low_x | xmask
+        ymask = ~(low_hom | hom_union) & full
+        back = np.zeros_like(xmask)
+        for i in range(N):
+            back |= ((ymask & hom_to[i]) == 0).astype(np.int64) << i
+        closed.extend((high << low) + int(s) for s in np.flatnonzero(back == xmask))
+    combos = sorted(
+        ([others[t] for t in range(k) if (s >> t) & 1] for s in closed), key=lambda c: (len(c), c)
+    )
     pairs = []
-    seen = set()
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            xmask = (1 << zero) | sum(1 << i for i in combo)
-            ymask = sum(1 << j for j in range(N) if not (xmask & hom_from[j]))
-            back = sum(1 << i for i in range(N) if not (ymask & hom_to[i]))
-            if back != xmask or (xmask, ymask) in seen:
-                continue
-            seen.add((xmask, ymask))
-            xs = frozenset(i for i in range(N) if (xmask >> i) & 1)
-            ys = frozenset(j for j in range(N) if (ymask >> j) & 1)
-            w = torsion_pair_check(xs, ys, universe)
-            if w.ok:
-                pairs.append(w)
+    for combo in combos:
+        xs = frozenset([zero, *combo])
+        ys = universe.perp_of(xs)
+        w = torsion_pair_check(xs, ys, universe)
+        if w.ok:
+            pairs.append(w)
     return pairs
 
 
@@ -686,7 +723,7 @@ def classify(
     universe = ModuleUniverse(skew, dim_bound, budget)
 
     ideals = enumerate_idempotent_ideals(skew, budget)
-    triples = [ttf_from_idempotent_ideal(I, universe) for I in ideals]
+    triples = [_ttf_triple(I, universe) for I in ideals]
     topologies = [ideal_topology(gr, skew, I.matrix, budget) for I in ideals]
     ok = (
         len(set(topologies)) == len(topologies)

@@ -321,6 +321,23 @@ def test_linear_sieves_on_checks_budget_on_every_call():
     assert (product.value.what, product.value.needed) == ("linear sieve enumeration", 4)
 
 
+def test_linear_sieves_on_replays_the_closure_charge():
+    # the one object of F2^3 has hom width 3: 8 vectors and 16 subspaces fit
+    # a budget of 20, the 77 closures of their search do not
+    cat = terminal_category()
+    R = constant_presheaf(cat, product_field_algebra(2, 3))
+    gr = build_gr(cat, R)
+    assert len(gr.linear_sieves_on(0)) == 8
+    with pytest.raises(BudgetExceededError) as cached:
+        gr.linear_sieves_on(0, 20)
+    with pytest.raises(BudgetExceededError) as fresh:
+        build_gr(cat, R).linear_sieves_on(0, 20)
+    want = ("submodule enumeration", 21, 20)
+    assert (cached.value.what, cached.value.needed, cached.value.budget) == want
+    assert (fresh.value.what, fresh.value.needed, fresh.value.budget) == want
+    assert len(gr.linear_sieves_on(0, 77)) == len(build_gr(cat, R).linear_sieves_on(0, 77)) == 8
+
+
 def test_vector_index_is_all_vectors_order():
     for width, n in ((0, 2), (1, 3), (2, 2), (3, 4)):
         got = [vector_index(f, n) for f in linalg.all_vectors(width, n)]

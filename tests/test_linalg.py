@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +177,53 @@ def test_submodules_respect_stability():
 def test_budget_guard():
     with pytest.raises(linalg.BudgetExceededError):
         linalg.enumerate_submodules(8, 2, budget=100)
+
+
+def test_submodule_budget_charges_every_closure(monkeypatch):
+    # F2^3 has 8 vectors and 16 subspaces, but the search closes 77 spans
+    closures = []
+    real = linalg.stable_closure
+    monkeypatch.setattr(linalg, "stable_closure", lambda *args: closures.append(1) or real(*args))
+    subs = linalg.enumerate_submodules(3, 2, budget=77)
+    assert len(subs) == 16
+    assert len(closures) == linalg.search_closures(subs, 2, 3) == 77
+    with pytest.raises(linalg.BudgetExceededError) as err:
+        linalg.enumerate_submodules(3, 2, budget=76)
+    assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 77, 76)
+
+
+@pytest.mark.parametrize("n, width", [(2, 1), (2, 4), (3, 2), (4, 2), (6, 1)])
+def test_search_closures_counts_the_closures(n, width, monkeypatch):
+    closures = []
+    real = linalg.stable_closure
+    monkeypatch.setattr(linalg, "stable_closure", lambda *args: closures.append(1) or real(*args))
+    subs = linalg.enumerate_submodules(width, n)
+    assert len(closures) == linalg.search_closures(subs, n, width)
+
+
+def test_submodule_budget_stops_the_rank_12_right_ideal_search():
+    # 2^12 vectors fit the budget, but the right ideals of the a3 chain over
+    # F2 x F2 take millions of closures: the charge must stop the search
+    # within seconds
+    code = """
+from torsite import linalg
+from torsite.algebra import constant_presheaf
+from torsite.errors import BudgetExceededError
+from torsite.fixtures import a3_category, product_field_algebra
+from torsite.grskew import build_skew_algebra
+from torsite.modules import regular_module
+A = build_skew_algebra(a3_category(), constant_presheaf(a3_category(), product_field_algebra(2, 2)))
+assert A.rank == 12
+try:
+    linalg.enumerate_submodules(A.rank, 2, list(regular_module(A).act), 5000)
+except BudgetExceededError as exc:
+    print(exc.what, exc.needed, exc.budget)
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["submodule", "enumeration", "5001", "5000"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ sheaf/torsion/perpendicular predicates."""
 import functools
 import itertools
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,9 @@ from torsite.modules import (
     _cocycle_constraints,
     _generating_words,
     _hom_constraints,
+    _restricted_action,
+    _sieve_rows,
+    _skew_of,
     direct_sum,
     enumerate_module_presheaves,
     enumerate_skew_module_structures,
@@ -508,6 +512,93 @@ def test_phi_regular_module_ranks():
     assert validate_module_presheaf(M).ok
 
 
+def solve_phi_from_gr(V: SkewModule) -> ModulePresheaf:
+    """phi_from_gr by one solve_left per morphism and per object block."""
+    skew = V.algebra
+    cat = skew.cat
+    R = skew.R
+    n = skew.base.modulus
+    bases = []
+    for x in range(cat.n_objects):
+        E = V.act_of(skew.object_idempotent(x))
+        B = linalg.howell_form(E, n, V.dim)
+        if any(int(row[linalg._leading(row)]) != 1 for row in B):
+            raise NotPrimeError(n, "free block decomposition")
+        bases.append(B)
+    if sum(B.shape[0] for B in bases) != V.dim:
+        raise InputError("object idempotents do not decompose the carrier")
+    ranks = [B.shape[0] for B in bases]
+    maps = []
+    for f in range(cat.n_morphisms):
+        x, y = cat.dom(f), cat.cod(f)
+        u = np.zeros(skew.rank, dtype=np.int64)
+        for i, cval in enumerate(R.algebra(x).unit):
+            u[skew.pair_index[(f, i)]] = cval
+        img = (bases[y] @ V.act_of(u)) % n
+        Mf = linalg.solve_left(bases[x], img, n)
+        if Mf is None:
+            raise InputError("carrier is not spanned by its blocks")
+        maps.append(Mf)
+    actions = []
+    for x in range(cat.n_objects):
+        idx = [skew.pair_index[(cat.identity[x], j)] for j in range(R.algebra(x).rank)]
+        actions.append(_restricted_action(bases[x], V.act[idx], n, "object block"))
+    M = ModulePresheaf(cat, R, ranks, maps, actions)
+    M.block_bases = tuple(bases)
+    return M
+
+
+def _phi_outcome(phi, V):
+    """The ranks and every array of phi(V) as (dtype, shape, bytes), or the error raised."""
+    try:
+        M = phi(V)
+    except (InputError, NotPrimeError) as exc:
+        return ("raises", type(exc), str(exc))
+    arrays = (*M.maps, *M.actions, *M.block_bases)
+    return ("presheaf", M.ranks, [(a.dtype, a.shape, a.tobytes()) for a in arrays])
+
+
+def criterion_4_structures():
+    """The modules that acceptance criterion 4 sends through phi_from_gr."""
+    for _, cat, R in fixture_presheaves():
+        skew = build_skew_algebra(cat, R)
+        for M in enumerate_module_presheaves(cat, R, 3):
+            yield psi_to_gr(M, skew)
+        for m in range(4):
+            yield from enumerate_skew_module_structures(skew, m)
+
+
+def test_phi_from_gr_matches_the_solve_route():
+    checked = 0
+    for V in criterion_4_structures():
+        got = _phi_outcome(phi_from_gr, V)
+        assert got[0] == "presheaf"
+        assert got == _phi_outcome(solve_phi_from_gr, V), V.act.tolist()
+        checked += 1
+    assert checked > 100
+
+
+def test_phi_from_gr_raises_as_the_solve_route():
+    # one action matrix of a module moved by a random matrix: the blocks may
+    # stop decomposing the carrier, or a map or an action may leave its block
+    rng = np.random.default_rng(0)
+    seen = Counter()
+    for R in (constant_presheaf(a2_category(), product_field_algebra(2, 2)), a2_mixed_presheaf(2)):
+        skew = build_skew_algebra(a2_category(), R)
+        for V in (regular_module(skew), *enumerate_skew_module_structures(skew, 2)[:6]):
+            for p in range(skew.rank):
+                for _ in range(3):
+                    act = V.act.copy()
+                    act[p] = (act[p] + rng.integers(0, 2, size=act[p].shape)) % 2
+                    W = SkewModule(skew, act)
+                    got = _phi_outcome(phi_from_gr, W)
+                    assert got == _phi_outcome(solve_phi_from_gr, W), act.tolist()
+                    seen[got[2] if got[0] == "raises" else "presheaf"] += 1
+    assert seen["carrier is not spanned by its blocks"]
+    assert seen["object block: rows do not span a stable submodule"]
+    assert seen["presheaf"]
+
+
 # ---------------------------------------------------------------------------
 # sheaf / torsion / perpendicular
 
@@ -760,22 +851,18 @@ def _oracle_cases_one_sieve(cat, n, dim, all_structures=False):
     return cases
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        *(functools.partial(_oracle_cases_all_topologies, name) for name, _, _ in standard_fixtures()),
-        lambda: _oracle_cases_one_sieve(terminal_category(), 4, 2),
-        lambda: _oracle_cases_one_sieve(terminal_category(), 6, 2),
-        lambda: _oracle_cases_one_sieve(a2_category(), 4, 2),
-        lambda: _oracle_cases_one_sieve(a2_category(), 6, 2),
-        lambda: _oracle_cases_one_sieve(c2_monoid_category(), 6, 1),
-        lambda: _oracle_cases_one_sieve(a2_category(), 6, 1, all_structures=True),
-    ],
-    ids=[
-        *(name for name, _, _ in standard_fixtures()),
-        *("terminal_z4", "terminal_z6", "a2_z4", "a2_z6", "c2_z6", "a2_z6_structures"),
-    ],
-)
+SHEAF_CASES = {
+    **{name: functools.partial(_oracle_cases_all_topologies, name) for name, _, _ in standard_fixtures()},
+    "terminal_z4": lambda: _oracle_cases_one_sieve(terminal_category(), 4, 2),
+    "terminal_z6": lambda: _oracle_cases_one_sieve(terminal_category(), 6, 2),
+    "a2_z4": lambda: _oracle_cases_one_sieve(a2_category(), 4, 2),
+    "a2_z6": lambda: _oracle_cases_one_sieve(a2_category(), 6, 2),
+    "c2_z6": lambda: _oracle_cases_one_sieve(c2_monoid_category(), 6, 1),
+    "a2_z6_structures": lambda: _oracle_cases_one_sieve(a2_category(), 6, 1, all_structures=True),
+}
+
+
+@pytest.mark.parametrize("make", SHEAF_CASES.values(), ids=list(SHEAF_CASES))
 def test_sheaf_check_matches_oracle(make):
     cases = make()
     assert cases
@@ -817,6 +904,131 @@ def test_representable_quotient_dimensions():
     )
     # quotient by the maximal sieve is zero, by the a-generated sieve is 1-dim
     assert dims == [0, 1]
+
+
+# The predicates as they were before their per-cover tables: every call
+# rebuilds the rows, the action and the relations of each cover, and each
+# representable quotient with its presentation.
+
+
+def uncached_sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
+    skew = V.algebra
+    n = skew.base.modulus
+    right = regular_module(skew).act
+    for x in range(skew.cat.n_objects):
+        Bx = linalg.howell_form(V.act_of(skew.object_idempotent(x)), n, V.dim)
+        for ci, T in enumerate(Jp.covers_at(x)):
+            G = _sieve_rows(skew, Jp.gr, T)
+            width = G.shape[0] * V.dim
+            C = _restricted_action(G, right, n, "cover is not closed under precomposition")
+            relations = np.kron(linalg.kernel_left(G, n).T, np.eye(V.dim, dtype=np.int64))
+            homs = linalg.kernel_left(
+                np.concatenate([_hom_constraints(SkewModule(skew, C), V), relations], axis=1), n
+            )
+            acts = np.einsum("kj,jil->kil", G, V.act) % n
+            restricted = np.einsum("mi,kil->mkl", Bx, acts).reshape(Bx.shape[0], width)
+            image = linalg.howell_form(restricted % n, n, width)
+            witness = {"object": skew.cat.objects[x], "cover": ci}
+            kernel = linalg.span_size(Bx, n) // linalg.span_size(image, n)
+            if kernel != 1:
+                return PredicateResult(
+                    False, {**witness, "reason": "not injective", "kernel-size": kernel}
+                )
+            missing = int(linalg.reduce_vector(image, homs, n).any(axis=1).sum())
+            if missing:
+                return PredicateResult(
+                    False, {**witness, "reason": "not surjective", "unmatched-solutions": missing}
+                )
+    return PredicateResult(True)
+
+
+def uncached_perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
+    skew = _skew_of(Jp)
+    V = psi_to_gr(M, skew) if isinstance(M, ModulePresheaf) else M
+    for x in range(skew.cat.n_objects):
+        for ci, T in enumerate(Jp.covers_at(x)):
+            Q = representable_quotient(skew, Jp.gr, x, T)
+            if Q.dim == 0:
+                continue
+            if hom_skew(Q, V):
+                return PredicateResult(False, {"object": skew.cat.objects[x], "cover": ci, "reason": "hom"})
+            if ext1_skew(Q, V):
+                return PredicateResult(False, {"object": skew.cat.objects[x], "cover": ci, "reason": "ext1"})
+    return PredicateResult(True)
+
+
+def _fresh(Jp: LinearTopology) -> LinearTopology:
+    return LinearTopology(Jp.gr, Jp.covers)
+
+
+def _outcome(check, *args):
+    try:
+        res = check(*args)
+    except InputError as exc:
+        return ("raises", str(exc))
+    return (res.value, res.witness)
+
+
+@pytest.mark.parametrize("make", SHEAF_CASES.values(), ids=list(SHEAF_CASES))
+def test_sheaf_check_tables_match_the_uncached_route(make):
+    # one Jp serves every module of a case; the uncached route gets a fresh one
+    for V, Jp in make():
+        assert _outcome(sheaf_check, V, Jp) == _outcome(uncached_sheaf_check, V, _fresh(Jp)), V.act.tolist()
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in standard_fixtures()])
+def test_perpendicular_check_tables_match_the_uncached_route(name):
+    _, cat, R = next(f for f in fixture_presheaves() if f[0] == name)
+    gr = build_gr(cat, R)
+    mods = enumerate_module_presheaves(cat, R, 3)
+    skew = build_skew_algebra(cat, R)
+    for Jp in enumerate_linear_topologies(gr):
+        for M in mods:
+            want = _outcome(uncached_perpendicular_check, M, _fresh(Jp))
+            assert _outcome(perpendicular_check, M, Jp) == want, (name, M.ranks)
+            assert _outcome(perpendicular_check, psi_to_gr(M, skew), Jp) == want, (name, M.ranks)
+
+
+def _zero_and_bad_cover_topology():
+    """On a2: the zero sieve covers 1, and 2 has a cover missing id2 . a = a."""
+    cat, R, gr, _ = a2_site()
+    zero = LinearSieve(gr, 0, [np.zeros((0, 1), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)])
+    bad = LinearSieve(gr, 1, [np.zeros((0, 1), dtype=np.int64), np.eye(1, dtype=np.int64)])
+    Jp = LinearTopology(gr, [[zero, maximal_linear_sieve(gr, 0)], [maximal_linear_sieve(gr, 1), bad]])
+    return cat, R, Jp
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_predicates_stop_and_raise_where_the_uncached_route_does(order):
+    cat, R, Jp = _zero_and_bad_cover_topology()
+    skew = _skew_of(Jp)
+    # V e_1 != 0 fails at the zero cover of 1 before the bad cover is reached;
+    # V e_1 == 0 passes 1 and reaches the bad cover of 2
+    mods = [
+        psi_to_gr(a2_presheaf(1, 0, np.zeros((0, 1))), skew),
+        psi_to_gr(a2_presheaf(0, 1, np.zeros((1, 0))), skew),
+    ]
+    for k in order:
+        V = mods[k]
+        got = _outcome(sheaf_check, V, Jp)
+        assert got == _outcome(uncached_sheaf_check, V, _fresh(Jp))
+        if k == 0:
+            assert got[0] is False and got[1]["object"] == "1" and got[1]["reason"] == "not injective"
+        else:
+            assert got[0] == "raises" and "not closed under precomposition" in got[1]
+        assert _outcome(perpendicular_check, V, Jp) == _outcome(uncached_perpendicular_check, V, _fresh(Jp))
+
+
+def test_cover_tables_keep_each_algebra_apart():
+    cat, R, gr, Jp = a2_site()
+    skews = [build_skew_algebra(cat, R) for _ in range(2)]
+    for skew in skews:
+        for M in enumerate_module_presheaves(cat, R, 2):
+            V = psi_to_gr(M, skew)
+            assert _outcome(sheaf_check, V, Jp) == _outcome(uncached_sheaf_check, V, _fresh(Jp))
+    tables = Jp._cover_tables
+    assert {id(skew) for skew, _ in tables.values()} == {id(skew) for skew in skews}
+    assert all(key[1] == id(skew) for key, (skew, _) in tables.items())
 
 
 # The presheaf-side Hom route: natural R-linear transformations solved

@@ -5,8 +5,10 @@ over F2."""
 import dataclasses
 import functools
 import itertools
+import json
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -197,10 +199,13 @@ def test_universe_of_a_rank_zero_algebra_ignores_a_huge_bound():
     assert peak < 5 * 2**20
 
 
-def test_universe_budget_on_extension_scan():
-    # right ideals (2^4) and GL(2, 2) (2^4 candidates) fit; the cocycles
-    # scanned while building dimension 2 do not
+def test_universe_budget_on_extension_scan(monkeypatch):
+    # GL(2, 2) (2^4 candidates) fits; the cocycles scanned while building
+    # dimension 2 do not.  The right-ideal search takes 155 closures, more
+    # than either budget, so the simples are found beforehand
     A = tn.build_skew_algebra(a2_category(), a2_mixed_presheaf(2))
+    simples = tn._simple_modules(A, 2, tn.DEFAULT_UNIVERSE_BUDGET)
+    monkeypatch.setattr(tn, "_simple_modules", lambda *args: simples)
     with pytest.raises(BudgetExceededError) as err:
         tn.ModuleUniverse(A, 2, budget=16)
     assert err.value.what == "module universe extensions"
@@ -211,6 +216,16 @@ def test_universe_budget_on_right_ideals():
     with pytest.raises(BudgetExceededError) as err:
         tn.ModuleUniverse(t2_algebra(2), 1, budget=4)
     assert err.value.what == "module universe right ideals"
+
+
+def test_universe_budget_charges_the_right_ideal_closures():
+    # the right ideals of the a2 mixed algebra fit in 2^4 vectors, but
+    # finding them takes 155 stable closures
+    A = tn.build_skew_algebra(a2_category(), a2_mixed_presheaf(2))
+    with pytest.raises(BudgetExceededError) as err:
+        tn.ModuleUniverse(A, 2, budget=154)
+    assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 155, 154)
+    assert len(tn.ModuleUniverse(A, 2, budget=155)) == 11
 
 
 def _skew(cat, coefficients):
@@ -568,6 +583,23 @@ def test_ttf_rejects_non_idempotent_ideal(t2, t2_universe):
     rad = tn.ideal_generated_by(t2, [E12])
     with pytest.raises(InputError):
         tn.ttf_from_idempotent_ideal(rad, t2_universe)
+
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.json")
+
+
+def test_classify_tests_each_ideal_for_idempotence_once(monkeypatch):
+    # one test per two-sided ideal in enumerate_idempotent_ideals, none again
+    # when its TTF triple is built: 17 over the classify-d3 jobs
+    with open(WORKLOADS) as fh:
+        jobs = json.load(fh)["workloads"]["classify-d3"]["jobs"]
+    calls = []
+    real = tn.is_idempotent_ideal
+    monkeypatch.setattr(tn, "is_idempotent_ideal", lambda I: calls.append(I) or real(I))
+    for job in jobs:
+        cat, R, J = load_site(job["presheaf"], job["topology"])
+        assert tn.classify(cat, R, J, dim_bound=job["dim_bound"]).ok
+    assert len(calls) == 17
 
 
 def test_ttf_triple_needs_one_middle_class(t2_universe):
@@ -961,3 +993,96 @@ def test_hereditary_pairs_match_the_topology_route(presheaf, topology, dim_bound
 def test_split_ttf_matches_the_action_of_e_on_shipped_presheaves(presheaf):
     cat, R = files.load_presheaf(os.path.join(SITES, presheaf))
     assert_split_route(tn.ModuleUniverse(tn.build_skew_algebra(cat, R), 2))
+
+
+# ---------------------------------------------------------------------------
+# the brute-force search against the one-subset-at-a-time loop
+
+
+def oracle_brute_force_torsion_pairs(universe):
+    """brute_force_torsion_pairs before its bitmask arrays: X^perp and its
+    left perpendicular computed for one subset at a time."""
+    N = len(universe.members)
+    zero = universe.zero_index()
+    hom_to = [0] * N
+    hom_from = [0] * N
+    for i in range(N):
+        for j in range(N):
+            if universe.hom_dim(i, j):
+                hom_to[i] |= 1 << j
+                hom_from[j] |= 1 << i
+    others = [i for i in range(N) if i != zero]
+    pairs = []
+    seen = set()
+    for r in range(len(others) + 1):
+        for combo in itertools.combinations(others, r):
+            xmask = (1 << zero) | sum(1 << i for i in combo)
+            ymask = sum(1 << j for j in range(N) if not (xmask & hom_from[j]))
+            back = sum(1 << i for i in range(N) if not (ymask & hom_to[i]))
+            if back != xmask or (xmask, ymask) in seen:
+                continue
+            seen.add((xmask, ymask))
+            xs = frozenset(i for i in range(N) if (xmask >> i) & 1)
+            ys = frozenset(j for j in range(N) if (ymask >> j) & 1)
+            w = tn.torsion_pair_check(xs, ys, universe)
+            if w.ok:
+                pairs.append(w)
+    return pairs
+
+
+def _shipped_universe(presheaf, dim_bound):
+    cat, R = files.load_presheaf(os.path.join(SITES, presheaf))
+    return tn.ModuleUniverse(tn.build_skew_algebra(cat, R), dim_bound)
+
+
+BRUTE_FORCE_UNIVERSES = {
+    **{f"t2_d{d}": functools.partial(tn.ModuleUniverse, t2_algebra(2), d) for d in (1, 2, 3)},
+    "f2xf2_d3": functools.partial(tn.ModuleUniverse, product_field_algebra(2, 2), 3),
+    "one_member": functools.partial(tn.ModuleUniverse, zero_algebra(2), 3),
+    **{f"{name}_d2": functools.partial(_shipped_universe, name, 2) for name in _distinct_presheaf_files()},
+}
+
+
+@pytest.mark.parametrize("make", BRUTE_FORCE_UNIVERSES.values(), ids=list(BRUTE_FORCE_UNIVERSES))
+def test_brute_force_torsion_pairs_match_the_subset_loop(make, monkeypatch):
+    # the same pairs, flags and sequences, from the same certificates in the same order
+    checked = []
+    real = tn.torsion_pair_check
+
+    def recording(X, Y, universe):
+        checked.append((frozenset(X), frozenset(Y)))
+        return real(X, Y, universe)
+
+    monkeypatch.setattr(tn, "torsion_pair_check", recording)
+    universe = make()
+    got = tn.brute_force_torsion_pairs(universe)
+    got_checked = checked[:]
+    checked.clear()
+    want = oracle_brute_force_torsion_pairs(universe)
+    assert got_checked == checked
+    assert len(got) == len(want) >= 1
+    for g, w in zip(got, want):
+        assert (g.ok, g.x_indices, g.y_indices, g.hereditary, g.split, g.failures) == (
+            w.ok,
+            w.x_indices,
+            w.y_indices,
+            w.hereditary,
+            w.split,
+            w.failures,
+        )
+        assert_same_sequences(g.sequences, w.sequences)
+
+
+def test_brute_force_refuses_past_its_budget(t2_universe, monkeypatch):
+    subsets = 2 ** (len(t2_universe) - 1)
+    monkeypatch.setattr(t2_universe, "budget", subsets - 1)
+    with pytest.raises(BudgetExceededError) as err:
+        tn.brute_force_torsion_pairs(t2_universe)
+    assert (err.value.what, err.value.needed) == ("brute-force torsion pair search", subsets)
+    monkeypatch.setattr(t2_universe, "budget", subsets)
+    assert len(tn.brute_force_torsion_pairs(t2_universe)) == 5
+    # 64 members do not fit an int64 bitmask, whatever the budget
+    wide = types.SimpleNamespace(members=[None] * 64, budget=2**80, zero_index=lambda: 0)
+    with pytest.raises(BudgetExceededError) as err:
+        tn.brute_force_torsion_pairs(wide)
+    assert err.value.what == "brute-force torsion pair search"
