@@ -52,7 +52,7 @@ class GrCategory:
             for y in range(cat.n_objects):
                 for z in range(cat.n_objects):
                     self._tables[(x, y, z)] = self._build_table(x, y, z)
-        self._sieve_cache = {}  # x -> (search sizes, sieves on x)
+        self._sieve_cache = {}  # x -> (least budget searched, sieves on x)
         self._reports = {}  # sieve key -> validate_linear_sieve report
         self._pullbacks = {}  # (sieve key, y) -> pullback keys
 
@@ -94,15 +94,33 @@ class GrCategory:
     def linear_sieves_on(self, x: int, budget: int = DEFAULT_LINEAR_BUDGET) -> list:
         """Every linear sieve on x, in key order.
 
-        The search runs once per object; every call checks its budget
-        against the search sizes, so a cached list is never returned where
-        a fresh search would raise.
+        A linear sieve on x is a submodule of hom(-, x) = e_x A, the blocks
+        hom(y, x) side by side, under precomposition.  So one search of
+        linalg.enumerate_submodules lists them all, and each submodule is
+        split into its blocks.  The list is kept with the least budget a
+        search of it has passed; a smaller budget searches again, so it
+        raises exactly where a fresh GrCategory would.
         """
-        if x not in self._sieve_cache:
-            self._sieve_cache[x] = _enumerate_linear_sieves(self, x, budget)
-        sizes, sieves = self._sieve_cache[x]
-        _check_sieve_budget(self.base.modulus, sizes, budget)
+        passed, sieves = self._sieve_cache.get(x, (None, None))
+        if passed is None or budget < passed:
+            sieves = self._search_sieves(x, budget)
+            self._sieve_cache[x] = (budget, sieves)
         return sieves
+
+    def _search_sieves(self, x: int, budget: int) -> list:
+        objs = range(self.cat.n_objects)
+        offs = np.cumsum([0, *(self.hom_rank(y, x) for y in objs)])
+        mats = []  # v -> v after u, for every basis element u of every hom(z, y)
+        for y in objs:
+            for z in objs:
+                T = self._tables[(z, y, x)]
+                for i in range(self.hom_rank(z, y)):
+                    M = np.zeros((offs[-1], offs[-1]), dtype=np.int64)
+                    M[offs[y]:offs[y + 1], offs[z]:offs[z + 1]] = T[:, i, :]
+                    mats.append(M)
+        subs = linalg.enumerate_submodules(int(offs[-1]), self.base.modulus, mats, budget)
+        sieves = [LinearSieve(self, x, [H[:, offs[y]:offs[y + 1]] for y in objs]) for H in subs]
+        return sorted(sieves, key=LinearSieve.key)
 
     def sieve_report(self, T: "LinearSieve") -> ValidationReport:
         """validate_linear_sieve(T), computed once per sieve."""
@@ -375,44 +393,6 @@ def vector_index(f, n: int) -> int:
     for t in f:
         i = i * n + int(t)
     return i
-
-
-def _check_sieve_budget(n: int, sizes, budget: int):
-    """Raise as a sieve search with these (width, submodule count, closures) triples would.
-
-    A search whose closures or submodules exceed the budget raises when the
-    running count first reaches budget + 1.
-    """
-    total = 1
-    for width, count, closures in sizes:
-        if n**width > budget:
-            raise BudgetExceededError("submodule enumeration", n**width, budget)
-        if count > budget or closures > budget:
-            raise BudgetExceededError("submodule enumeration", budget + 1, budget)
-        total *= count
-        if total > budget:
-            raise BudgetExceededError("linear sieve enumeration", total, budget)
-
-
-def _enumerate_linear_sieves(gr: GrCategory, x: int, budget: int) -> tuple:
-    """(search sizes, sieves on x in key order); valid sieves' reports are kept."""
-    n = gr.base.modulus
-    per_object = []
-    sizes = []
-    for y in range(gr.cat.n_objects):
-        width = gr.hom_rank(y, x)
-        subs = linalg.enumerate_submodules(width, n, budget=budget)
-        per_object.append(subs)
-        sizes.append((width, len(subs), linalg.search_closures(subs, n, width)))
-        _check_sieve_budget(n, sizes, budget)
-    out = []
-    for combo in itertools.product(*per_object):
-        T = LinearSieve(gr, x, list(combo))
-        rep = validate_linear_sieve(T)
-        if rep.ok:
-            gr._reports[T.key()] = rep
-            out.append(T)
-    return sizes, sorted(out, key=lambda t: t.key())
 
 
 class LinearTopology:

@@ -282,60 +282,74 @@ def all_vectors(width: int, n: int):
         yield np.array(tup, dtype=np.int64)
 
 
+def _stable_rows(rows: list, mats: np.ndarray, n: int, width: int, charge) -> list:
+    """Howell rows of the smallest span containing int rows and stable under mats.
+
+    Each step calls charge() and takes one Howell form of the span so far
+    with the images that reduce to nonzero; the closure ends at a step
+    with none.
+    """
+    H = []
+    rows = [r for r in rows if any(r)]
+    while rows:
+        charge()
+        H = _howell_rows(H + rows, n, width)
+        images = ((np.array(H, dtype=np.int64) @ mats) % n).reshape(-1, width).tolist()
+        rows = [r for r in _reduce(H, images, n) if any(r)]
+    return H
+
+
 def stable_closure(gens, mats, n: int, width: int) -> np.ndarray:
     """Smallest span containing gens and stable under v -> v @ M for each M."""
-    H = howell_form(as_matrix(gens, width), n, width)
-    while True:
-        images = [H] + [(H @ M) % n for M in mats if H.shape[0]]
-        H2 = howell_form(np.vstack(images) if len(images) > 1 else H, n, width)
-        if span_key(H2) == span_key(H):
-            return H
-        H = H2
+    mats = np.array(mats, dtype=np.int64).reshape(len(mats), width, width) % n
+    rows = (as_matrix(gens, width) % n).tolist()
+    return as_matrix(_stable_rows(rows, mats, n, width, lambda: None), width)
 
 
 def enumerate_submodules(width: int, n: int, stable_under=(), budget: int | None = None):
     """All submodules of (Z/n)^width stable under right multiplication.
 
-    Breadth-first closure: grow each known submodule by one ambient element
-    at a time.  Returns Howell forms sorted by (size, bytes) so the output
-    order is deterministic.  The budget bounds n^width, the number of
-    stable_closure calls (search_closures of the result) and the number
-    of submodules found.
+    Every submodule is a sum of cyclic submodules vA (K. Lux, J. Mueller
+    and M. Ringe, J. Symbolic Comput. 17, 1994).  Each nonzero vector v,
+    up to a unit, is closed once, and the distinct vA are kept.  The
+    search then runs breadth-first over the sums S + C of a found
+    submodule S and a cyclic C not inside it: a sum of stable spans is
+    stable, so each step is one Howell form and no closure.  Returns
+    Howell forms sorted by (size, bytes).  The budget refuses n^width up
+    front, then bounds one count of every Howell form the search takes,
+    closure steps and sums alike.
     """
     if budget is not None and n**width > budget:
         raise BudgetExceededError("submodule enumeration", n**width, budget)
-    mats = [np.asarray(M, dtype=np.int64) % n for M in stable_under]
-    elements = [v for v in all_vectors(width, n) if v.any()]
-    zero = np.zeros((0, width), dtype=np.int64)
-    found = {span_key(zero): zero}
-    frontier = [zero]
-    closures = 0
+    mats = np.array(stable_under, dtype=np.int64).reshape(len(stable_under), width, width) % n
+    units = [u for u in range(2, n) if math.gcd(u, n) == 1]
+    charged = 0
+
+    def charge():
+        nonlocal charged
+        charged += 1
+        if budget is not None and charged > budget:
+            raise BudgetExceededError("submodule enumeration", charged, budget)
+
+    cyclic = {}  # Howell rows of vA, as a tuple of tuples -> v
+    for v in map(list, itertools.product(range(n), repeat=width)):
+        if any(v) and all(v <= [u * x % n for x in v] for u in units):  # v least up to a unit
+            C = _stable_rows([v, *((np.array(v) @ mats) % n).tolist()], mats, n, width, charge)
+            cyclic.setdefault(tuple(map(tuple, C)), v)
+    found = {()}
+    frontier = [()]
     while frontier:
-        S = frontier.pop()
-        for v in elements:
-            if in_span(S, v, n):
-                continue
-            closures += 1
-            if budget is not None and closures > budget:
-                raise BudgetExceededError("submodule enumeration", closures, budget)
-            gens = np.vstack([S, v.reshape(1, -1)]) if S.shape[0] else v.reshape(1, -1)
-            T = stable_closure(gens, mats, n, width)
-            k = span_key(T)
-            if k not in found:
-                if budget is not None and len(found) >= budget:
-                    raise BudgetExceededError("submodule enumeration", len(found) + 1, budget)
-                found[k] = T
-                frontier.append(T)
-    return sorted(found.values(), key=lambda H: (span_size(H, n), span_key(H)))
-
-
-def search_closures(subs, n: int, width: int) -> int:
-    """The stable_closure calls of the enumerate_submodules search that found subs.
-
-    Each submodule S is grown once by every nonzero element outside it,
-    n^width - |S| of them.
-    """
-    return sum(n**width - span_size(H, n) for H in subs)
+        grown = []
+        for S in frontier:
+            for C, r in zip(cyclic, _reduce(S, list(cyclic.values()), n)):
+                if any(r):  # vA is not inside S
+                    charge()
+                    T = tuple(map(tuple, _howell_rows(list(map(list, S + C)), n, width)))
+                    if T not in found:
+                        found.add(T)
+                        grown.append(T)
+        frontier = grown
+    return sorted((as_matrix(T, width) for T in found), key=lambda H: (span_size(H, n), span_key(H)))
 
 
 def pivot_columns(H: np.ndarray) -> list:

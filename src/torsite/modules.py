@@ -457,9 +457,11 @@ def representable_module(skew: SkewAlgebra, x: int) -> tuple:
 
 
 def representable_quotient(skew: SkewAlgebra, gr: GrCategory, x: int, T) -> SkewModule:
-    """hom(-, x) / T for a linear sieve T on x (prime modulus)."""
+    """hom(-, x) / T for a linear sieve T on x (prime modulus); InputError unless T is stable."""
     P, idx = representable_module(skew, x)
-    Q, _, _ = quotient_module(P, _sieve_rows(skew, gr, T)[:, idx])
+    rows = _sieve_rows(skew, gr, T)[:, idx]
+    _restricted_action(rows, P.act, skew.base.modulus, "cover is not closed under precomposition")
+    Q, _, _ = quotient_module(P, rows)
     return Q
 
 

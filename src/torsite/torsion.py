@@ -223,9 +223,9 @@ def _invertible_matrices(n: int, m: int, budget: int):
 def _simple_modules(A: FiniteAlgebra, dim_bound: int, budget: int) -> list:
     """The simple modules A/m of dimension <= dim_bound, m a maximal right ideal.
 
-    A/m has exactly two submodules iff exactly two right ideals, m and A,
-    contain m.  Returned with repetitions: isomorphic quotients are not
-    identified.
+    A right ideal H is maximal iff no proper right ideal of smaller
+    codimension contains it.  Returned with repetitions: isomorphic
+    quotients are not identified.
     """
     n = A.base.modulus
     if n**A.rank > budget:
@@ -233,11 +233,12 @@ def _simple_modules(A: FiniteAlgebra, dim_bound: int, budget: int) -> list:
     R = regular_module(A)
     ideals = linalg.enumerate_submodules(A.rank, n, list(R.act), budget)
     simples = []
-    for H in ideals:
-        if not 0 < A.rank - H.shape[0] <= dim_bound:
-            continue
-        over = [K for K in ideals if not linalg.reduce_vector(K, H, n).any()]
-        if len(over) == 2:
+    for i, H in enumerate(ideals):  # in size order: the larger ideals come after H
+        codim = A.rank - H.shape[0]
+        if 0 < codim <= dim_bound and not any(
+            0 < A.rank - K.shape[0] < codim and not linalg.reduce_vector(K, H, n).any()
+            for K in ideals[i + 1:]
+        ):
             simples.append(quotient_module(R, H)[0])
     return simples
 

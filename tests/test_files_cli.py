@@ -2,6 +2,8 @@
 interface (exit codes, report documents, determinism)."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -634,3 +636,20 @@ def test_cli_deterministic_output(capsys):
     _, doc2, _ = run_cli(capsys, "classify", fx("a2_f2.json"), fx("a2_trivial_topology.json"))
     assert doc1 == doc2
     assert files.dump_json(doc1) == files.dump_json(doc2)
+
+
+def test_classify_runs_on_numpy_alone():
+    # pyproject.toml declares numpy as the only runtime dependency; sympy
+    # and hypothesis are installed for the tests alone
+    code = """
+import sys
+sys.modules["sympy"] = sys.modules["hypothesis"] = None
+from torsite import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["classify", fx("a2_f2.json"), fx("a2_trivial_topology.json"), "--dim-bound", "2"]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["ok"] is True

@@ -51,6 +51,8 @@ from torsite.topology import (
 )
 from torsite.torsion import ModuleUniverse, enumerate_idempotent_ideals
 
+from test_linalg import oracle_enumerate_submodules
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 EXPECTED_DIMS = {"terminal_f2": 1, "a2_f2": 3, "c2_f2": 2, "terminal_f2xf2": 2}
@@ -302,40 +304,71 @@ def test_enumeration_budget_guard():
         enumerate_linear_topologies(gr, budget=1)
 
 
+def _budget_error(call):
+    with pytest.raises(BudgetExceededError) as err:
+        call()
+    return err.value.what, err.value.needed, err.value.budget
+
+
 def test_linear_sieves_on_checks_budget_on_every_call():
+    # hom(-, 2) has width 2 on a2 over F2: 4 vectors, and the search takes
+    # 6 Howell forms
     cat = a2_category()
     R = constant_presheaf(cat, field_algebra(2))
     gr = build_gr(cat, R)
     assert len(gr.linear_sieves_on(1)) == 3
-    with pytest.raises(BudgetExceededError) as cached:
-        gr.linear_sieves_on(1, 1)
-    with pytest.raises(BudgetExceededError) as fresh:
-        build_gr(cat, R).linear_sieves_on(1, 1)
-    want = ("submodule enumeration", 2, 1)
-    assert (cached.value.what, cached.value.needed, cached.value.budget) == want
-    assert (fresh.value.what, fresh.value.needed, fresh.value.budget) == want
-    # the cached list still serves calls within budget
-    assert len(gr.linear_sieves_on(1, 9)) == 3
-    with pytest.raises(BudgetExceededError) as product:
-        gr.linear_sieves_on(1, 2)
-    assert (product.value.what, product.value.needed) == ("linear sieve enumeration", 4)
+    for budget, needed in ((1, 4), (5, 6)):
+        want = ("submodule enumeration", needed, budget)
+        assert _budget_error(lambda: gr.linear_sieves_on(1, budget)) == want
+        assert _budget_error(lambda: build_gr(cat, R).linear_sieves_on(1, budget)) == want
+    # the cached list serves the budget a search passed, and no smaller one
+    fresh = build_gr(cat, R)
+    assert [T.key() for T in gr.linear_sieves_on(1, 6)] == [T.key() for T in fresh.linear_sieves_on(1, 6)]
+    assert _budget_error(lambda: fresh.linear_sieves_on(1, 5)) == ("submodule enumeration", 6, 5)
 
 
 def test_linear_sieves_on_replays_the_closure_charge():
-    # the one object of F2^3 has hom width 3: 8 vectors and 16 subspaces fit
-    # a budget of 20, the 77 closures of their search do not
+    # the one object of F2^3 has hom width 3: 8 vectors and 8 sieves fit a
+    # budget of 43, the 44 Howell forms of their search do not
     cat = terminal_category()
     R = constant_presheaf(cat, product_field_algebra(2, 3))
     gr = build_gr(cat, R)
     assert len(gr.linear_sieves_on(0)) == 8
-    with pytest.raises(BudgetExceededError) as cached:
-        gr.linear_sieves_on(0, 20)
-    with pytest.raises(BudgetExceededError) as fresh:
-        build_gr(cat, R).linear_sieves_on(0, 20)
-    want = ("submodule enumeration", 21, 20)
-    assert (cached.value.what, cached.value.needed, cached.value.budget) == want
-    assert (fresh.value.what, fresh.value.needed, fresh.value.budget) == want
-    assert len(gr.linear_sieves_on(0, 77)) == len(build_gr(cat, R).linear_sieves_on(0, 77)) == 8
+    want = ("submodule enumeration", 44, 43)
+    assert _budget_error(lambda: gr.linear_sieves_on(0, 43)) == want
+    assert _budget_error(lambda: build_gr(cat, R).linear_sieves_on(0, 43)) == want
+    keys = [T.key() for T in gr.linear_sieves_on(0, 44)]
+    assert keys == [T.key() for T in build_gr(cat, R).linear_sieves_on(0, 44)]
+    assert len(keys) == 8
+
+
+def oracle_linear_sieves_on(gr, x):
+    """The per-block sieve search that linear_sieves_on replaced: every
+    product of one submodule of each block hom(y, x) that
+    validate_linear_sieve accepts, in key order."""
+    n = gr.base.modulus
+    per_object = [oracle_enumerate_submodules(gr.hom_rank(y, x), n) for y in range(gr.cat.n_objects)]
+    combos = (LinearSieve(gr, x, list(combo)) for combo in itertools.product(*per_object))
+    return sorted((T for T in combos if validate_linear_sieve(T).ok), key=lambda t: t.key())
+
+
+def _sieve_sites():
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "sites", "*.json"))):
+        if "topology" not in path:
+            yield os.path.basename(path)[:-5], lambda path=path: files.load_presheaf(path)
+    yield "a2_mixed", lambda: (a2_category(), a2_mixed_presheaf(2))
+    yield "a2_z4", lambda: (a2_category(), constant_presheaf(a2_category(), field_algebra(4)))
+    yield "c2_z6", lambda: (c2_monoid_category(), constant_presheaf(c2_monoid_category(), field_algebra(6)))
+
+
+@pytest.mark.parametrize("load", [load for _, load in _sieve_sites()], ids=[name for name, _ in _sieve_sites()])
+def test_linear_sieves_match_the_per_block_search(load):
+    gr = build_gr(*load())
+    for x in range(gr.cat.n_objects):
+        got = gr.linear_sieves_on(x)
+        want = oracle_linear_sieves_on(gr, x)
+        assert [T.key() for T in got] == [T.key() for T in want]
+        assert all(validate_linear_sieve(T).ok for T in got)
 
 
 def test_vector_index_is_all_vectors_order():

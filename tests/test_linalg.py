@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torsite import linalg
 
@@ -180,25 +180,81 @@ def test_budget_guard():
 
 
 def test_submodule_budget_charges_every_closure(monkeypatch):
-    # F2^3 has 8 vectors and 16 subspaces, but the search closes 77 spans
-    closures = []
-    real = linalg.stable_closure
-    monkeypatch.setattr(linalg, "stable_closure", lambda *args: closures.append(1) or real(*args))
-    subs = linalg.enumerate_submodules(3, 2, budget=77)
+    # F2^3 has 8 vectors and 16 subspaces; the search takes 84 Howell forms,
+    # 7 to close the nonzero vectors and 77 for the sums S + C
+    howells = []
+    real = linalg._howell_rows
+    monkeypatch.setattr(linalg, "_howell_rows", lambda *args: howells.append(1) or real(*args))
+    subs = linalg.enumerate_submodules(3, 2, budget=84)
     assert len(subs) == 16
-    assert len(closures) == linalg.search_closures(subs, 2, 3) == 77
+    assert len(howells) == 84
     with pytest.raises(linalg.BudgetExceededError) as err:
-        linalg.enumerate_submodules(3, 2, budget=76)
-    assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 77, 76)
+        linalg.enumerate_submodules(3, 2, budget=83)
+    assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 84, 83)
 
 
-@pytest.mark.parametrize("n, width", [(2, 1), (2, 4), (3, 2), (4, 2), (6, 1)])
-def test_search_closures_counts_the_closures(n, width, monkeypatch):
-    closures = []
-    real = linalg.stable_closure
-    monkeypatch.setattr(linalg, "stable_closure", lambda *args: closures.append(1) or real(*args))
-    subs = linalg.enumerate_submodules(width, n)
-    assert len(closures) == linalg.search_closures(subs, n, width)
+# The closure search that enumerate_submodules replaced: grow each found
+# submodule by every nonzero vector outside it, one stable closure each.
+# About |lattice| * n^width closures; the oracle for the sums-of-cyclics
+# search.
+
+
+def oracle_stable_closure(gens, mats, n, width):
+    H = linalg.howell_form(linalg.as_matrix(gens, width), n, width)
+    while True:
+        images = [H] + [(H @ M) % n for M in mats if H.shape[0]]
+        H2 = linalg.howell_form(np.vstack(images) if len(images) > 1 else H, n, width)
+        if linalg.span_key(H2) == linalg.span_key(H):
+            return H
+        H = H2
+
+
+def oracle_enumerate_submodules(width, n, stable_under=()):
+    mats = [np.asarray(M, dtype=np.int64) % n for M in stable_under]
+    elements = [v for v in linalg.all_vectors(width, n) if v.any()]
+    zero = np.zeros((0, width), dtype=np.int64)
+    found = {linalg.span_key(zero): zero}
+    frontier = [zero]
+    while frontier:
+        S = frontier.pop()
+        for v in elements:
+            if linalg.in_span(S, v, n):
+                continue
+            gens = np.vstack([S, v.reshape(1, -1)]) if S.shape[0] else v.reshape(1, -1)
+            T = oracle_stable_closure(gens, mats, n, width)
+            k = linalg.span_key(T)
+            if k not in found:
+                found[k] = T
+                frontier.append(T)
+    return sorted(found.values(), key=lambda H: (linalg.span_size(H, n), linalg.span_key(H)))
+
+
+def assert_same_spans(got, want):
+    assert [(H.dtype, H.shape, H.tobytes()) for H in got] == [(H.dtype, H.shape, H.tobytes()) for H in want]
+
+
+@st.composite
+def stable_sets(draw):
+    n = draw(st.sampled_from([2, 3, 4, 6]))
+    width = draw(st.integers(1, 4))
+    entries = st.integers(0, n - 1)
+    mats = draw(st.lists(st.lists(entries, min_size=width * width, max_size=width * width), max_size=3))
+    return n, width, [np.array(M, dtype=np.int64).reshape(width, width) for M in mats]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(stable_sets())
+def test_enumerate_submodules_matches_the_closure_search(case):
+    n, width, mats = case
+    # the oracle closes about |lattice| * n^width spans: keep both to seconds
+    try:
+        got = linalg.enumerate_submodules(width, n, mats, budget=2000)
+    except linalg.BudgetExceededError:
+        got = None
+    assume(got is not None and len(got) * n**width <= 2000)
+    assert_same_spans(got, oracle_enumerate_submodules(width, n, mats))
+    for H in got[1:]:
+        assert_same_spans([linalg.stable_closure(H[:1], mats, n, width)], [oracle_stable_closure(H[:1], mats, n, width)])
 
 
 def test_submodule_budget_stops_the_rank_12_right_ideal_search():

@@ -1012,11 +1012,14 @@ def test_predicates_stop_and_raise_where_the_uncached_route_does(order):
         V = mods[k]
         got = _outcome(sheaf_check, V, Jp)
         assert got == _outcome(uncached_sheaf_check, V, _fresh(Jp))
+        perp = _outcome(perpendicular_check, V, Jp)
         if k == 0:
             assert got[0] is False and got[1]["object"] == "1" and got[1]["reason"] == "not injective"
+            assert perp == (False, {"object": "1", "cover": 0, "reason": "hom"})
         else:
             assert got[0] == "raises" and "not closed under precomposition" in got[1]
-        assert _outcome(perpendicular_check, V, Jp) == _outcome(uncached_perpendicular_check, V, _fresh(Jp))
+            assert perp == got
+        assert perp == _outcome(uncached_perpendicular_check, V, _fresh(Jp))
 
 
 def test_cover_tables_keep_each_algebra_apart():

@@ -7,6 +7,8 @@ import functools
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import types
 
@@ -220,12 +222,32 @@ def test_universe_budget_on_right_ideals():
 
 def test_universe_budget_charges_the_right_ideal_closures():
     # the right ideals of the a2 mixed algebra fit in 2^4 vectors, but
-    # finding them takes 155 stable closures
+    # finding them takes 123 Howell forms
     A = tn.build_skew_algebra(a2_category(), a2_mixed_presheaf(2))
     with pytest.raises(BudgetExceededError) as err:
-        tn.ModuleUniverse(A, 2, budget=154)
-    assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 155, 154)
-    assert len(tn.ModuleUniverse(A, 2, budget=155)) == 11
+        tn.ModuleUniverse(A, 2, budget=122)
+    assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 123, 122)
+    U = tn.ModuleUniverse(A, 2, budget=123)
+    assert len(U) == 11
+    assert [V.act.tobytes() for V in U.members] == [V.act.tobytes() for V in tn.ModuleUniverse(A, 2).members]
+
+
+def test_ideals_of_the_rank_12_chain_within_seconds():
+    # the closure search took about 196 * 4095 closures here; the sums of
+    # the cyclic ideals take seconds
+    code = """
+from torsite.algebra import constant_presheaf
+from torsite.fixtures import a3_category, product_field_algebra
+from torsite.grskew import build_skew_algebra
+from torsite.torsion import enumerate_ideals
+A = build_skew_algebra(a3_category(), constant_presheaf(a3_category(), product_field_algebra(2, 2)))
+print(A.rank, len(enumerate_ideals(A)))
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["12", "196"]
 
 
 def _skew(cat, coefficients):
