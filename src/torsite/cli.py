@@ -281,77 +281,60 @@ def cmd_selftest(args) -> int:
     return 0 if doc["ok"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# One row per command: name, help, handler, its own arguments as
+# (name or flag, keyword arguments), then which of --budget and
+# --dim-bound it takes after --output.
+_PRESHEAF_TOPOLOGY = (("presheaf", {}), ("topology", {}))
+COMMANDS = (
+    ("validate", "validate any torsite JSON file", cmd_validate,
+     (("file", {}), ("--context", {"help": "presheaf file giving context for a module file"})), False, False),
+    ("topologies", "enumerate Grothendieck topologies on a category", cmd_topologies,
+     (("file", {}),), True, False),
+    ("skew", "emit the skew category algebra of a presheaf", cmd_skew,
+     (("file", {}),), False, False),
+    ("gr", "emit hom ranks and composition tables of the linear construction", cmd_gr,
+     (("file", {}),), False, False),
+    ("linearize", "linearize a topology", cmd_linearize,
+     _PRESHEAF_TOPOLOGY, True, False),
+    ("check-sheaf", "is the module a sheaf for the linearized topology?", cmd_check_sheaf,
+     _PRESHEAF_TOPOLOGY + (("module", {}),), True, False),
+    ("check-torsion", "is the module torsion for the linearized topology?", cmd_check_torsion,
+     _PRESHEAF_TOPOLOGY + (("module", {}),), True, False),
+    ("classify", "run the three classifications for a subcategory topology", cmd_classify,
+     _PRESHEAF_TOPOLOGY, True, True),
+    ("recollement", "verify the recollement attached to an idempotent", cmd_recollement,
+     (("presheaf", {}),
+      ("--idempotent", {"required": True, "help": "comma-separated coordinates in the skew algebra basis"})),
+     True, True),
+    ("selftest", "run the acceptance suite", cmd_selftest, (), False, False),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with only the one named.
+
+    A parser for one command gives the same usage, help and errors for
+    that command's arguments as the full one: its subcommand metavar
+    spells out every choice, as the full parser's usage does.
+    """
     parser = argparse.ArgumentParser(
         prog="torsite",
         description="Desk-scale computations for module categories over ringed finite sites.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, budget=True, dim=False):
+    metavar = None if command is None else "{" + ",".join(row[0] for row in COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, func, arguments, budget, dim in COMMANDS:
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
         p.add_argument("--output", help="also write the JSON report to this path")
         if budget:
             p.add_argument("--budget", type=int, default=2**22, help="enumeration budget")
         if dim:
             p.add_argument("--dim-bound", type=int, default=3, help="module universe dimension bound")
-
-    p = sub.add_parser("validate", help="validate any torsite JSON file")
-    p.add_argument("file")
-    p.add_argument("--context", help="presheaf file giving context for a module file")
-    common(p, budget=False)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("topologies", help="enumerate Grothendieck topologies on a category")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_topologies)
-
-    p = sub.add_parser("skew", help="emit the skew category algebra of a presheaf")
-    p.add_argument("file")
-    common(p, budget=False)
-    p.set_defaults(func=cmd_skew)
-
-    p = sub.add_parser("gr", help="emit hom ranks and composition tables of the linear construction")
-    p.add_argument("file")
-    common(p, budget=False)
-    p.set_defaults(func=cmd_gr)
-
-    p = sub.add_parser("linearize", help="linearize a topology")
-    p.add_argument("presheaf")
-    p.add_argument("topology")
-    common(p)
-    p.set_defaults(func=cmd_linearize)
-
-    p = sub.add_parser("check-sheaf", help="is the module a sheaf for the linearized topology?")
-    p.add_argument("presheaf")
-    p.add_argument("topology")
-    p.add_argument("module")
-    common(p)
-    p.set_defaults(func=cmd_check_sheaf)
-
-    p = sub.add_parser("check-torsion", help="is the module torsion for the linearized topology?")
-    p.add_argument("presheaf")
-    p.add_argument("topology")
-    p.add_argument("module")
-    common(p)
-    p.set_defaults(func=cmd_check_torsion)
-
-    p = sub.add_parser("classify", help="run the three classifications for a subcategory topology")
-    p.add_argument("presheaf")
-    p.add_argument("topology")
-    common(p, dim=True)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("recollement", help="verify the recollement attached to an idempotent")
-    p.add_argument("presheaf")
-    p.add_argument("--idempotent", required=True, help="comma-separated coordinates in the skew algebra basis")
-    common(p, dim=True)
-    p.set_defaults(func=cmd_recollement)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    common(p, budget=False)
-    p.set_defaults(func=cmd_selftest)
-
+        p.set_defaults(func=func)
     return parser
 
 
@@ -364,8 +347,9 @@ def _check_flags(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = argv[0] if argv and any(argv[0] == row[0] for row in COMMANDS) else None
+    args = build_parser(named).parse_args(argv)
     try:
         _check_flags(args)
         return args.func(args)

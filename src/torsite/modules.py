@@ -553,6 +553,25 @@ def extension_cocycle_space(V: SkewModule, W: SkewModule):
     return Z, build
 
 
+def extension_class_space(V: SkewModule, W: SkewModule):
+    """One cocycle per class of Ext^1(V, W): a complement of the coboundaries.
+
+    The coboundary of D adds V_j D - D W_j to each C_j, which is
+    conjugation of the middle term by [[I, 0], [D, I]]; these are the rows
+    of _hom_constraints(V, W).  The Howell rows of Z reduced against the
+    Howell form B of those rows vanish at every pivot column of B, so
+    their span meets B only in 0 and, with B, spans Z (prime modulus).
+    Returns (complement basis, build) as extension_cocycle_space returns (Z, build).
+    """
+    n = V.algebra.base.modulus
+    if not linalg.is_prime(n):
+        raise NotPrimeError(n, "extension classes")
+    Z, build = extension_cocycle_space(V, W)
+    width = Z.shape[1]
+    B = linalg.howell_form(_hom_constraints(V, W), n, width)
+    return linalg.howell_form(linalg.reduce_vector(B, Z, n), n, width), build
+
+
 def ext1_dimension_by_enumeration(V: SkewModule, W: SkewModule) -> int:
     """Independent route: count extensions of V by W, cocycles mod coboundaries.
 

@@ -25,7 +25,7 @@ from .grskew import (
 )
 from .modules import (
     SkewModule,
-    extension_cocycle_space,
+    extension_class_space,
     hom_skew,
     quotient_module,
     regular_module,
@@ -250,11 +250,12 @@ class ModuleUniverse:
     by maximal right ideals m.  Every nonzero module E has a simple
     submodule S, and E/S is smaller, so the modules of dimension d are the
     middle terms of the extensions 0 -> S -> E -> V -> 0 with V a member
-    of dimension d - dim S; these come from the cocycle space of
-    extension_cocycle_space(V, S).  Isomorphic modules are identified by
+    of dimension d - dim S.  Equivalent extensions have isomorphic middle
+    terms, so one cocycle per class of Ext^1(V, S) is built, from
+    extension_class_space(V, S).  Isomorphic modules are identified by
     their canonical key, the conjugation-minimal action tensor under the
     full change-of-basis group; members are those minima, sorted by key.
-    The count of cocycles scanned is charged against the budget.  Prime
+    The budget is charged p^dim Ext^1(V, S) for each pair scanned.  Prime
     modulus only.
     """
 
@@ -281,11 +282,11 @@ class ModuleUniverse:
                 if S.dim > m:
                     continue
                 for V in by_dim[m - S.dim]:
-                    Z, build = extension_cocycle_space(V, S)
-                    scanned += linalg.span_size(Z, n)
+                    X, build = extension_class_space(V, S)
+                    scanned += linalg.span_size(X, n)
                     if scanned > budget:
                         raise BudgetExceededError("module universe extensions", scanned, budget)
-                    for c in linalg.span_elements(Z, n):
+                    for c in linalg.span_elements(X, n):
                         key = self._canon_key(build(c))
                         if key not in seen:
                             act = np.frombuffer(key[1], dtype=np.int64).reshape(A.rank, m, m)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from torsite import files
+from torsite import cli, files
 from torsite.algebra import constant_presheaf
 from torsite.cli import main
 from torsite.errors import InputError
@@ -653,3 +653,48 @@ sys.exit(cli.main(sys.argv[1:]))
     out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["ok"] is True
+
+
+
+def _exit_outcome(capsys, parse, argv):
+    """(stdout, stderr, exit code) of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+# arguments that every command accepts, so that a bad flag after them is
+# reported by the top-level parser, with its usage line
+_VALID_ARGS = {
+    "validate": ["f"],
+    "topologies": ["f"],
+    "skew": ["f"],
+    "gr": ["f"],
+    "linearize": ["p", "t"],
+    "check-sheaf": ["p", "t", "m"],
+    "check-torsion": ["p", "t", "m"],
+    "classify": ["p", "t"],
+    "recollement": ["p", "--idempotent", "1"],
+    "selftest": [],
+}
+
+
+def test_cli_command_table_names_every_command():
+    assert [name for name, *_ in cli.COMMANDS] == list(_VALID_ARGS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], [], ["bogus"], ["--output", "x"]]
+    + [[name, "--help"] for name in _VALID_ARGS]
+    + [[name, *args, "--no-such-flag"] for name, args in _VALID_ARGS.items()]
+    + [[name] for name, args in _VALID_ARGS.items() if args],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_cli_one_subparser_parses_like_the_full_tree(capsys, monkeypatch, argv):
+    # main builds only the subparser argv[0] names; usage, help and errors
+    # must read as from the parser with every subcommand
+    monkeypatch.setenv("COLUMNS", "100")
+    full = _exit_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert _exit_outcome(capsys, cli.main, argv) == full

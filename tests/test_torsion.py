@@ -4,6 +4,7 @@ triangular 2x2 algebra, the product field, and the order-2 group algebra
 over F2."""
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -15,7 +16,7 @@ import types
 import numpy as np
 import pytest
 
-from torsite import files, grskew, linalg
+from torsite import cli, files, grskew, linalg
 from torsite import torsion as tn
 from torsite.algebra import constant_presheaf, restrict_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
@@ -38,12 +39,16 @@ from torsite.modules import (
     SkewModule,
     direct_sum,
     enumerate_skew_module_structures,
+    ext1_skew,
+    extension_class_space,
+    extension_cocycle_space,
     hom_skew,
     phi_from_gr,
     quotient_module,
     regular_module,
     submodule_module,
     torsion_check,
+    zero_skew_module,
 )
 from torsite.report import ValidationReport
 from torsite.topology import GrothendieckTopology, enumerate_topologies, matching_subcategories
@@ -202,16 +207,107 @@ def test_universe_of_a_rank_zero_algebra_ignores_a_huge_bound():
 
 
 def test_universe_budget_on_extension_scan(monkeypatch):
-    # GL(2, 2) (2^4 candidates) fits; the cocycles scanned while building
-    # dimension 2 do not.  The right-ideal search takes 155 closures, more
-    # than either budget, so the simples are found beforehand
-    A = tn.build_skew_algebra(a2_category(), a2_mixed_presheaf(2))
+    # the a2_f2xf2 site at dim 2: 20 pairs (V, S) scanned, with
+    # sum p^dim Ext^1(V, S) = 22 candidates, past GL(2, 2) (2^4
+    # candidates).  The right-ideal search takes more closures than
+    # either budget, so the simples are found beforehand
+    cat, R, _ = load_site("a2_f2xf2")
+    A = tn.build_skew_algebra(cat, R)
     simples = tn._simple_modules(A, 2, tn.DEFAULT_UNIVERSE_BUDGET)
     monkeypatch.setattr(tn, "_simple_modules", lambda *args: simples)
     with pytest.raises(BudgetExceededError) as err:
-        tn.ModuleUniverse(A, 2, budget=16)
-    assert err.value.what == "module universe extensions"
-    assert len(tn.ModuleUniverse(A, 2, budget=20)) == 11
+        tn.ModuleUniverse(A, 2, budget=21)
+    assert (err.value.what, err.value.needed, err.value.budget) == ("module universe extensions", 22, 21)
+    U = tn.ModuleUniverse(A, 2, budget=22)
+    assert [V.act.tobytes() for V in U.members] == [V.act.tobytes() for V in tn.ModuleUniverse(A, 2).members]
+    assert len(U) == 17
+
+
+def oracle_module_universe(A, dim_bound: int) -> list:
+    """The members of ModuleUniverse(A, dim_bound) from a scan of every
+    cocycle in Z^1(V, S), where the universe scans one per class of
+    Ext^1(V, S)."""
+    n = A.base.modulus
+    gl, keys = {}, {}
+
+    def canon(V):
+        m, ck = V.dim, V.act.tobytes()
+        if (m, ck) not in keys:
+            if m == 0:
+                keys[(m, ck)] = (0, ck)
+            else:
+                if m not in gl:
+                    gl[m] = tn._invertible_matrices(n, m, tn.DEFAULT_UNIVERSE_BUDGET)
+                G, Ginv = gl[m]
+                conj = np.matmul(np.matmul(Ginv[:, None], V.act[None]), G[:, None]) % n
+                keys[(m, ck)] = (m, min(c.tobytes() for c in conj))
+        return keys[(m, ck)]
+
+    zero = zero_skew_module(A)
+    seen = {canon(zero): zero}
+    by_dim = [[zero]]
+    simples = {canon(S): S for S in tn._simple_modules(A, dim_bound, tn.DEFAULT_UNIVERSE_BUDGET)}
+    simples = [simples[k] for k in sorted(simples)]
+    for m in range(1, dim_bound + 1 if simples else 1):
+        by_dim.append([])
+        for S in simples:
+            if S.dim > m:
+                continue
+            for V in by_dim[m - S.dim]:
+                Z, build = extension_cocycle_space(V, S)
+                for c in linalg.span_elements(Z, n):
+                    key = canon(build(c))
+                    if key not in seen:
+                        act = np.frombuffer(key[1], dtype=np.int64).reshape(A.rank, m, m)
+                        seen[key] = SkewModule(A, act)
+                        by_dim[m].append(seen[key])
+    return [seen[k] for k in sorted(seen)]
+
+
+SITE_PRESHEAVES = (
+    "a2_f2", "a2_f2xf2", "a3_f2", "c2_f2", "c2_f2xf2", "c2_f3",
+    "idem_f2", "idem_f2xf2", "terminal_f2", "terminal_f2xf2", "terminal_f3",
+)
+
+
+def _universe_case(case: str):
+    """(algebra, dimension bound) for a universe the extension scan is checked on."""
+    if case == "t2_f2":
+        return t2_algebra(2), 4
+    if case == "group_c2_f3":
+        return group_algebra_c2(3), 3
+    if case == "a2_mixed":
+        return tn.build_skew_algebra(a2_category(), a2_mixed_presheaf(2)), 3
+    cat, R, _ = load_site(case)
+    return tn.build_skew_algebra(cat, R), 3
+
+
+@pytest.mark.parametrize("case", [*SITE_PRESHEAVES, "t2_f2", "group_c2_f3", "a2_mixed"])
+def test_universe_scans_one_cocycle_per_extension_class(monkeypatch, case):
+    # the members are those of the scan of all of Z^1, byte for byte and in
+    # order, and each pair (V, S) builds p^dim Ext^1(V, S) middle terms,
+    # with the dimension from the presentation route
+    A, dim_bound = _universe_case(case)
+    n = A.base.modulus
+    scans = []
+
+    def spy(V, S):
+        X, build = extension_class_space(V, S)
+        scan = [V, S, 0]
+        scans.append(scan)
+
+        def counted(c):
+            scan[2] += 1
+            return build(c)
+
+        return X, counted
+
+    monkeypatch.setattr(tn, "extension_class_space", spy)
+    U = tn.ModuleUniverse(A, dim_bound)
+    oracle = oracle_module_universe(A, dim_bound)
+    assert [(V.act.shape, V.act.tobytes()) for V in U.members] == [(V.act.shape, V.act.tobytes()) for V in oracle]
+    assert scans
+    assert [count for _, _, count in scans] == [n ** ext1_skew(V, S) for V, S, _ in scans]
 
 
 def test_universe_budget_on_right_ideals():
@@ -851,6 +947,17 @@ def test_classify_reaches_the_f2xf2_sites_at_dim_2(presheaf, counts):
     rep = tn.classify(cat, R, J, dim_bound=2)
     assert rep.ok
     assert rep.counts == counts
+
+
+def test_classify_reaches_a2_f2_at_dim_4(capsys):
+    # the digest is of the stdout of the universe that scanned every cocycle
+    argv = ["classify", os.path.join(SITES, "a2_f2.json"), os.path.join(SITES, "a2_full_topology.json")]
+    assert cli.main([*argv, "--dim-bound", "4"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["counts"] == _reach_counts(22, 4, 2)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c4cc642b5510810a3f7e91a89d3044627d9d6186df55c5976ae5c4c8ef7d085b"
+    )
 
 
 def test_classify_passes_its_budget_to_every_stage(monkeypatch):
