@@ -3,18 +3,22 @@
 Spans of row vectors are represented by matrices in Howell normal form,
 which is a canonical representative: two generating sets span the same
 submodule of (Z/n)^w iff their Howell forms are byte-identical.  For prime
-n the form degenerates to the reduced row echelon form over the field.
+n the form degenerates to the reduced row echelon form over the field,
+and elimination takes a shorter route: every nonzero entry is a unit, so
+each pivot is scaled to 1 and clears its column with one row operation
+per row, and no saturation pass is needed.
 
-Elimination runs on rows of Python ints, one path for every modulus, so
-its arithmetic is exact whatever n.  numpy int64 arrays appear only at the
-boundary (inputs, Howell forms, solutions, kernels), and those arrays still
-rely on the int64 headroom that ``algebra.MAX_MODULUS`` guarantees.
+Elimination runs on rows of Python ints, so its arithmetic is exact
+whatever n.  numpy int64 arrays appear only at the boundary (inputs,
+Howell forms, solutions, kernels), and those arrays still rely on the
+int64 headroom that ``algebra.MAX_MODULUS`` guarantees.
 
 Row-vector convention throughout the package: a linear map is applied as
 ``v @ M`` and composites read left to right (``first @ then``).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -58,6 +62,7 @@ def unit_for(a: int, n: int) -> int:
     return u % n
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -124,9 +129,37 @@ def _echelon(work: list, n: int, width: int) -> list:
     return work[:r]
 
 
+def _field_echelon(work: list, p: int, width: int) -> list:
+    """Reduced echelon form of nonzero int rows with entries in [0, p), p prime."""
+    r = 0
+    for j in range(width):
+        if r == len(work):
+            break
+        for i in range(r, len(work)):
+            if work[i][j]:
+                break
+        else:
+            continue
+        top = work[i]
+        work[i] = work[r]
+        if top[j] != 1:
+            u = modinv(top[j], p)
+            top = [(u * x) % p for x in top]
+        work[r] = top
+        for i, row in enumerate(work):
+            q = row[j]
+            if q and i != r:
+                work[i] = [(x - q * y) % p for x, y in zip(row, top)]
+        r += 1
+    return work[:r]
+
+
 def _howell_rows(work: list, n: int, width: int) -> list:
     """Howell form, as int rows, of the span of int rows with entries in [0, n)."""
-    work = _echelon([r for r in work if any(r)], n, width)
+    work = [r for r in work if any(r)]
+    if is_prime(n):  # all pivots are 1, so the saturation pass adds nothing
+        return _field_echelon(work, n, width)
+    work = _echelon(work, n, width)
     # enforce the Howell property: annihilator multiples of each row must
     # already lie in the span of the lower rows
     for _ in range(width * (n.bit_length() + 2) + 8):
@@ -219,13 +252,22 @@ def solve_left(A, b, n: int):
 
     A has shape (m, k).  b is one target of length k, giving x of length
     m, or a stack of shape (r, k), giving x of shape (r, m) and None if
-    any row of b lies outside the span.  Works for any modulus thanks to
-    the Howell property of the augmented form, built once for all rows:
-    reducing [b | 0] by its rows with leading column < k leaves [0 | -x].
+    any row of b lies outside the span.  When A has the identity at some
+    columns (every Howell basis over a prime does), x is b at those
+    columns, checked.  Otherwise the solve works for any modulus thanks
+    to the Howell property of the augmented form, built once for all
+    rows: reducing [b | 0] by its rows with leading column < k leaves
+    [0 | -x].
     """
-    A = np.asarray(A, dtype=np.int64)
+    A = np.asarray(A, dtype=np.int64) % n
     m, k = A.shape
     b = np.asarray(b, dtype=np.int64) % n
+    if k:  # argmax needs a column
+        piv = (A != 0).argmax(axis=1)
+        if (A[:, piv] == np.eye(m, dtype=np.int64)).all():
+            # x @ A restricted to the columns piv is x: b[..., piv] is the only candidate
+            x = b[..., piv]
+            return x if ((x @ A) % n == b).all() else None
     H = [row for row in _augmented_howell(A, n) if _leading(row) < k]
     rest = _reduce(H, [row + [0] * m for row in np.atleast_2d(b).tolist()], n)
     if any(any(row[:k]) for row in rest):

@@ -16,6 +16,7 @@ computed here by exact linear algebra.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -344,12 +345,15 @@ def _sieve_rows(skew: SkewAlgebra, gr: GrCategory, T) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _cover_table(Jp: LinearTopology, skew: SkewAlgebra, kind: str, x: int, ci: int, build):
+def _cover_table(
+    Jp: LinearTopology, skew: SkewAlgebra, kind: str, x: int | None, ci: int | None, build
+):
     """build(), the module-independent data of kind for cover ci at x, built once per topology.
 
-    Entries live on Jp, keyed on the algebra as well and holding it, so
-    data built for one algebra is never served for another.  A build that
-    raises stores nothing: the next call raises at the same point.
+    x and ci are None for data about every object.  Entries live on Jp,
+    keyed on the algebra as well and holding it, so data built for one
+    algebra is never served for another.  A build that raises stores
+    nothing: the next call raises at the same point.
     """
     key = (kind, id(skew), x, ci)
     entry = Jp._cover_tables.get(key)
@@ -404,31 +408,55 @@ def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     return PredicateResult(True)
 
 
+def _least_covers(skew: SkewAlgebra, Jp: LinearTopology) -> tuple:
+    """The rows of the least cover of each object, stacked in object order, and the owner of each row.
+
+    The least cover of x is its smallest cover, checked to lie inside every
+    other one.  A linear topology is closed under finite intersections, so
+    it has one; InputError names the first object without one.
+    """
+    n = skew.base.modulus
+    blocks, owner = [], []
+    for x in range(skew.cat.n_objects):
+        covers = Jp.covers_at(x)
+        least = min(
+            covers, key=lambda T: math.prod(linalg.span_size(H, n) for H in T.components), default=None
+        )
+        if least is None or not all(T.contains(least) for T in covers):
+            raise InputError(
+                f"covers of object {skew.cat.objects[x]} have no least member: not a linear topology"
+            )
+        blocks.append(_sieve_rows(skew, Jp.gr, least))
+        owner += [x] * blocks[-1].shape[0]
+    rows = np.concatenate([np.zeros((0, skew.rank), dtype=np.int64), *blocks])
+    return rows, np.array(owner, dtype=np.int64)
+
+
 def torsion_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
-    """Every element of every block must be killed by some cover."""
-    gr = Jp.gr
+    """Every element of every block V e_x must be killed by some cover of x.
+
+    Some cover of x kills m iff the least cover of x does, and its rows t
+    lie in e_x A, so V e_x * t == V * t.  Hence V is torsion iff V * t == 0
+    for every row t of every least cover: one einsum, with the rows kept
+    on Jp.  Only on failure is a Howell basis of V e_x taken, to name the
+    first element not killed in span_elements order.  InputError if an
+    object has no least cover.
+    """
     skew = V.algebra
     n = skew.base.modulus
-    cat = skew.cat
-    for x in range(cat.n_objects):
-        Ex = V.act_of(skew.object_idempotent(x))
-        Bx = linalg.howell_form(Ex, n, V.dim)
-        gen_mats = {
-            ci: [V.act_of(row) for row in _sieve_rows(skew, gr, T)]
-            for ci, T in enumerate(Jp.covers_at(x))
-        }
-        for m in linalg.span_elements(Bx, n):
-            if not m.any():
-                continue
-            if not any(
-                all(not ((m @ Mt) % n).any() for Mt in gen_mats[ci])
-                for ci in gen_mats
-            ):
-                return PredicateResult(
-                    False,
-                    {"object": cat.objects[x], "element": [int(t) for t in m]},
-                )
-    return PredicateResult(True)
+    rows, owner = _cover_table(Jp, skew, "least", None, None, lambda: _least_covers(skew, Jp))
+    killed = np.einsum("kj,jil->kil", rows, V.act) % n  # m * rows[k] == m @ killed[k]
+    bad = killed.any(axis=(1, 2))
+    if not bad.any():
+        return PredicateResult(True)
+    x = int(owner[bad.argmax()])
+    Bx = linalg.howell_form(V.act_of(skew.object_idempotent(x)), n, V.dim)
+    # span_elements(Bx) lists c @ Bx with c in lexicographic order.  With i
+    # the last row of Bx not killed, every c before the unit vector e_i is
+    # supported on the killed rows after i, so Bx[i] is the first not killed
+    hit = (np.einsum("mi,kil->mkl", Bx, killed[owner == x]) % n).any(axis=(1, 2))
+    m = Bx[np.flatnonzero(hit)[-1]]
+    return PredicateResult(False, {"object": skew.cat.objects[x], "element": [int(t) for t in m]})
 
 
 def is_sheaf(M: ModulePresheaf, Jp: LinearTopology) -> PredicateResult:

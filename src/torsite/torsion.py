@@ -709,7 +709,9 @@ def classify(
     the other two families are read off it (Jans, 1965).  The linear
     topology of I is J_I, certified by is_linear_topology, and its
     hereditary torsion pair is (Y, Z): the torsion class of J_I, found
-    by torsion_check on every member, must equal Y = {M : MI = 0}.  A
+    by torsion_check on every member, must equal Y = {M : MI = 0}.  At
+    each object x the least cover of J_I is its floor I(-, x), so the
+    check reads V * I(-, x) == 0 off the covers ideal_topology built.  A
     central idempotent e gives the triple of its ideal eA, which must be
     split.  A failed certificate, a class mismatch, two equal J_I or two
     equal triples clear ok.

@@ -416,7 +416,7 @@ def test_matrix_inverse_matches_sympy(n, k, data):
 # ---------------------------------------------------------------------------
 # the Howell kernel against the numpy elimination it replaced
 
-HOWELL_MODULI = [2, 3, 4, 6, 8, 9, 12, 27, 65537]
+HOWELL_MODULI = [2, 3, 4, 5, 6, 7, 8, 9, 12, 27, 65537]
 
 
 def _oracle_leading(row) -> int:
@@ -547,6 +547,8 @@ def assert_same_solves_and_kernel(A, targets, n):
 @given(howell_inputs(), st.data())
 def test_solve_and_kernel_bytes_match_the_hstack_oracle(case, data):
     n, A = case
+    if data.draw(st.booleans()):  # a Howell basis: the pivot-column solve
+        A = linalg.howell_form(A, n, A.shape[1])
     m, k = A.shape
     r = data.draw(st.integers(0, 3))
     entries = st.lists(st.integers(0, n - 1), min_size=r * max(m, k), max_size=r * max(m, k))
@@ -562,6 +564,24 @@ def test_solve_and_kernel_match_the_hstack_oracle_on_empty_shapes(n, m, k):
     A = np.arange(m * k, dtype=np.int64).reshape(m, k) % n
     targets = [np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64), np.ones((2, k), dtype=np.int64)]
     assert_same_solves_and_kernel(A, targets, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 4, 6, 9, 12])
+def test_field_and_ring_routes_match_the_oracles(n):
+    # every shape up to 5 x 5, width 0 included; the solves run on A and on
+    # its Howell basis, with targets inside and outside the span
+    rng = np.random.default_rng(1900 + n)
+    for m, k in itertools.product(range(6), repeat=2):
+        A = rng.integers(0, n, size=(m, k)).astype(np.int64)
+        H = linalg.howell_form(A, n, k)
+        want = oracle_howell_form(A, n, k)
+        assert (H.dtype, H.shape, H.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        if linalg.is_prime(n):  # identity at the pivot columns
+            assert np.array_equal(H[:, linalg.pivot_columns(H)], np.eye(H.shape[0], dtype=np.int64))
+        for B in (A, H):
+            inside = (rng.integers(0, n, size=(3, B.shape[0])) @ B) % n
+            free = rng.integers(0, n, size=(3, k)).astype(np.int64)
+            assert_same_solves_and_kernel(B, [inside, free, *inside, *free], n)
 
 
 @st.composite

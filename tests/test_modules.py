@@ -1,7 +1,9 @@
 """Module presheaves, skew modules, the stacking equivalence, and the
 sheaf/torsion/perpendicular predicates."""
 import functools
+import glob
 import itertools
+import os
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from torsite import linalg
+from torsite import cli, files, linalg
 from torsite.algebra import AlgebraPresheaf, BaseRing, FiniteAlgebra, constant_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
 from torsite.fincat import FiniteCategory
@@ -37,8 +39,10 @@ from torsite.grskew import (
     build_gr,
     build_skew_algebra,
     enumerate_linear_topologies,
+    ideal_topology,
     linearize_topology,
     maximal_linear_sieve,
+    zero_linear_sieve,
 )
 from torsite.modules import (
     ModulePresheaf,
@@ -74,8 +78,10 @@ from torsite.modules import (
     zero_module_presheaf,
     zero_skew_module,
 )
-from torsite.topology import subcategory_topology, trivial_topology
-from torsite.torsion import ModuleUniverse
+from torsite.topology import enumerate_topologies, subcategory_topology, trivial_topology
+from torsite.torsion import ModuleUniverse, enumerate_idempotent_ideals
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def t2_simples():
@@ -681,6 +687,95 @@ def test_zero_cover_topology_on_terminal():
     for M in enumerate_module_presheaves(cat, R, 2):
         assert is_torsion(M, dense).value
         assert is_sheaf(M, dense).value == (sum(M.ranks) == 0)
+
+
+# torsion_check before it read the answer off the least cover: every
+# element of every block against every cover
+def oracle_torsion_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
+    """Every element of every block must be killed by some cover."""
+    gr = Jp.gr
+    skew = V.algebra
+    n = skew.base.modulus
+    cat = skew.cat
+    for x in range(cat.n_objects):
+        Ex = V.act_of(skew.object_idempotent(x))
+        Bx = linalg.howell_form(Ex, n, V.dim)
+        gen_mats = {
+            ci: [V.act_of(row) for row in _sieve_rows(skew, gr, T)]
+            for ci, T in enumerate(Jp.covers_at(x))
+        }
+        for m in linalg.span_elements(Bx, n):
+            if not m.any():
+                continue
+            if not any(
+                all(not ((m @ Mt) % n).any() for Mt in gen_mats[ci])
+                for ci in gen_mats
+            ):
+                return PredicateResult(
+                    False,
+                    {"object": cat.objects[x], "element": [int(t) for t in m]},
+                )
+    return PredicateResult(True)
+
+
+BENCH_PRESHEAVES = sorted(
+    p for p in glob.glob(os.path.join(ROOT, "perfbench", "sites", "*.json")) if "topology" not in p
+)
+
+
+@pytest.mark.parametrize("path", BENCH_PRESHEAVES, ids=[os.path.basename(p)[:-5] for p in BENCH_PRESHEAVES])
+def test_torsion_check_matches_the_element_walk(path):
+    # every universe member (d = 3, or 2 above rank 3) against every J_I
+    # and every linearized topology: value and witness
+    cat, R = files.load_presheaf(path)
+    gr, skew = build_gr(cat, R), build_skew_algebra(cat, R)
+    U = ModuleUniverse(skew, 3 if skew.rank <= 3 else 2)
+    tops = [ideal_topology(gr, skew, I.matrix) for I in enumerate_idempotent_ideals(skew)]
+    tops += [linearize_topology(gr, J) for J in enumerate_topologies(cat)]
+    outcomes = Counter()
+    for Jp in tops:
+        for V in U.members:
+            got, want = torsion_check(V, Jp), oracle_torsion_check(V, Jp)
+            assert (got.value, got.witness) == (want.value, want.witness)
+            outcomes[got.value] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_check_torsion_on_the_fixtures_matches_the_element_walk(capsys):
+    fixtures = sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.json")))
+    runs = 0
+    for p, t, m in itertools.product(fixtures, repeat=3):
+        if not (t.endswith("_topology.json") and m.endswith("_module.json")):
+            continue
+        try:
+            cat, R, J = cli._load_site(p, t)
+            M = files.load_module(m, cat, R)
+            Jp = linearize_topology(build_gr(cat, R), J)
+            want = oracle_torsion_check(psi_to_gr(M, _skew_of(Jp)), Jp)
+        except InputError:
+            continue
+        code = cli.main(["check-torsion", p, t, m])
+        doc = {"schema": cli.REPORT_SCHEMA, "command": "check-torsion"}
+        doc.update(value=want.value, witness=want.witness)
+        assert (code, capsys.readouterr().out) == (0 if want.value else 1, files.dump_json(doc)), (p, t, m)
+        runs += 1
+    assert runs >= 9
+
+
+def test_torsion_check_refuses_a_family_without_least_cover():
+    # two incomparable covers e1 A and e2 A of the one object, without their
+    # intersection 0: not closed under intersection, so not a linear topology
+    cat = terminal_category()
+    R = constant_presheaf(cat, product_field_algebra(2, 2))
+    gr, skew = build_gr(cat, R), build_skew_algebra(cat, R)
+    sieves = gr.linear_sieves_on(0)
+    middle = [T for T in sieves if T not in (maximal_linear_sieve(gr, 0), zero_linear_sieve(gr, 0))]
+    assert len(middle) == 2
+    V = regular_module(skew)
+    for covers in ([*middle, maximal_linear_sieve(gr, 0)], []):
+        with pytest.raises(InputError, match="object .* no least member"):
+            torsion_check(V, LinearTopology(gr, [covers]))
+    assert torsion_check(V, LinearTopology(gr, [sieves])).value
 
 
 def test_sheaf_iff_perpendicular_small():
