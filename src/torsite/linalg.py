@@ -252,22 +252,13 @@ def solve_left(A, b, n: int):
 
     A has shape (m, k).  b is one target of length k, giving x of length
     m, or a stack of shape (r, k), giving x of shape (r, m) and None if
-    any row of b lies outside the span.  When A has the identity at some
-    columns (every Howell basis over a prime does), x is b at those
-    columns, checked.  Otherwise the solve works for any modulus thanks
-    to the Howell property of the augmented form, built once for all
-    rows: reducing [b | 0] by its rows with leading column < k leaves
-    [0 | -x].
+    any row of b lies outside the span.  Works for any modulus thanks to
+    the Howell property of the augmented form, built once for all rows:
+    reducing [b | 0] by its rows with leading column < k leaves [0 | -x].
     """
-    A = np.asarray(A, dtype=np.int64) % n
+    A = np.asarray(A, dtype=np.int64)
     m, k = A.shape
     b = np.asarray(b, dtype=np.int64) % n
-    if k:  # argmax needs a column
-        piv = (A != 0).argmax(axis=1)
-        if (A[:, piv] == np.eye(m, dtype=np.int64)).all():
-            # x @ A restricted to the columns piv is x: b[..., piv] is the only candidate
-            x = b[..., piv]
-            return x if ((x @ A) % n == b).all() else None
     H = [row for row in _augmented_howell(A, n) if _leading(row) < k]
     rest = _reduce(H, [row + [0] * m for row in np.atleast_2d(b).tolist()], n)
     if any(any(row[:k]) for row in rest):

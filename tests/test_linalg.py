@@ -547,15 +547,16 @@ def assert_same_solves_and_kernel(A, targets, n):
 @given(howell_inputs(), st.data())
 def test_solve_and_kernel_bytes_match_the_hstack_oracle(case, data):
     n, A = case
-    if data.draw(st.booleans()):  # a Howell basis: the pivot-column solve
-        A = linalg.howell_form(A, n, A.shape[1])
-    m, k = A.shape
+    k = A.shape[1]
+    H = linalg.howell_form(A, n, k)  # the solves run on A and on its Howell basis
+    size = max(A.shape[0], H.shape[0], k)
     r = data.draw(st.integers(0, 3))
-    entries = st.lists(st.integers(0, n - 1), min_size=r * max(m, k), max_size=r * max(m, k))
-    flat = np.array(data.draw(entries), dtype=np.int64)
-    inside = (flat[: r * m].reshape(r, m) @ A) % n  # solvable
+    flat = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=r * size, max_size=r * size)), dtype=np.int64)
     free = flat[: r * k].reshape(r, k)  # often outside the span
-    assert_same_solves_and_kernel(A, [inside, free] + list(inside) + list(free), n)
+    for B in (A, H):
+        m = B.shape[0]
+        inside = (flat[: r * m].reshape(r, m) @ B) % n  # solvable
+        assert_same_solves_and_kernel(B, [inside, free] + list(inside) + list(free), n)
 
 
 @pytest.mark.parametrize("n", [2, 6, 9])
