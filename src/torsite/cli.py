@@ -243,7 +243,8 @@ def cmd_recollement(args) -> int:
     cat, R = files.load_presheaf(args.presheaf)
     A = build_skew_algebra(cat, R)
     try:
-        e = [int(t) for t in args.idempotent.replace(" ", "").split(",") if t != ""]
+        # reduced in Python, so a coordinate outside int64 never reaches numpy
+        e = [int(t) % A.base.modulus for t in args.idempotent.replace(" ", "").split(",") if t != ""]
     except ValueError:
         raise InputError(f"--idempotent: expected comma-separated integers, got {args.idempotent!r}") from None
     if len(e) != A.rank:

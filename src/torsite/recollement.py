@@ -5,9 +5,11 @@ universe.
 
 For an idempotent e of A the three rings are eAe (the corner), A, and
 A/AeA (the quotient).  All six functors are computed as concrete matrix
-constructions on right modules; verification checks image/kernel
-matching, full faithfulness of inflation, and all four unit/counit
-triangle identities member by member.
+constructions on right modules, each with its action on module maps,
+and each of the four adjunctions has a unit and a counit that take only
+the module.  Verification checks image/kernel matching, full
+faithfulness of inflation, and both triangle identities of every
+adjunction in ADJUNCTIONS, member by member.
 """
 from __future__ import annotations
 
@@ -94,23 +96,22 @@ def _stored(functor):
 
 
 def _is_module_map(S: SkewModule, T: SkewModule, F: np.ndarray) -> bool:
-    n = S.algebra.base.modulus
-    for j in range(S.algebra.rank):
-        if ((S.act[j] @ F - F @ T.act[j]) % n).any():
-            return False
-    return True
+    return not ((S.act @ F - F @ T.act) % S.algebra.base.modulus).any()
+
+
+def _module(value) -> SkewModule:
+    """The module of a functor value: i_star returns it alone, the others first in a tuple."""
+    return value if isinstance(value, SkewModule) else value[0]
 
 
 class Recollement:
     """Functor data for the idempotent e: eAe <- A -> A/AeA.
 
-    Besides the six functors, each adjunction has its unit and counit in
-    one method, as a matrix built from functor values the caller already
-    holds: ``pullback_counit`` (i^* i_* N -> N), ``socle_unit``
-    (N -> i^! i_* N), ``tensor_unit`` (N -> j^* j_! N), ``tensor_counit``
-    (j_! j^* M -> M), ``hom_unit`` (M -> j_* j^* M) and ``hom_counit``
-    (j^* j_* N -> N).  The other two, M -> i_* i^* M and i_* i^! M -> M,
-    are the projection of ``i_upper`` and the inclusion of ``i_shriek``.
+    Each functor F has its action on maps as ``F_map(N, N2, G)``, sending
+    a module map G: N -> N2 to F(G).  Each adjunction L -| R has a unit
+    N -> R L N and a counit L R M -> M, each a matrix computed from the
+    module alone: ``pullback_*`` (i^* -| i_*), ``socle_*`` (i_* -| i^!),
+    ``tensor_*`` (j_! -| j^*) and ``hom_*`` (j^* -| j_*).
 
     Each of the six functors is computed once per distinct argument
     module and instance, and its value is read-only.
@@ -154,7 +155,7 @@ class Recollement:
         self.e_in_eA = _coords_rows(self.eA_rows, [e], n, "unit in eA")[0]
         self.e_in_Ae = _coords_rows(self.Ae_rows, [e], n, "unit in Ae")[0]
 
-    # -- the six functors ---------------------------------------------------
+    # -- the six functors and their actions on maps --------------------------
 
     @_stored
     def j_star(self, M: SkewModule) -> tuple:
@@ -164,9 +165,9 @@ class Recollement:
         act = _restricted_action(rows, [M.act_of(c) for c in self.corner_rows], n, "Me action")
         return SkewModule(self.corner, act), rows
 
-    def j_star_map(self, M, rowsM, N, rowsN, F) -> np.ndarray:
+    def j_star_map(self, M, M2, F) -> np.ndarray:
         n = self.A.base.modulus
-        return _coords_rows(rowsN, (rowsM @ F) % n, n, "restricted map")
+        return _coords_rows(self.j_star(M2)[1], (self.j_star(M)[1] @ F) % n, n, "restricted map")
 
     @_stored
     def i_star(self, N: SkewModule) -> SkewModule:
@@ -175,6 +176,9 @@ class Recollement:
             [N.act_of(self.alg_proj[j]) for j in range(self.A.rank)]
         ) if self.A.rank else np.zeros((0, N.dim, N.dim), dtype=np.int64)
         return SkewModule(self.A, act)
+
+    def i_star_map(self, N, N2, F) -> np.ndarray:
+        return F
 
     @_stored
     def i_upper(self, M: SkewModule) -> tuple:
@@ -185,6 +189,9 @@ class Recollement:
         ) if self.quotient.rank else np.zeros((0, Qa.dim, Qa.dim), dtype=np.int64)
         return SkewModule(self.quotient, act), proj, sec
 
+    def i_upper_map(self, M, M2, F) -> np.ndarray:
+        return (self.i_upper(M)[2] @ F @ self.i_upper(M2)[1]) % self.A.base.modulus
+
     @_stored
     def i_shriek(self, M: SkewModule) -> tuple:
         """The largest submodule killed by AeA; returns (module, rows in M)."""
@@ -192,6 +199,10 @@ class Recollement:
         K = killed_by_ideal(M, self.ideal)
         act = _restricted_action(K, [M.act_of(s) for s in self.alg_sec], n, "socle action")
         return SkewModule(self.quotient, act), K
+
+    def i_shriek_map(self, M, M2, F) -> np.ndarray:
+        n = self.A.base.modulus
+        return _coords_rows(self.i_shriek(M2)[1], (self.i_shriek(M)[1] @ F) % n, n, "socle map")
 
     @_stored
     def j_shriek(self, N: SkewModule) -> tuple:
@@ -209,12 +220,10 @@ class Recollement:
         rel = np.array(rel, dtype=np.int64).reshape(len(rel) * m, m) % n
         return quotient_module(SkewModule(self.A, free.reshape(self.A.rank, m, m)), rel)
 
-    def j_shriek_map(self, N, dataN, N2, dataN2, G) -> np.ndarray:
-        n = self.A.base.modulus
+    def j_shriek_map(self, N, N2, G) -> np.ndarray:
         p = self.eA_rows.shape[0]
-        _, projN, secN = dataN
-        _, projN2, _ = dataN2
-        return (secN @ np.kron(G, np.eye(p, dtype=np.int64)) @ projN2) % n
+        free = np.kron(G, np.eye(p, dtype=np.int64))
+        return (self.j_shriek(N)[2] @ free @ self.j_shriek(N2)[1]) % self.A.base.modulus
 
     def _hom_rows(self, basis, dim: int) -> np.ndarray:
         n = self.A.base.modulus
@@ -235,55 +244,51 @@ class Recollement:
         act = _restricted_action(flat, [np.kron(L.T, eye_N) for L in self.ae_left], n, "hom module action")
         return SkewModule(self.A, act), basis
 
-    def j_lower_map(self, N, basisN, N2, basisN2, G) -> np.ndarray:
+    def j_lower_map(self, N, N2, G) -> np.ndarray:
         n = self.A.base.modulus
-        imgs = [((B @ G) % n).reshape(-1) for B in basisN]
-        return _coords_rows(self._hom_rows(basisN2, N2.dim), imgs, n, "hom functor map")
+        imgs = [((B @ G) % n).reshape(-1) for B in self.j_lower(N)[1]]
+        return _coords_rows(self._hom_rows(self.j_lower(N2)[1], N2.dim), imgs, n, "hom functor map")
 
     # -- units and counits ----------------------------------------------------
 
-    def pullback_counit(self, proj: np.ndarray):
-        """Counit i^* i_* N -> N, or None when it does not exist.
+    def pullback_unit(self, M: SkewModule) -> np.ndarray:
+        """Unit M -> i_* i^* M, the projection onto M / M*AeA."""
+        return self.i_upper(M)[1]
 
-        proj is the projection of i_upper(i_* N); the counit is its inverse.
-        """
-        return linalg.matrix_inverse(proj, self.A.base.modulus)
+    def pullback_counit(self, N: SkewModule) -> np.ndarray:
+        """Counit i^* i_* N -> N, the section of i^*(i_* N); AeA kills i_* N,
+        so the projection is square and the section is its inverse."""
+        return self.i_upper(self.i_star(N))[2]
 
-    def socle_unit(self, K: np.ndarray) -> np.ndarray:
-        """Unit N -> i^! i_* N, the identity of N written in the rows K.
+    def socle_unit(self, N: SkewModule) -> np.ndarray:
+        """Unit N -> i^! i_* N, the identity of i_* N written in the rows of i^!(i_* N)."""
+        K = self.i_shriek(self.i_star(N))[1]
+        return _coords_rows(K, np.eye(N.dim, dtype=np.int64), self.A.base.modulus, "socle unit")
 
-        K are the rows of i_shriek(i_* N) in i_* N.
-        """
-        eye = np.eye(K.shape[1], dtype=np.int64)
-        return _coords_rows(K, eye, self.A.base.modulus, "socle unit")
+    def socle_counit(self, M: SkewModule) -> np.ndarray:
+        """Counit i_* i^! M -> M, the inclusion of the rows of i^! M."""
+        return self.i_shriek(M)[1]
 
-    def tensor_unit(self, N: SkewModule, shriek: tuple, rows: np.ndarray) -> np.ndarray:
-        """Unit N -> j^* j_! N, n |-> class(n tensor e).
-
-        shriek is j_shriek(N) and rows are the rows of j^* j_! N in j_! N.
-        """
+    def tensor_unit(self, N: SkewModule) -> np.ndarray:
+        """Unit N -> j^* j_! N, n |-> class(n tensor e)."""
         n = self.A.base.modulus
-        _, proj, _ = shriek
+        JN, proj, _ = self.j_shriek(N)
         emb = np.kron(np.eye(N.dim, dtype=np.int64), self.e_in_eA)
-        return _coords_rows(rows, (emb @ proj) % n, n, "tensor unit")
+        return _coords_rows(self.j_star(JN)[1], (emb @ proj) % n, n, "tensor unit")
 
-    def tensor_counit(self, M: SkewModule, rows: np.ndarray, shriek: tuple) -> np.ndarray:
-        """Counit j_! j^* M -> M, m tensor x |-> m x.
-
-        rows are the rows of j^* M in M and shriek is j_shriek(j^* M).
-        """
+    def tensor_counit(self, M: SkewModule) -> np.ndarray:
+        """Counit j_! j^* M -> M, m tensor x |-> m x."""
         n = self.A.base.modulus
-        _, _, sec = shriek
+        Me, rows = self.j_star(M)
+        _, _, sec = self.j_shriek(Me)
         acts = [M.act_of(x) for x in self.eA_rows]
         free = np.array([(v @ X) % n for v in rows for X in acts], dtype=np.int64)
         return (sec @ free.reshape(len(rows) * len(acts), M.dim)) % n
 
-    def hom_unit(self, M: SkewModule, rows: np.ndarray, basis: list) -> np.ndarray:
-        """Unit M -> j_* j^* M, m |-> (v in Ae |-> m v).
-
-        rows are the rows of j^* M in M and basis is the hom basis of
-        j_lower(j^* M).
-        """
+    def hom_unit(self, M: SkewModule) -> np.ndarray:
+        """Unit M -> j_* j^* M, m |-> (v in Ae |-> m v)."""
+        Me, rows = self.j_star(M)
+        _, basis = self.j_lower(Me)
         if not basis:
             return np.zeros((M.dim, 0), dtype=np.int64)
         n = self.A.base.modulus
@@ -292,13 +297,11 @@ class Recollement:
         imgs = _coords_rows(rows, acts, n, "unit image").reshape(-1, M.dim, k).transpose(1, 0, 2)
         return _coords_rows(self._hom_rows(basis, k), imgs.reshape(M.dim, -1), n, "hom unit")
 
-    def hom_counit(self, N: SkewModule, rows: np.ndarray, basis: list) -> np.ndarray:
-        """Counit j^* j_* N -> N, psi |-> psi(e).
-
-        rows are the rows of j^* j_* N in j_* N and basis is the hom
-        basis of j_lower(N).
-        """
+    def hom_counit(self, N: SkewModule) -> np.ndarray:
+        """Counit j^* j_* N -> N, psi |-> psi(e)."""
         n = self.A.base.modulus
+        HN, basis = self.j_lower(N)
+        _, rows = self.j_star(HN)
         B = np.array(basis, dtype=np.int64).reshape(len(basis), self.Ae_rows.shape[0], N.dim)
         return (rows @ (np.einsum("k,hkl->hl", self.e_in_Ae, B) % n)) % n
 
@@ -310,6 +313,17 @@ CHECKS = (
     "inflation_socle_triangles",
     "extension_restriction_triangles",
     "restriction_coextension_triangles",
+)
+
+# One row per adjunction L -| R: its check, the universes of the domains
+# of L and R, the functors L and R, and the prefix of its unit and
+# counit.  Every name is a Recollement method looked up on the instance,
+# and each functor F has its action on maps as F_map.
+ADJUNCTIONS = (
+    ("pullback_inflation_triangles", "middle", "quotient", "i_upper", "i_star", "pullback"),
+    ("inflation_socle_triangles", "quotient", "middle", "i_star", "i_shriek", "socle"),
+    ("extension_restriction_triangles", "corner", "middle", "j_shriek", "j_star", "tensor"),
+    ("restriction_coextension_triangles", "middle", "corner", "j_star", "j_lower", "hom"),
 )
 
 
@@ -373,26 +387,13 @@ def _verify(rec: Recollement, universe) -> RecollementReport:
     """The checks of verify_recollement for rec; universe(B) gives B's universe."""
     A = rec.A
     n = A.base.modulus
-    UA = universe(A)
-    UX = universe(rec.corner)
-    UY = universe(rec.quotient)
-    inflated = [rec.i_star(N) for N in UY.members]
-    restricted = [rec.j_star(M) for M in UA.members]
+    UA, UX, UY = universe(A), universe(rec.corner), universe(rec.quotient)
+    universes = {"middle": UA, "corner": UX, "quotient": UY}
     failures = []
-
-    def is_identity(F, k):
-        return not ((F % n) != np.eye(k, dtype=np.int64)).any()
-
-    def run(name, triangle, members, *extra):
-        # triangle returns the label of the first identity that fails, if any
-        for args in zip(members, *extra):
-            label = triangle(*args)
-            if label:
-                failures.append((name, (label, args[0].key())))
 
     # image of inflation = kernel of corner restriction, as universe classes
     ker = {i for i, M in enumerate(UA.members) if not (M.act_of(rec.e) % n).any()}
-    classes = [UA.index_of(iN) for iN in inflated]
+    classes = [UA.index_of(rec.i_star(N)) for N in UY.members]
     if set(classes) != ker:
         failures.append(("image_matches_kernel", (sorted(set(classes)), sorted(ker))))
 
@@ -405,107 +406,34 @@ def _verify(rec: Recollement, universe) -> RecollementReport:
             if lhs != rhs:
                 failures.append(("inflation_fully_faithful", (a, b, lhs, rhs)))
 
-    # (pullback -| inflation): the unit M -> i_* i^* M is the projection
-    def pullback_at_middle(M):
-        QM, projM, secM = rec.i_upper(M)
-        iQM = rec.i_star(QM)
-        if not _is_module_map(M, iQM, projM):
-            return "unit not a module map"
-        # i^*(unit) then the counit at i^* M must be the identity of i^* M
-        _, projQ, _ = rec.i_upper(iQM)
-        counit = rec.pullback_counit(projQ)
-        if counit is None or not is_identity((secM @ projM @ projQ) % n @ counit, QM.dim):
-            return "first identity"
+    def triangle(check, X, label, unit, counit, composite):
+        # unit and counit are (source, target, matrix); a functor acts on
+        # module maps only, so composite() runs once both are module maps
+        if not _is_module_map(*unit):
+            label = "unit not a module map"
+        elif not _is_module_map(*counit):
+            label = "counit not a module map"
+        else:
+            F = composite() % n
+            if np.array_equal(F, np.eye(len(F), dtype=np.int64)):
+                return
+        failures.append((check, (label, X.key())))
 
-    def pullback_at_quotient(N, iN):
-        QiN, projN, _ = rec.i_upper(iN)
-        counit = rec.pullback_counit(projN)
-        if counit is None or not _is_module_map(QiN, N, counit) or not is_identity(projN @ counit, N.dim):
-            return "second identity"
-
-    run("pullback_inflation_triangles", pullback_at_middle, UA.members)
-    run("pullback_inflation_triangles", pullback_at_quotient, UY.members, inflated)
-
-    # (inflation -| socle): the counit i_* i^! M -> M is the inclusion
-    def socle_at_middle(M):
-        SM, K = rec.i_shriek(M)
-        iSM = rec.i_star(SM)
-        if not _is_module_map(iSM, M, K):
-            return "counit not a module map"
-        _, K0 = rec.i_shriek(iSM)
-        induced = _coords_rows(K, (K0 @ K) % n, n, "socle map")
-        if not is_identity(rec.socle_unit(K0) @ induced, SM.dim):
-            return "second identity"
-
-    def socle_at_quotient(N, iN):
-        SiN, K = rec.i_shriek(iN)
-        unit = rec.socle_unit(K)
-        if not _is_module_map(N, SiN, unit) or not is_identity(unit @ K, N.dim):
-            return "first identity"
-
-    run("inflation_socle_triangles", socle_at_middle, UA.members)
-    run("inflation_socle_triangles", socle_at_quotient, UY.members, inflated)
-
-    # (extension -| restriction): j_! -| j^*
-    def tensor_at_corner(N):
-        shriek = rec.j_shriek(N)
-        JN = shriek[0]
-        JNe, rowsJNe = rec.j_star(JN)
-        unit = rec.tensor_unit(N, shriek, rowsJNe)
-        if not _is_module_map(N, JNe, unit):
-            return "unit not a module map"
-        # j_!(unit) then the counit at j_! N must be the identity of j_! N
-        shriekJ = rec.j_shriek(JNe)
-        junit = rec.j_shriek_map(N, shriek, JNe, shriekJ, unit)
-        counit = rec.tensor_counit(JN, rowsJNe, shriekJ)
-        if not _is_module_map(shriekJ[0], JN, counit) or not is_identity(junit @ counit, JN.dim):
-            return "first identity"
-
-    def tensor_at_middle(M, restriction):
-        Me, rowsMe = restriction
-        shriek = rec.j_shriek(Me)
-        counit = rec.tensor_counit(M, rowsMe, shriek)
-        if not _is_module_map(shriek[0], M, counit):
-            return "counit not a module map"
-        # the unit at j^* M then j^*(counit) must be the identity of j^* M
-        _, rowsJMee = rec.j_star(shriek[0])
-        unit = rec.tensor_unit(Me, shriek, rowsJMee)
-        jcounit = rec.j_star_map(shriek[0], rowsJMee, M, rowsMe, counit)
-        if not is_identity(unit @ jcounit, Me.dim):
-            return "second identity"
-
-    run("extension_restriction_triangles", tensor_at_corner, UX.members)
-    run("extension_restriction_triangles", tensor_at_middle, UA.members, restricted)
-
-    # (restriction -| coextension): j^* -| j_*
-    def hom_at_middle(M, restriction):
-        Me, rowsMe = restriction
-        HN, basis = rec.j_lower(Me)
-        unit = rec.hom_unit(M, rowsMe, basis)
-        if not _is_module_map(M, HN, unit):
-            return "unit not a module map"
-        # j^*(unit) then the counit at j^* M must be the identity of j^* M
-        HNe, rowsHNe = rec.j_star(HN)
-        counit = rec.hom_counit(Me, rowsHNe, basis)
-        junit = rec.j_star_map(M, rowsMe, HN, rowsHNe, unit)
-        if not _is_module_map(HNe, Me, counit) or not is_identity(junit @ counit, Me.dim):
-            return "first identity"
-
-    def hom_at_corner(N):
-        HN, basis = rec.j_lower(N)
-        HNe, rowsHNe = rec.j_star(HN)
-        counit = rec.hom_counit(N, rowsHNe, basis)
-        if not _is_module_map(HNe, N, counit):
-            return "counit not a module map"
-        # the unit at j_* N then j_*(counit) must be the identity of j_* N
-        _, basis2 = rec.j_lower(HNe)
-        unit = rec.hom_unit(HN, rowsHNe, basis2)
-        jcounit = rec.j_lower_map(HNe, basis2, N, basis, counit)
-        if not is_identity(unit @ jcounit, HN.dim):
-            return "second identity"
-
-    run("restriction_coextension_triangles", hom_at_middle, UA.members, restricted)
-    run("restriction_coextension_triangles", hom_at_corner, UX.members)
+    for check, left, right, l_name, r_name, prefix in ADJUNCTIONS:
+        names = (l_name, l_name + "_map", r_name, r_name + "_map", prefix + "_unit", prefix + "_counit")
+        L, L_map, R, R_map, unit, counit = (getattr(rec, name) for name in names)
+        for N in universes[left].members:  # L(unit at N), then the counit at L N
+            LN = _module(L(N))
+            RLN = _module(R(LN))
+            eta, eps = unit(N), counit(LN)
+            triangle(check, N, "first identity", (N, RLN, eta), (_module(L(RLN)), LN, eps),
+                     lambda: L_map(N, RLN, eta) @ eps)
+        for M in universes[right].members:  # the unit at R M, then R(counit at M)
+            RM = _module(R(M))
+            LRM = _module(L(RM))
+            eta, eps = unit(RM), counit(M)
+            triangle(check, M, "second identity", (RM, _module(R(LRM)), eta), (LRM, M, eps),
+                     lambda: eta @ R_map(LRM, M, eps))
 
     sizes = {"middle": len(UA), "corner": len(UX), "quotient": len(UY)}
     checks = {name: all(f != name for f, _ in failures) for name in CHECKS}

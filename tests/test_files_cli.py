@@ -420,6 +420,15 @@ def test_cli_recollement_wrong_length(capsys):
     assert code == 2 and "3 coordinates" in doc["error"]
 
 
+def test_cli_recollement_reduces_huge_coordinates(capsys):
+    # 10^20 - 1 is odd and lies outside int64; it is 1 over F2
+    huge = main(["recollement", fx("a2_f2.json"), "--idempotent", "99999999999999999999,0,0"])
+    huge_out = capsys.readouterr().out
+    small = main(["recollement", fx("a2_f2.json"), "--idempotent", "1,0,0"])
+    assert huge == small == 0
+    assert huge_out == capsys.readouterr().out
+
+
 def _set(*path_and_value):
     *path, key, value = path_and_value
 

@@ -1,5 +1,6 @@
 """Corner/quotient algebra construction and full recollement verification
 for idempotents of the upper triangular 2x2 algebra and friends."""
+import itertools
 import json
 import os
 from collections import Counter
@@ -7,11 +8,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from torsite import acceptance, recollement
+from torsite import acceptance, linalg, recollement
+from torsite.algebra import constant_presheaf
 from torsite.cli import main
 from torsite.errors import InputError, NotPrimeError
-from torsite.fixtures import group_algebra_c2, product_field_algebra, t2_algebra
-from torsite.modules import SkewModule, regular_module
+from torsite.fixtures import (
+    a2_category,
+    a3_category,
+    c2_monoid_category,
+    field_algebra,
+    group_algebra_c2,
+    idempotent_monoid_category,
+    product_field_algebra,
+    t2_algebra,
+    terminal_category,
+)
+from torsite.grskew import build_gr, build_skew_algebra, linearize_topology
+from torsite.modules import SkewModule, regular_module, sheaf_check
 from torsite.recollement import (
     Recollement,
     corner_algebra,
@@ -19,7 +32,8 @@ from torsite.recollement import (
     verify_recollement,
     verify_recollements,
 )
-from torsite.torsion import ideal_generated_by
+from torsite.topology import subcategory_topology
+from torsite.torsion import ModuleUniverse, ideal_generated_by
 
 E11 = [1, 0, 0]
 E12 = [0, 1, 0]
@@ -211,6 +225,36 @@ def test_verify_recollement_builds_one_universe_per_algebra(monkeypatch, e, size
     assert built == ranks_built
 
 
+# -- every unit, counit and map action matters ------------------------------
+
+# the checks that fail when the method returns zero matrices
+METHOD_CHECKS = {
+    "pullback_unit": {"pullback_inflation_triangles"},
+    "pullback_counit": {"pullback_inflation_triangles"},
+    "i_upper_map": {"pullback_inflation_triangles"},
+    "i_star_map": {"pullback_inflation_triangles", "inflation_socle_triangles"},
+    "socle_unit": {"inflation_socle_triangles"},
+    "socle_counit": {"inflation_socle_triangles"},
+    "i_shriek_map": {"inflation_socle_triangles"},
+    "tensor_unit": {"extension_restriction_triangles"},
+    "tensor_counit": {"extension_restriction_triangles"},
+    "j_shriek_map": {"extension_restriction_triangles"},
+    "j_star_map": {"extension_restriction_triangles", "restriction_coextension_triangles"},
+    "hom_unit": {"restriction_coextension_triangles"},
+    "hom_counit": {"restriction_coextension_triangles"},
+    "j_lower_map": {"restriction_coextension_triangles"},
+}
+
+
+@pytest.mark.parametrize("e", [E22, E11], ids=["e22", "e11"])
+@pytest.mark.parametrize("name", sorted(METHOD_CHECKS))
+def test_zeroed_method_fails_exactly_its_adjunctions(monkeypatch, e, name):
+    method = getattr(Recollement, name)
+    monkeypatch.setattr(Recollement, name, lambda self, *args: np.zeros_like(method(self, *args)))
+    rep = verify_recollement(t2_algebra(2), e, dim_bound=2)
+    assert {k for k, v in rep.checks.items() if not v} == METHOD_CHECKS[name]
+
+
 # -- the per-instance functor table -------------------------------------------
 
 FUNCTORS = ("j_star", "i_star", "i_upper", "i_shriek", "j_shriek", "j_lower")
@@ -291,12 +335,12 @@ def test_functor_table_counts_at_e22(monkeypatch):
         monkeypatch.setattr(Recollement, name, called)
     assert verify_recollement(t2_algebra(2), E22, dim_bound=3).ok
     assert {name: (calls[name], computed[name]) for name in FUNCTORS} == {
-        "j_star": (47, 16),
-        "i_star": (30, 4),
-        "i_upper": (30, 13),
-        "i_shriek": (30, 13),
-        "j_shriek": (21, 4),
-        "j_lower": (21, 4),
+        "j_star": (180, 16),
+        "i_star": (80, 4),
+        "i_upper": (90, 13),
+        "i_shriek": (90, 13),
+        "j_shriek": (63, 4),
+        "j_lower": (63, 4),
     }
 
 
@@ -364,3 +408,59 @@ def test_criterion_9_builds_each_universe_once(monkeypatch):
     monkeypatch.setattr(recollement, "ModuleUniverse", counted)
     assert acceptance.criterion_9_recollement() == "all checks pass for e in {0, 1, e22}"
     assert built == [3, 0, 1]
+
+
+# -- the presheaves of the benchmark sites ------------------------------------
+
+# name -> (category, coefficient algebra, number of idempotents of the
+# skew algebra), built as perfbench/make_sites.py builds them
+BENCH_PRESHEAVES = {
+    "terminal_f2": (terminal_category, lambda: field_algebra(2), 2),
+    "terminal_f3": (terminal_category, lambda: field_algebra(3), 2),
+    "terminal_f2xf2": (terminal_category, lambda: product_field_algebra(2, 2), 4),
+    "a2_f2": (a2_category, lambda: field_algebra(2), 6),
+    "a2_f2xf2": (a2_category, lambda: product_field_algebra(2, 2), 36),
+    "a3_f2": (a3_category, lambda: field_algebra(2), 26),
+    "c2_f2": (c2_monoid_category, lambda: field_algebra(2), 2),
+    "c2_f3": (c2_monoid_category, lambda: field_algebra(3), 4),
+    "c2_f2xf2": (c2_monoid_category, lambda: product_field_algebra(2, 2), 4),
+    "idem_f2": (idempotent_monoid_category, lambda: field_algebra(2), 4),
+    "idem_f2xf2": (idempotent_monoid_category, lambda: product_field_algebra(2, 2), 16),
+}
+
+
+def bench_presheaf(name: str) -> tuple:
+    make_cat, make_alg, _ = BENCH_PRESHEAVES[name]
+    cat = make_cat()
+    return cat, constant_presheaf(cat, make_alg())
+
+
+@pytest.mark.parametrize("name", BENCH_PRESHEAVES)
+def test_every_idempotent_gives_a_recollement(name):
+    A = build_skew_algebra(*bench_presheaf(name))
+    idempotents = [v for v in linalg.all_vectors(A.rank, A.base.modulus) if A.is_idempotent(v)]
+    assert len(idempotents) == BENCH_PRESHEAVES[name][2]
+    reports = verify_recollements(A, idempotents, dim_bound=2)
+    assert [rep.idempotent for rep in reports if not rep.ok] == []
+
+
+@pytest.mark.parametrize("name", BENCH_PRESHEAVES)
+def test_sheaves_are_the_modules_with_an_invertible_hom_unit(name):
+    # the paper's Theorem A: for e = e_D the sheaves on (C, J_D, R) are the
+    # modules M whose unit M -> j_* j^* M is an isomorphism
+    cat, R = bench_presheaf(name)
+    A, gr = build_skew_algebra(cat, R), build_gr(cat, R)
+    n = A.base.modulus
+    members = ModuleUniverse(A, 2).members
+    for D in itertools.chain.from_iterable(
+        itertools.combinations(range(cat.n_objects), r) for r in range(cat.n_objects + 1)
+    ):
+        e = sum((A.object_idempotent(x) for x in D), np.zeros(A.rank, dtype=np.int64)) % n
+        rec = Recollement(A, e)
+        Jp = linearize_topology(gr, subcategory_topology(cat, D))
+        for V in members:
+            H = rec.hom_unit(V)
+            invertible = H.shape[0] == H.shape[1] and np.array_equal(
+                linalg.howell_form(H, n, H.shape[1]), np.eye(len(H), dtype=np.int64)
+            )
+            assert bool(sheaf_check(V, Jp)) == invertible, (D, V.key())
