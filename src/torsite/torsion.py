@@ -160,7 +160,7 @@ def trace_in_module(maps, target: SkewModule) -> np.ndarray:
 # the bounded module universe
 
 
-# GL tables are computed in chunks of this many candidate matrices, so the
+# GL inverses are computed in chunks of this many matrices, so the
 # working arrays stay small whatever the group size.
 _GL_CHUNK = 1 << 15
 
@@ -181,11 +181,14 @@ def _inverse_mod_prime(a: np.ndarray, p: int) -> np.ndarray:
 def _invertible_matrices(n: int, m: int, budget: int):
     """GL(m, n) for prime n, as (G, Ginv) stacks.
 
-    The candidates are all n^(m*m) matrices in digit order (cell c of
-    candidate k is digit c of k in base n); G keeps the invertible ones in
-    that order and Ginv holds their inverses.  One Gauss-Jordan
-    elimination runs on a whole chunk of candidates at once.  Entries stay
-    below n, so no intermediate exceeds (n-1)^2 + n.
+    G lists the invertible matrices in digit order: cell c of matrix k is
+    digit c of k in base n, and the budget is charged for all n^(m*m)
+    candidates k.  Only the invertible ones are built, one row at a time
+    from the last: a row runs over the vectors outside the span of the
+    rows below it, in code order, which keeps the stack in digit order.
+    Ginv holds their inverses, from one Gauss-Jordan elimination per chunk
+    of matrices.  Entries stay below n, so no intermediate exceeds
+    (n-1)^2 + n.
     """
     total = n ** (m * m)
     if total > budget:
@@ -195,29 +198,31 @@ def _invertible_matrices(n: int, m: int, budget: int):
     if m == 0:
         z = np.zeros((1, 0, 0), dtype=np.int64)
         return z, z
-    eye = np.eye(m, dtype=np.int64)
-    powers = n ** np.arange(m * m, dtype=np.int64)
-    gs, ginvs = [], []
-    for start in range(0, total, _GL_CHUNK):
-        digits = np.arange(start, min(start + _GL_CHUNK, total), dtype=np.int64)
-        mats = ((digits[:, None] // powers) % n).reshape(-1, m, m)
-        aug = np.concatenate([mats, np.broadcast_to(eye, mats.shape)], axis=2)
-        keep = np.arange(len(mats))
+    powers = n ** np.arange(m, dtype=np.int64)
+    vectors = (np.arange(n**m, dtype=np.int64)[:, None] // powers) % n  # row v has code v
+    G = vectors[1:, None]  # the last rows of the matrices built so far
+    for r in range(1, m):
+        # the codes of the n^r combinations of the r rows of each partial matrix
+        span = np.matmul(vectors[: n**r, :r], G) % n @ powers
+        outside = np.ones((len(G), n**m), dtype=bool)
+        outside[np.arange(len(G))[:, None], span] = False
+        k, v = np.nonzero(outside)
+        G = np.concatenate([vectors[v][:, None], G[k]], axis=1)
+    ginvs = []
+    for start in range(0, len(G), _GL_CHUNK):
+        mats = G[start : start + _GL_CHUNK]
+        aug = np.concatenate([mats, np.broadcast_to(np.eye(m, dtype=np.int64), mats.shape)], axis=2)
+        rows = np.arange(len(aug))
         for col in range(m):
-            nonzero = aug[:, col:, col] != 0
-            alive = nonzero.any(axis=1)
-            aug, keep, nonzero = aug[alive], keep[alive], nonzero[alive]
-            rows = np.arange(len(aug))
-            piv = col + nonzero.argmax(axis=1)
+            piv = col + (aug[:, col:, col] != 0).argmax(axis=1)
             pivot_row = aug[rows, piv]
             aug[rows, piv] = aug[:, col]
             aug[:, col] = pivot_row * _inverse_mod_prime(pivot_row[:, col], n)[:, None] % n
             factors = aug[:, :, col].copy()
             factors[:, col] = 0
             aug = (aug - factors[:, :, None] * aug[:, None, col]) % n
-        gs.append(mats[keep])
         ginvs.append(aug[:, :, m:])
-    return np.concatenate(gs), np.concatenate(ginvs)
+    return G, np.concatenate(ginvs)
 
 
 def _simple_modules(A: FiniteAlgebra, dim_bound: int, budget: int) -> list:
@@ -256,7 +261,9 @@ class ModuleUniverse:
     their canonical key, the conjugation-minimal action tensor under the
     full change-of-basis group; members are those minima, sorted by key.
     The budget is charged p^dim Ext^1(V, S) for each pair scanned.  Prime
-    modulus only.
+    modulus only.  simple_bound is the largest dimension of a simple.
+    composition_factors[i] holds the simple members of a composition
+    series of member i, sorted: those of V plus S when E is first keyed.
     """
 
     def __init__(self, A: FiniteAlgebra, dim_bound: int = 3, budget: int = DEFAULT_UNIVERSE_BUDGET):
@@ -269,20 +276,23 @@ class ModuleUniverse:
         self._gl = {}
         self._canon_cache = {}
         zero = zero_skew_module(A)
-        seen = {self._canon_key(zero): zero}
-        by_dim = [[zero]]
-        simples = {self._canon_key(S): S for S in _simple_modules(A, dim_bound, budget)}
-        simples = [simples[k] for k in sorted(simples)]
+        z = self._canon_key(zero)
+        # factors[key]: the composition factors of a member, as positions in simples
+        seen, factors, by_dim = {z: zero}, {z: ()}, [[z]]
+        # every simple has dimension <= rank, so this lists them all
+        simples = _simple_modules(A, A.rank, budget)
+        self.simple_bound = max((S.dim for S in simples), default=0)
+        simples = sorted({self._canon_key(S): S for S in simples if S.dim <= dim_bound}.items())
         scanned = 0
         # one level at a time, and none without simples: a huge bound
         # allocates nothing before the budget stops the build
         for m in range(1, dim_bound + 1 if simples else 1):
             by_dim.append([])
-            for S in simples:
+            for s, (_, S) in enumerate(simples):
                 if S.dim > m:
                     continue
-                for V in by_dim[m - S.dim]:
-                    X, build = extension_class_space(V, S)
+                for v_key in by_dim[m - S.dim]:
+                    X, build = extension_class_space(seen[v_key], S)
                     scanned += linalg.span_size(X, n)
                     if scanned > budget:
                         raise BudgetExceededError("module universe extensions", scanned, budget)
@@ -291,13 +301,20 @@ class ModuleUniverse:
                         if key not in seen:
                             act = np.frombuffer(key[1], dtype=np.int64).reshape(A.rank, m, m)
                             seen[key] = SkewModule(A, act)
-                            by_dim[m].append(seen[key])
-        self.members = [seen[k] for k in sorted(seen)]
-        self._index = {self._canon_key(V): i for i, V in enumerate(self.members)}
-        self.simple_indices = tuple(self.index_of(S) for S in simples)
+                            factors[key] = tuple(sorted(factors[v_key] + (s,)))
+                            by_dim[m].append(key)
+        keys = sorted(seen)
+        self.members = [seen[k] for k in keys]
+        self._index = {k: i for i, k in enumerate(keys)}
+        # a member's tensor is its own canonical form
+        self._canon_cache.update((k, k) for k in keys)
+        self.simple_indices = tuple(self._index[k] for k, _ in simples)
+        # members and simples share the key order, so the tuples stay sorted
+        self.composition_factors = tuple(
+            tuple(self.simple_indices[s] for s in factors[k]) for k in keys
+        )
         self._homs = {}
         self._sequences = {}
-        self._maximal_sub_classes = {}
 
     def _gl_group(self, m: int):
         if m not in self._gl:
@@ -378,33 +395,6 @@ class ModuleUniverse:
             self._sequences[xs] = tuple(sequences)
         return self._sequences[xs]
 
-    def maximal_sub_classes(self, i: int) -> frozenset:
-        """Classes of the maximal submodules of member i.
-
-        They are the kernels of the nonzero maps onto simple modules: S is
-        simple, so every nonzero map to S is onto and its kernel maximal,
-        and a maximal submodule M is the kernel of V -> V/M with V/M a
-        simple member.  The modulus is prime, so the maps are the span of
-        hom_basis(i, s); kernels are deduplicated by their Howell form.
-        """
-        if i not in self._maximal_sub_classes:
-            V = self.members[i]
-            n = self.algebra.base.modulus
-            kernels = {}
-            for s in self.simple_indices:
-                homs = self.hom_basis(i, s)
-                if not homs:
-                    continue
-                basis = np.stack(homs).reshape(len(homs), -1)
-                for phi in linalg.span_elements(basis, n):
-                    if phi.any():
-                        K = linalg.kernel_left(phi.reshape(homs[0].shape), n)
-                        kernels.setdefault(linalg.span_key(K), K)
-            self._maximal_sub_classes[i] = frozenset(
-                self.index_of(submodule_module(V, K)[0]) for K in kernels.values()
-            )
-        return self._maximal_sub_classes[i]
-
     def zero_index(self) -> int:
         return self.index_of(zero_skew_module(self.algebra))
 
@@ -484,9 +474,12 @@ def torsion_pair_check(X, Y, universe: ModuleUniverse) -> TorsionPairWitness:
 
     Checks mutual Hom-perpendicularity and that, for every member a, the
     sequence x_a -> a -> y_a with x_a the trace of X in a (computed once
-    per X by the universe) has x_a in X and y_a in Y; the
-    hereditary flag records closure of X under submodules, the split flag
-    records that every sequence admits a retraction.
+    per X by the universe) has x_a in X and y_a in Y; the split flag
+    records that every sequence admits a retraction.  The hereditary flag
+    records that X holds every composition factor of its members.  When
+    the pre-perp check holds, that is closure of X under submodules: X is
+    then closed under quotients and extensions inside the universe, and a
+    submodule lies in X once its composition factors do.
     """
     xs = _normalize_class(universe, X)
     ys = _normalize_class(universe, Y)
@@ -501,9 +494,7 @@ def torsion_pair_check(X, Y, universe: ModuleUniverse) -> TorsionPairWitness:
             failures.append(("sequence-sub", seq.member, seq.sub_class))
         if seq.quot_class not in ys:
             failures.append(("sequence-quot", seq.member, seq.quot_class))
-    # modules of finite length: closed under submodules iff closed under
-    # maximal submodules
-    hereditary = all(universe.maximal_sub_classes(i) <= xs for i in xs)
+    hereditary = all(f in xs for i in xs for f in universe.composition_factors[i])
     split = all(seq.splits for seq in sequences)
     return TorsionPairWitness(not failures, xs, ys, hereditary, split, sequences, failures)
 
@@ -725,6 +716,9 @@ def classify(
     gr = build_gr(sub, RD)
     skew = build_skew_algebra(sub, RD)
     universe = ModuleUniverse(skew, dim_bound, budget)
+    if (d := universe.simple_bound) > dim_bound:  # the 2^s triples need every simple
+        raise InputError(f"dimension bound {dim_bound} leaves out a simple module of dimension {d}; "
+                         f"classify needs a bound of at least {d}")
 
     ideals = enumerate_idempotent_ideals(skew, budget)
     triples = [_ttf_triple(I, universe) for I in ideals]

@@ -7,9 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsite import cli, files
-from torsite.algebra import constant_presheaf
+from torsite.algebra import BaseRing, FiniteAlgebra, constant_presheaf
 from torsite.cli import main
 from torsite.errors import InputError
 from torsite.fixtures import (
@@ -645,6 +646,70 @@ def test_cli_deterministic_output(capsys):
     _, doc2, _ = run_cli(capsys, "classify", fx("a2_f2.json"), fx("a2_trivial_topology.json"))
     assert doc1 == doc2
     assert files.dump_json(doc1) == files.dump_json(doc2)
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.text() | st.floats()
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_JSON_DOCS)
+def test_dump_json_matches_json_dumps(doc):
+    assert files.dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_escapes_and_refuses_as_json_does():
+    doc = {"\u00e9\n\"": ["\u2603\x00", None, True, False, -0.0, float("inf")], "k": {2: {}, 10: [], -1: ()}}
+    assert files.dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for bad in ([np.int64(1)], {(1, 2): 0}, {1: 0, "a": 0}, {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            files.dump_json(bad)
+
+
+BENCH_SITES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "sites")
+
+
+@pytest.mark.parametrize(
+    "presheaf", ["a2_f2", "a3_f2", "c2_f2", "idem_f2", "terminal_f2xf2", "a2_f2xf2", "c2_f3"]
+)
+def test_cli_classify_below_every_simple_is_an_input_error(capsys, presheaf):
+    # the one-member universe at --dim-bound 0 cannot tell the triples
+    # apart: refused with the least bound that holds every simple
+    site = [os.path.join(BENCH_SITES, f"{presheaf}.json"),
+            os.path.join(BENCH_SITES, f"{presheaf.split('_')[0]}_full_topology.json")]
+    code, doc, err = run_cli(capsys, "classify", *site, "--dim-bound", "0")
+    assert (code, doc["kind"]) == (2, "input")
+    assert doc["error"] == (
+        "dimension bound 0 leaves out a simple module of dimension 1; classify needs a bound of at least 1"
+    )
+    code, doc, _ = run_cli(capsys, "classify", *site, "--dim-bound", "1")
+    assert code == 0 and doc["ok"] is True
+
+
+def test_cli_classify_names_the_dimension_of_a_larger_simple(capsys, tmp_path):
+    # F4 as an F2-algebra (basis 1, a with a^2 = a + 1) is its own simple
+    # module, of dimension 2
+    mul = np.zeros((2, 2, 2), dtype=np.int64)
+    mul[0, 0, 0] = mul[0, 1, 1] = mul[1, 0, 1] = mul[1, 1, 0] = mul[1, 1, 1] = 1
+    f4 = FiniteAlgebra(BaseRing(2), mul, [1, 0], ("1", "a"))
+    cat = terminal_category()
+    presheaf, topology = str(tmp_path / "f4.json"), str(tmp_path / "full.json")
+    files.dump_json(files.presheaf_to_doc(cat, constant_presheaf(cat, f4)), presheaf)
+    files.dump_json(files.topology_to_doc(trivial_topology(cat)), topology)
+    code, doc, _ = run_cli(capsys, "classify", presheaf, topology, "--dim-bound", "1")
+    assert code == 2 and doc["error"].endswith("of dimension 2; classify needs a bound of at least 2")
+    code, doc, _ = run_cli(capsys, "classify", presheaf, topology, "--dim-bound", "2")
+    assert code == 0 and doc["counts"]["universe_members"] == 2
+    assert doc["counts"]["hereditary_torsion_pairs"] == 2
 
 
 def test_classify_runs_on_numpy_alone():

@@ -2,8 +2,10 @@
 the three classifications, pinned to hand-checked values for the upper
 triangular 2x2 algebra, the product field, and the order-2 group algebra
 over F2."""
+import collections
 import dataclasses
 import functools
+import glob
 import hashlib
 import itertools
 import json
@@ -522,7 +524,31 @@ def test_classify_computes_each_hom_space_once(monkeypatch):
     assert calls["splits"] <= len(classes) * N
 
 
-@pytest.mark.parametrize(
+def oracle_maximal_sub_classes(U: tn.ModuleUniverse, i: int) -> frozenset:
+    """Classes of the maximal submodules of member i.
+
+    They are the kernels of the nonzero maps onto simple modules: S is
+    simple, so every nonzero map to S is onto and its kernel maximal,
+    and a maximal submodule M is the kernel of V -> V/M with V/M a
+    simple member.  The modulus is prime, so the maps are the span of
+    hom_basis(i, s); kernels are deduplicated by their Howell form.
+    """
+    V = U.members[i]
+    n = U.algebra.base.modulus
+    kernels = {}
+    for s in U.simple_indices:
+        homs = U.hom_basis(i, s)
+        if not homs:
+            continue
+        basis = np.stack(homs).reshape(len(homs), -1)
+        for phi in linalg.span_elements(basis, n):
+            if phi.any():
+                K = linalg.kernel_left(phi.reshape(homs[0].shape), n)
+                kernels.setdefault(linalg.span_key(K), K)
+    return frozenset(U.index_of(submodule_module(V, K)[0]) for K in kernels.values())
+
+
+MAXIMAL_SUBMODULE_CASES = pytest.mark.parametrize(
     "make, dim_bound",
     [
         (lambda: t2_algebra(2), 3),
@@ -533,25 +559,94 @@ def test_classify_computes_each_hom_space_once(monkeypatch):
     ],
     ids=["t2_f2", "a3_f2", "c2_f2", "f2xf2", "c2_f3"],
 )
+
+
+@MAXIMAL_SUBMODULE_CASES
 def test_maximal_submodules_generate_the_submodule_lattice(make, dim_bound):
     # finite length: the submodules of a member are the member itself and
     # the submodules of its maximal submodules
     U = tn.ModuleUniverse(make(), dim_bound)
     zero = U.zero_index()
-    assert U.maximal_sub_classes(zero) == frozenset()
+    assert oracle_maximal_sub_classes(U, zero) == frozenset()
     for i in range(len(U)):
-        below = {j for k in U.maximal_sub_classes(i) for j in sub_classes(U, k)}
+        below = {j for k in oracle_maximal_sub_classes(U, i) for j in sub_classes(U, k)}
         assert sub_classes(U, i) == {i} | below, i
     simples = [i for i in range(len(U)) if sub_classes(U, i) == {zero, i} and i != zero]
     assert list(U.simple_indices) == simples
-    assert all(U.maximal_sub_classes(s) == {zero} for s in simples)
+    assert all(oracle_maximal_sub_classes(U, s) == {zero} for s in simples)
 
 
 def test_maximal_sub_classes_of_t2(t2, t2_universe):
     s1, s2, p1 = simple_classes(t2, t2_universe)
-    assert t2_universe.maximal_sub_classes(p1) == {s2}
+    assert oracle_maximal_sub_classes(t2_universe, p1) == {s2}
     both = t2_universe.index_of(direct_sum(t2_universe.members[s1], t2_universe.members[s2]))
-    assert t2_universe.maximal_sub_classes(both) == {s1, s2}
+    assert oracle_maximal_sub_classes(t2_universe, both) == {s1, s2}
+
+
+def oracle_composition_factors(U: tn.ModuleUniverse, i: int) -> tuple:
+    """The composition factors of member i, peeled off from the top.
+
+    The first nonzero map from member i to a simple member s is onto; its
+    kernel is a maximal submodule, one of oracle_maximal_sub_classes, and
+    the quotient is s.  Sorted, with multiplicity."""
+    factors = []
+    while U.members[i].dim:
+        s = next(s for s in U.simple_indices if U.hom_basis(i, s))
+        K = linalg.kernel_left(U.hom_basis(i, s)[0], U.algebra.base.modulus)
+        k = U.index_of(submodule_module(U.members[i], K)[0])
+        assert k in oracle_maximal_sub_classes(U, i), (i, k)
+        factors.append(s)
+        i = k
+    return tuple(sorted(factors))
+
+
+def _factor_universes():
+    """The universes of the maximal-submodule cases, then the 11 presheaves
+    of perfbench/sites at d = 2."""
+    cases = MAXIMAL_SUBMODULE_CASES
+    for name, (make, d) in zip(cases.kwargs["ids"], cases.args[1]):
+        yield f"{name}/d{d}", tn.ModuleUniverse(make(), d)
+    for path in sorted(glob.glob(os.path.join(SITES, "*.json"))):
+        if not path.endswith("_topology.json"):
+            cat, R = files.load_presheaf(path)
+            yield os.path.basename(path), tn.ModuleUniverse(tn.build_skew_algebra(cat, R), 2)
+
+
+def test_composition_factors_match_a_peeled_composition_series():
+    for key, U in _factor_universes():
+        zero = U.zero_index()
+        assert U.composition_factors[zero] == ()
+        for s in U.simple_indices:
+            assert U.composition_factors[s] == (s,)
+        for i, V in enumerate(U.members):
+            factors = U.composition_factors[i]
+            assert list(factors) == sorted(factors) and set(factors) <= set(U.simple_indices)
+            assert sum(U.members[s].dim for s in factors) == V.dim, (key, i)
+            assert factors == oracle_composition_factors(U, i), (key, i)
+
+
+def _certified_pairs(U: tn.ModuleUniverse) -> list:
+    """Every torsion pair by brute force; past its budget (a3_f2 at d = 3,
+    29 members), the two pairs of the TTF triple of each idempotent ideal."""
+    if 2 ** (len(U) - 1) <= U.budget:
+        return tn.brute_force_torsion_pairs(U)
+    triples = [tn.ttf_from_idempotent_ideal(I, U) for I in tn.enumerate_idempotent_ideals(U.algebra)]
+    return [w for t in triples for w in (t.pair_xy, t.pair_yz)]
+
+
+def test_hereditary_flag_matches_the_maximal_submodule_oracle():
+    # closed under submodules iff closed under maximal submodules
+    flags = []
+    for key, U in _factor_universes():
+        for w in _certified_pairs(U):
+            assert w.ok, (key, sorted(w.x_indices))
+            closed = all(oracle_maximal_sub_classes(U, i) <= w.x_indices for i in w.x_indices)
+            assert w.hereditary == closed, (key, sorted(w.x_indices))
+            flags.append((key, w.hereditary))
+    # on T2(F2) the one pair that is not hereditary is add(S1 + P1)
+    refused = collections.Counter(key for key, flag in flags if not flag)
+    assert refused == {"t2_f2/d3": 1, "a3_f2/d3": 4, "a2_f2.json": 1, "a2_f2xf2.json": 9, "a3_f2.json": 4}
+    assert len(flags) == 111
 
 
 def test_hereditary_flag_matches_full_submodule_lattice(t2_universe):
