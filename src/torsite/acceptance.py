@@ -141,13 +141,12 @@ def criterion_5_sheaf_perpendicular() -> str:
     checked = 0
     for name, cat, R in fixture_presheaves():
         gr = build_gr(cat, R)
-        skew = build_skew_algebra(cat, R)
         modules = enumerate_module_presheaves(cat, R, 3)
         for J in enumerate_topologies(cat):
             Jp = linearize_topology(gr, J)
             for M in modules:
                 a = bool(is_sheaf(M, Jp))
-                b = bool(perpendicular_check(psi_to_gr(M, skew), Jp))
+                b = bool(perpendicular_check(psi_to_gr(M, gr.skew), Jp))
                 _check(a == b, f"{name}: mismatch at ranks {M.ranks}")
                 checked += 1
     return f"{checked} (module, topology) pairs, zero mismatches"
@@ -162,7 +161,7 @@ def criterion_6_hereditary_counts() -> str:
             continue
         gr = build_gr(cat, R)
         linear = enumerate_linear_topologies(gr)
-        U = ModuleUniverse(build_skew_algebra(cat, R), dim_bound=3)
+        U = ModuleUniverse(gr.skew, dim_bound=3)
         brute = brute_force_hereditary_pairs(U)
         _check(len(linear) == len(brute) == expected[name], (name, len(linear), len(brute)))
         seen[name] = len(linear)

@@ -71,7 +71,7 @@ def _linear_topology_doc(gr, Jp) -> dict:
             {
                 "target": cat.objects[x],
                 "components": {
-                    cat.objects[y]: T.component(y).tolist()
+                    cat.objects[y]: T.components[y].tolist()
                     for y in range(cat.n_objects)
                 },
             }

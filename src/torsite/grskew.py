@@ -6,14 +6,18 @@ bilinear composition sending (s at g) after (r at f) to R(f)(s)*r at gf.
 The one-object collapse of the same data is the skew algebra R[C], and
 summing hom components gives an isomorphism onto it.
 
-Linear sieves on Gr(R) are subfunctors of hom(-, x); linear topologies
-are checked and enumerated by finite linear algebra over Z/n.  Each
-GrCategory keeps, per sieve, its subfunctor report and the table of its
-pullbacks along every morphism, so certifying many topologies on one
-Gr(R) computes each pullback once.
+Linear sieves on Gr(R) are subfunctors of hom(-, x), that is right
+ideals of A = R[C] inside e_x A, kept in A's coordinates (LinearSieve);
+Gr's composition tables serve only end_generator_iso and ``torsite gr``.
+Linear topologies are checked and enumerated by finite linear algebra
+over Z/n.  Each GrCategory keeps, per sieve, its subfunctor report and
+the table of its pullbacks along every morphism, so certifying many
+topologies on one Gr(R) computes each pullback once.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 
 import numpy as np
@@ -33,7 +37,6 @@ class GrCategory:
         self.cat = cat
         self.R = R
         self.base = R.base
-        n = self.base.modulus
         self.hom_pairs = {}
         for x in range(cat.n_objects):
             for y in range(cat.n_objects):
@@ -47,14 +50,26 @@ class GrCategory:
             (x, y): {p: k for k, p in enumerate(pairs)}
             for (x, y), pairs in self.hom_pairs.items()
         }
-        self._tables = {}
-        for x in range(cat.n_objects):
-            for y in range(cat.n_objects):
-                for z in range(cat.n_objects):
-                    self._tables[(x, y, z)] = self._build_table(x, y, z)
+        self.skew = SkewAlgebra(cat, R)
+        objs = range(cat.n_objects)
+        # e_x A in skew coordinates, block hom(y, x) from offsets[x][y]; A's basis acting on it
+        self.columns = tuple(
+            np.array([self.skew.pair_index[p] for y in objs for p in self.hom_pairs[(y, x)]], dtype=np.int64)
+            for x in objs
+        )
+        self.offsets = tuple(
+            tuple(itertools.accumulate((self.hom_rank(y, x) for y in objs), initial=0)) for x in objs
+        )
+        self.right_action = tuple(self.skew.mul[c][:, :, c].transpose(1, 0, 2) for c in self.columns)
         self._sieve_cache = {}  # x -> (least budget searched, sieves on x)
         self._reports = {}  # sieve key -> validate_linear_sieve report
         self._pullbacks = {}  # (sieve key, y) -> pullback keys
+
+    @functools.cached_property
+    def _tables(self) -> dict:
+        """Composition tables of Gr(R), for end_generator_iso and ``torsite gr``."""
+        objs = range(self.cat.n_objects)
+        return {(x, y, z): self._build_table(x, y, z) for x in objs for y in objs for z in objs}
 
     def hom_rank(self, x: int, y: int) -> int:
         return len(self.hom_pairs[(x, y)])
@@ -94,33 +109,17 @@ class GrCategory:
     def linear_sieves_on(self, x: int, budget: int = DEFAULT_LINEAR_BUDGET) -> list:
         """Every linear sieve on x, in key order.
 
-        A linear sieve on x is a submodule of hom(-, x) = e_x A, the blocks
-        hom(y, x) side by side, under precomposition.  So one search of
-        linalg.enumerate_submodules lists them all, and each submodule is
-        split into its blocks.  The list is kept with the least budget a
+        They are the right ideals inside e_x A: one enumerate_submodules
+        search under A's basis.  The list is kept with the least budget a
         search of it has passed; a smaller budget searches again, so it
         raises exactly where a fresh GrCategory would.
         """
         passed, sieves = self._sieve_cache.get(x, (None, None))
         if passed is None or budget < passed:
-            sieves = self._search_sieves(x, budget)
+            subs = linalg.enumerate_submodules(self.offsets[x][-1], self.base.modulus, self.right_action[x], budget)
+            sieves = sorted((LinearSieve(self, x, H) for H in subs), key=LinearSieve.key)
             self._sieve_cache[x] = (budget, sieves)
         return sieves
-
-    def _search_sieves(self, x: int, budget: int) -> list:
-        objs = range(self.cat.n_objects)
-        offs = np.cumsum([0, *(self.hom_rank(y, x) for y in objs)])
-        mats = []  # v -> v after u, for every basis element u of every hom(z, y)
-        for y in objs:
-            for z in objs:
-                T = self._tables[(z, y, x)]
-                for i in range(self.hom_rank(z, y)):
-                    M = np.zeros((offs[-1], offs[-1]), dtype=np.int64)
-                    M[offs[y]:offs[y + 1], offs[z]:offs[z + 1]] = T[:, i, :]
-                    mats.append(M)
-        subs = linalg.enumerate_submodules(int(offs[-1]), self.base.modulus, mats, budget)
-        sieves = [LinearSieve(self, x, [H[:, offs[y]:offs[y + 1]] for y in objs]) for H in subs]
-        return sorted(sieves, key=LinearSieve.key)
 
     def sieve_report(self, T: "LinearSieve") -> ValidationReport:
         """validate_linear_sieve(T), computed once per sieve."""
@@ -220,7 +219,7 @@ def end_generator_iso(cat: FiniteCategory, R: AlgebraPresheaf) -> ValidationRepo
     """
     rep = ValidationReport("hom-sum isomorphism onto the skew algebra")
     gr = build_gr(cat, R)
-    skew = build_skew_algebra(cat, R)
+    skew = gr.skew
     n = skew.base.modulus
     total = sum(
         gr.hom_rank(x, y)
@@ -242,8 +241,7 @@ def end_generator_iso(cat: FiniteCategory, R: AlgebraPresheaf) -> ValidationRepo
 
     def embed(x, y, vec):
         out = np.zeros(skew.rank, dtype=np.int64)
-        for k, p in enumerate(gr.hom_pairs[(x, y)]):
-            out[skew.pair_index[p]] = vec[k]
+        out[gr.columns[y][gr.offsets[y][x]:gr.offsets[y][x + 1]]] = vec
         return out
 
     objs = range(cat.n_objects)
@@ -277,20 +275,35 @@ def end_generator_iso(cat: FiniteCategory, R: AlgebraPresheaf) -> ValidationRepo
 
 
 class LinearSieve:
-    """A subfunctor of hom_{Gr(R)}(-, x), one Howell-form block per object."""
+    """A subfunctor of hom_{Gr(R)}(-, x): a right ideal T of A inside e_x A.
 
-    def __init__(self, gr: GrCategory, target: int, components):
+    rows are coordinates of e_x A with the blocks hom(y, x) side by side
+    (gr.columns[x]); T keeps their Howell form.  T is the sum of its blocks
+    T e_y (t = sum_y t e_y), so that form is the per-block Howell forms
+    stacked: block-diagonal, each row inside the block of its pivot.
+    components[y] is block y, and the key holds the span key of each.
+    Rows whose span is not the sum of its blocks are refused.
+    """
+
+    def __init__(self, gr: GrCategory, target: int, rows):
         self.gr = gr
         self.target = target
-        n = gr.base.modulus
-        comps = []
-        for y in range(gr.cat.n_objects):
-            width = gr.hom_rank(y, target)
-            comps.append(linalg.howell_form(
-                linalg.as_matrix(components[y], width), n, width
-            ))
-        self.components = tuple(comps)
-        self._key = (target, tuple(linalg.span_key(H) for H in comps))
+        offs = gr.offsets[target]
+        self.rows = linalg.howell_form(rows, gr.base.modulus, offs[-1])
+        # the rows of block y are those with pivot in offs[y]:offs[y + 1]
+        pivots = linalg.pivot_columns(self.rows)
+        ends = [bisect.bisect_left(pivots, o) for o in offs]
+        self.components = tuple(
+            self.rows[ends[y]:ends[y + 1], offs[y]:offs[y + 1]] for y in range(len(offs) - 1)
+        )
+        if sum(map(np.count_nonzero, self.components)) != np.count_nonzero(self.rows):
+            raise InputError(f"linear sieve rows on object {target} mix the blocks hom(-, {target})")
+        self._key = (target, tuple(linalg.span_key(H) for H in self.components))
+
+    @property
+    def skew_rows(self) -> np.ndarray:
+        """The rows in skew-algebra coordinates: the rows times the embedding of e_x A in A."""
+        return self.rows @ np.eye(self.gr.skew.rank, dtype=np.int64)[self.gr.columns[self.target]]
 
     def key(self):
         return self._key
@@ -301,15 +314,8 @@ class LinearSieve:
     def __hash__(self):
         return hash(self.key())
 
-    def component(self, y: int) -> np.ndarray:
-        return self.components[y]
-
     def contains(self, other: "LinearSieve") -> bool:
-        n = self.gr.base.modulus
-        return not any(
-            linalg.reduce_vector(self.components[y], other.components[y], n).any()
-            for y in range(self.gr.cat.n_objects)
-        )
+        return linalg.in_span(self.rows, other.rows, self.gr.base.modulus)
 
     def __repr__(self):
         sizes = ",".join(str(H.shape[0]) for H in self.components)
@@ -317,74 +323,51 @@ class LinearSieve:
 
 
 def maximal_linear_sieve(gr: GrCategory, x: int) -> LinearSieve:
-    return LinearSieve(
-        gr,
-        x,
-        [np.eye(gr.hom_rank(y, x), dtype=np.int64) for y in range(gr.cat.n_objects)],
-    )
+    return LinearSieve(gr, x, np.eye(gr.offsets[x][-1], dtype=np.int64))
 
 
 def zero_linear_sieve(gr: GrCategory, x: int) -> LinearSieve:
-    return LinearSieve(
-        gr,
-        x,
-        [np.zeros((0, gr.hom_rank(y, x)), dtype=np.int64) for y in range(gr.cat.n_objects)],
-    )
+    return LinearSieve(gr, x, np.zeros((0, gr.offsets[x][-1]), dtype=np.int64))
 
 
 def validate_linear_sieve(T: LinearSieve) -> ValidationReport:
-    """Subfunctor check: generators stay inside T under precomposition."""
-    gr = T.gr
-    n = gr.base.modulus
+    """Subfunctor check: T * b lies in T for every basis element b of A.
+
+    Precomposition with b in hom(z, y) takes block y of e_x A into block z,
+    and T is block-diagonal, so one reduction of every T * b against T
+    tests each image against T(z) alone, as the per-block check does.
+    """
+    n = T.gr.base.modulus
     rep = ValidationReport(f"linear sieve on object {T.target}")
-    x = T.target
-    for y in range(gr.cat.n_objects):
-        for v in T.components[y]:
-            for z in range(gr.cat.n_objects):
-                for ii in range(gr.hom_rank(z, y)):
-                    u = np.zeros(gr.hom_rank(z, y), dtype=np.int64)
-                    u[ii] = 1
-                    image = gr.compose(z, y, x, v, u)
-                    rep.checked += 1
-                    if not linalg.in_span(T.components[z], image, n):
-                        rep.add("closed-under-precomposition", (y, z, ii))
+    images = (T.rows @ T.gr.right_action[T.target]) % n  # images[b, k] = row k times basis b
+    outside = linalg.reduce_vector(T.rows, images, n).any(axis=2)
+    rep.checked = outside.size
+    for b, k in np.argwhere(outside):
+        rep.add("closed-under-precomposition", (T.gr.skew.basis_names[b], int(k)))
     return rep
 
 
 def linearize_sieve(gr: GrCategory, S: Sieve) -> LinearSieve:
     """Span of the coordinates supported on morphisms of S."""
     x = S.target
-    comps = []
-    for y in range(gr.cat.n_objects):
-        pairs = gr.hom_pairs[(y, x)]
-        rows = [
-            np.eye(len(pairs), dtype=np.int64)[k]
-            for k, (f, _) in enumerate(pairs)
-            if f in S.members
-        ]
-        comps.append(linalg.as_matrix(rows, len(pairs)))
-    return LinearSieve(gr, x, comps)
+    f = [gr.skew.pairs[c][0] for c in gr.columns[x]]
+    return LinearSieve(gr, x, np.eye(len(f), dtype=np.int64)[[g in S.members for g in f]])
 
 
 def pullback_linear_sieve(gr: GrCategory, T: LinearSieve, y: int, f_vec) -> LinearSieve:
-    """Preimage subfunctor f^*(T)(z) = {u in hom(z,y) : f after u lies in T(z)}."""
+    """Preimage subfunctor f^*(T) = {u in e_y A : f * u lies in T} of f in hom(y, T.target).
+
+    u -> f * u is a map of right modules e_y A -> e_x A, so f^*(T) is a
+    right ideal, block-diagonal like T: the first part of the kernel of
+    [L_f ; -T], with L_f the rows f * u for the basis u of e_y A.
+    """
     n = gr.base.modulus
-    x = T.target
-    f_vec = np.asarray(f_vec, dtype=np.int64) % n
-    comps = []
-    for z in range(gr.cat.n_objects):
-        rzy = gr.hom_rank(z, y)
-        rzx = gr.hom_rank(z, x)
-        C = np.zeros((rzy, rzx), dtype=np.int64)
-        for ii in range(rzy):
-            u = np.zeros(rzy, dtype=np.int64)
-            u[ii] = 1
-            C[ii] = gr.compose(z, y, x, f_vec, u)
-        Trows = T.components[z]
-        stacked = np.vstack([C, (-Trows) % n]) if Trows.shape[0] else C
-        K = linalg.kernel_left(stacked, n)
-        comps.append(K[:, :rzy] if K.shape[0] else np.zeros((0, rzy), dtype=np.int64))
-    return LinearSieve(gr, y, comps)
+    x, offs = T.target, gr.offsets[T.target]
+    f = np.zeros(offs[-1], dtype=np.int64)
+    f[offs[y]:offs[y + 1]] = f_vec
+    L = (f @ gr.right_action[x][gr.columns[y]]) % n
+    K = linalg.kernel_left(np.concatenate([L, (-T.rows) % n]), n)
+    return LinearSieve(gr, y, K[:, :L.shape[0]])
 
 
 def vector_index(f, n: int) -> int:
@@ -492,25 +475,19 @@ def topology_order(Jp: LinearTopology) -> tuple:
     return tuple(sorted(map(sorted, Jp.key())))
 
 
-def ideal_topology(
-    gr: GrCategory, skew: SkewAlgebra, ideal_rows, budget: int = DEFAULT_LINEAR_BUDGET
-) -> LinearTopology:
-    """J_I: at each object x, the linear sieves T whose T(y) contains the
-    floor I(y, x) = I intersected with hom(y, x), for every y.
+def ideal_topology(gr: GrCategory, ideal_rows, budget: int = DEFAULT_LINEAR_BUDGET) -> LinearTopology:
+    """J_I: at each object x, the linear sieves T that contain the floor e_x I.
 
-    I is two-sided and the object idempotents sum to 1, so I(y, x) is the
-    block of the rows of I on the skew-basis pairs of hom(y, x).  For a
-    finite-dimensional R[C] every linear topology is J_I for exactly one
-    idempotent ideal I (J. P. Jans, 1965; B. Stenstrom, Rings of
+    Left multiplication by e_x keeps the skew coordinates at gr.columns[x],
+    so the floor, a right ideal as I is two-sided, is the rows of I there.
+    For a finite-dimensional R[C] every linear topology is J_I for exactly
+    one idempotent ideal I (J. P. Jans, 1965; B. Stenstrom, Rings of
     Quotients, ch. VI).
     """
-    rows = linalg.as_matrix(ideal_rows, skew.rank)
-    objs = range(gr.cat.n_objects)
+    rows = linalg.as_matrix(ideal_rows, gr.skew.rank)
     covers = []
-    for x in objs:
-        floor = LinearSieve(gr, x, [
-            rows[:, [skew.pair_index[p] for p in gr.hom_pairs[(y, x)]]] for y in objs
-        ])
+    for x in range(gr.cat.n_objects):
+        floor = LinearSieve(gr, x, rows[:, gr.columns[x]])
         covers.append([T for T in gr.linear_sieves_on(x, budget) if T.contains(floor)])
     return LinearTopology(gr, covers)
 

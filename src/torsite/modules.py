@@ -16,7 +16,6 @@ computed here by exact linear algebra.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import linalg
 from .algebra import AlgebraPresheaf, FiniteAlgebra
 from .errors import BudgetExceededError, InputError, NotPrimeError
 from .fincat import FiniteCategory
-from .grskew import GrCategory, LinearTopology, SkewAlgebra, build_skew_algebra
+from .grskew import LinearTopology, SkewAlgebra, build_skew_algebra
 from .report import ValidationReport
 
 
@@ -335,16 +334,6 @@ class PredicateResult:
         return self.value
 
 
-def _sieve_rows(skew: SkewAlgebra, gr: GrCategory, T) -> np.ndarray:
-    """The rows of the linear sieve T, component by component, in skew-algebra coordinates."""
-    blocks = []
-    for y, comp in enumerate(T.components):
-        block = np.zeros((comp.shape[0], skew.rank), dtype=np.int64)
-        block[:, [skew.pair_index[p] for p in gr.hom_pairs[(y, T.target)]]] = comp
-        blocks.append(block)
-    return np.concatenate(blocks)
-
-
 def _cover_table(
     Jp: LinearTopology, skew: SkewAlgebra, kind: str, x: int | None, ci: int | None, build
 ):
@@ -362,11 +351,11 @@ def _cover_table(
     return entry[1]
 
 
-def _sheaf_cover(skew: SkewAlgebra, gr: GrCategory, T) -> tuple:
+def _sheaf_cover(skew: SkewAlgebra, T) -> tuple:
     """The rows G of T, the module C of the action on them (G * b_j == C.act[j] @ G),
     and the relations r @ G == 0 among the rows, as columns."""
     n = skew.base.modulus
-    G = _sieve_rows(skew, gr, T)
+    G = T.skew_rows
     C = _restricted_action(G, regular_module(skew).act, n, "cover is not closed under precomposition")
     return G, SkewModule(skew, C), linalg.kernel_left(G, n).T
 
@@ -387,7 +376,7 @@ def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     for x in range(skew.cat.n_objects):
         Bx = linalg.howell_form(V.act_of(skew.object_idempotent(x)), n, V.dim)
         for ci, T in enumerate(Jp.covers_at(x)):
-            G, C, rel = _cover_table(Jp, skew, "sheaf", x, ci, lambda: _sheaf_cover(skew, Jp.gr, T))
+            G, C, rel = _cover_table(Jp, skew, "sheaf", x, ci, lambda: _sheaf_cover(skew, T))
             width = G.shape[0] * V.dim
             relations = np.kron(rel, np.eye(V.dim, dtype=np.int64))
             homs = linalg.kernel_left(np.concatenate([_hom_constraints(C, V), relations], axis=1), n)
@@ -419,14 +408,12 @@ def _least_covers(skew: SkewAlgebra, Jp: LinearTopology) -> tuple:
     blocks, owner = [], []
     for x in range(skew.cat.n_objects):
         covers = Jp.covers_at(x)
-        least = min(
-            covers, key=lambda T: math.prod(linalg.span_size(H, n) for H in T.components), default=None
-        )
+        least = min(covers, key=lambda T: linalg.span_size(T.rows, n), default=None)
         if least is None or not all(T.contains(least) for T in covers):
             raise InputError(
                 f"covers of object {skew.cat.objects[x]} have no least member: not a linear topology"
             )
-        blocks.append(_sieve_rows(skew, Jp.gr, least))
+        blocks.append(least.skew_rows)
         owner += [x] * blocks[-1].shape[0]
     rows = np.concatenate([np.zeros((0, skew.rank), dtype=np.int64), *blocks])
     return rows, np.array(owner, dtype=np.int64)
@@ -460,18 +447,11 @@ def torsion_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
 
 
 def is_sheaf(M: ModulePresheaf, Jp: LinearTopology) -> PredicateResult:
-    return sheaf_check(psi_to_gr(M, _skew_of(Jp)), Jp)
+    return sheaf_check(psi_to_gr(M, Jp.gr.skew), Jp)
 
 
 def is_torsion(M: ModulePresheaf, Jp: LinearTopology) -> PredicateResult:
-    return torsion_check(psi_to_gr(M, _skew_of(Jp)), Jp)
-
-
-def _skew_of(Jp: LinearTopology) -> SkewAlgebra:
-    gr = Jp.gr
-    if not hasattr(gr, "_skew"):
-        gr._skew = build_skew_algebra(gr.cat, gr.R)
-    return gr._skew
+    return torsion_check(psi_to_gr(M, Jp.gr.skew), Jp)
 
 
 def representable_module(skew: SkewAlgebra, x: int) -> tuple:
@@ -484,10 +464,10 @@ def representable_module(skew: SkewAlgebra, x: int) -> tuple:
     return SkewModule(skew, act), idx
 
 
-def representable_quotient(skew: SkewAlgebra, gr: GrCategory, x: int, T) -> SkewModule:
+def representable_quotient(skew: SkewAlgebra, T) -> SkewModule:
     """hom(-, x) / T for a linear sieve T on x (prime modulus); InputError unless T is stable."""
-    P, idx = representable_module(skew, x)
-    rows = _sieve_rows(skew, gr, T)[:, idx]
+    P, idx = representable_module(skew, T.target)
+    rows = T.skew_rows[:, idx]
     _restricted_action(rows, P.act, skew.base.modulus, "cover is not closed under precomposition")
     Q, _, _ = quotient_module(P, rows)
     return Q
@@ -621,15 +601,14 @@ def perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
     Each quotient and its presentation are built once per cover, when a
     module first needs them, and kept on Jp.
     """
-    skew = _skew_of(Jp)
+    skew = Jp.gr.skew
     if isinstance(M, ModulePresheaf):
         V = psi_to_gr(M, skew)
     else:
         V = M
-    gr = Jp.gr
     for x in range(skew.cat.n_objects):
         for ci, T in enumerate(Jp.covers_at(x)):
-            Q = _cover_table(Jp, skew, "quotient", x, ci, lambda: representable_quotient(skew, gr, x, T))
+            Q = _cover_table(Jp, skew, "quotient", x, ci, lambda: representable_quotient(skew, T))
             if Q.dim == 0:
                 continue
             if hom_skew(Q, V):

@@ -380,6 +380,9 @@ def verify_recollements(
             universes[key] = ModuleUniverse(B, dim_bound, budget)
         return universes[key]
 
+    if (d := universe(A).simple_bound) > dim_bound:  # a universe without every simple verifies nothing
+        raise InputError(f"dimension bound {dim_bound} leaves out a simple module of dimension {d}; "
+                         f"recollement needs a bound of at least {d}")
     return [_verify(Recollement(A, e), universe) for e in idempotents]
 
 

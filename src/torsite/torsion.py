@@ -18,7 +18,6 @@ from .errors import BudgetExceededError, InputError, NotPrimeError
 from .fincat import FiniteCategory, full_subcategory
 from .grskew import (
     build_gr,
-    build_skew_algebra,
     ideal_topology,
     is_linear_topology,
     topology_order,
@@ -714,7 +713,7 @@ def classify(
     RD = restrict_presheaf(R, D)
     sub = RD.cat
     gr = build_gr(sub, RD)
-    skew = build_skew_algebra(sub, RD)
+    skew = gr.skew
     universe = ModuleUniverse(skew, dim_bound, budget)
     if (d := universe.simple_bound) > dim_bound:  # the 2^s triples need every simple
         raise InputError(f"dimension bound {dim_bound} leaves out a simple module of dimension {d}; "
@@ -722,7 +721,7 @@ def classify(
 
     ideals = enumerate_idempotent_ideals(skew, budget)
     triples = [_ttf_triple(I, universe) for I in ideals]
-    topologies = [ideal_topology(gr, skew, I.matrix, budget) for I in ideals]
+    topologies = [ideal_topology(gr, I.matrix, budget) for I in ideals]
     ok = (
         len(set(topologies)) == len(topologies)
         and all(is_linear_topology(gr, Jp, budget).ok for Jp in topologies)

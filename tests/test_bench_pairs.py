@@ -59,6 +59,7 @@ def test_summary_gives_quartiles_medians_and_wins(bench_pairs):
     # equal values are a tie, which counts for neither side
     assert result["summary"]["ok_ratio"] == {
         "parent": [1.0, 1.0, 1.0], "change": [1.0, 1.0, 1.0], "rel": 0.0, "change_better": 0, "pairs": 4,
+        "beyond_bound": False, "unresolved": False,
     }
     assert result["all_correct"] is True and result["pairs"] == canned_pairs()
 
@@ -98,3 +99,70 @@ def test_pairs_alternate_and_merge_into_the_output(bench_pairs, monkeypatch, tmp
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         names = [m["name"] for m in json.load(fh)["end_to_end"]]
     assert list(result["summary"]) == names
+
+
+def walls_pairs(walls, ok=None):
+    """Pairs of canned lines with the given (parent, change) wall_s, and ok_ratio pairs if given."""
+    oks = ok or [(1.0, 1.0)] * len(walls)
+    return [
+        {"seed": k, "first": "parent" if k % 2 else "change",
+         "parent": line(p, ok=po), "change": line(c, ok=co)}
+        for k, ((p, c), (po, co)) in enumerate(zip(walls, oks))
+    ]
+
+
+def test_beyond_bound_reads_the_bound_as_a_fraction_of_the_parent_median(bench_pairs):
+    # parent median 0.10: a change median above 0.125 is beyond a bound of 0.25
+    summary = bench_pairs.summarize(walls_pairs([(0.10, 0.126)] * 3), METRICS)
+    assert summary["wall_s"]["beyond_bound"] is True
+    summary = bench_pairs.summarize(walls_pairs([(0.10, 0.124)] * 3), METRICS)
+    assert summary["wall_s"]["beyond_bound"] is False
+    # a better change median is never beyond
+    assert bench_pairs.summarize(walls_pairs([(0.10, 0.05)] * 3), METRICS)["wall_s"]["beyond_bound"] is False
+    # higher is better: ok_ratio falling from 1.0 to 0.98 is beyond 0.01, to 0.995 it is not
+    for change, beyond in ((0.98, True), (0.995, False)):
+        summary = bench_pairs.summarize(walls_pairs([(0.1, 0.1)] * 3, ok=[(1.0, change)] * 3), METRICS)
+        assert summary["ok_ratio"]["beyond_bound"] is beyond
+
+
+def test_unresolved_when_the_parent_spread_exceeds_the_bound(bench_pairs):
+    # parent 0.06 0.10 0.14: quartiles 0.08 and 0.12, a spread of 0.04 > 0.25 * 0.10
+    wide = [0.06, 0.10, 0.14]
+    summary = bench_pairs.summarize(walls_pairs(list(zip(wide, [0.09, 0.10, 0.11]))), METRICS)
+    assert summary["wall_s"]["unresolved"] is True
+    assert summary["wall_s"]["beyond_bound"] is False
+    # every change run below every parent run resolves it, whatever the spread
+    summary = bench_pairs.summarize(walls_pairs(list(zip(wide, [0.03, 0.04, 0.05]))), METRICS)
+    assert summary["wall_s"]["unresolved"] is False
+    # a tie between one change run and one parent run is not a win
+    summary = bench_pairs.summarize(walls_pairs(list(zip(wide, [0.04, 0.05, 0.06]))), METRICS)
+    assert summary["wall_s"]["unresolved"] is True
+    # parent 0.099 0.10 0.101: spread 0.001, inside the bound
+    summary = bench_pairs.summarize(walls_pairs(list(zip([0.099, 0.10, 0.101], [0.09, 0.11, 0.10]))), METRICS)
+    assert summary["wall_s"]["unresolved"] is False
+
+
+def test_each_workload_runs_in_turn_into_one_output(bench_pairs, monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run_side(checkout, workload, seed, seconds):
+        calls.append((workload, os.path.basename(checkout), seed))
+        return line(0.2 if checkout.endswith("parent") else 0.1)
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "classify-d3",
+            "--workload", "selftest", "--pairs", "2", "--seconds", "1", "--seed", "5", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [
+        ("classify-d3", "parent", 5), ("classify-d3", "change", 5),
+        ("classify-d3", "change", 6), ("classify-d3", "parent", 6),
+        ("selftest", "parent", 5), ("selftest", "change", 5),
+        ("selftest", "change", 6), ("selftest", "parent", 6),
+    ]
+    doc = json.loads(out.read_text())
+    assert list(doc["workloads"]) == ["classify-d3", "selftest"]
+    for result in doc["workloads"].values():
+        assert [p["seed"] for p in result["pairs"]] == [5, 6]
+        assert result["summary"]["wall_s"]["change_better"] == 2
+        assert not result["summary"]["wall_s"]["beyond_bound"]

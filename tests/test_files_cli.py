@@ -695,6 +695,20 @@ def test_cli_classify_below_every_simple_is_an_input_error(capsys, presheaf):
     assert code == 0 and doc["ok"] is True
 
 
+@pytest.mark.parametrize("idempotent", ["1,0,0", "0,1,0"])
+def test_cli_recollement_below_every_simple_is_an_input_error(capsys, idempotent):
+    # at --dim-bound 0 the universe holds only the zero module, on which
+    # every check passes without checking anything
+    argv = ["recollement", fx("a2_f2.json"), "--idempotent", idempotent, "--dim-bound"]
+    code, doc, _ = run_cli(capsys, *argv, "0")
+    assert (code, doc["kind"]) == (2, "input")
+    assert doc["error"] == (
+        "dimension bound 0 leaves out a simple module of dimension 1; recollement needs a bound of at least 1"
+    )
+    code, doc, _ = run_cli(capsys, *argv, "1")
+    assert code == 0 and doc["ok"] is True
+
+
 def test_cli_classify_names_the_dimension_of_a_larger_simple(capsys, tmp_path):
     # F4 as an F2-algebra (basis 1, a with a^2 = a + 1) is its own simple
     # module, of dimension 2

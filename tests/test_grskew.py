@@ -10,7 +10,7 @@ import pytest
 
 from torsite import files, linalg
 from torsite.algebra import constant_presheaf, validate_algebra
-from torsite.errors import BudgetExceededError
+from torsite.errors import BudgetExceededError, InputError
 from torsite.fixtures import (
     a2_category,
     a2_mixed_presheaf,
@@ -24,6 +24,7 @@ from torsite.fixtures import (
     terminal_category,
 )
 from torsite.grskew import (
+    GrCategory,
     LinearSieve,
     LinearTopology,
     build_gr,
@@ -280,8 +281,8 @@ def test_is_linear_topology_rejects_bad_families():
     mx = maximal_linear_sieve(gr, 0)
     from torsite.grskew import LinearSieve
 
-    T1 = LinearSieve(gr, 0, (e1_line,))
-    T2 = LinearSieve(gr, 0, (e2_line,))
+    T1 = LinearSieve(gr, 0, e1_line)
+    T2 = LinearSieve(gr, 0, e2_line)
     # missing the maximal sieve
     bad = LinearTopology(gr, [[T1]])
     assert not is_linear_topology(gr, bad).ok
@@ -342,14 +343,28 @@ def test_linear_sieves_on_replays_the_closure_charge():
     assert len(keys) == 8
 
 
+def block_diagonal(blocks) -> np.ndarray:
+    """Rows of one block per object y, each placed at the columns of hom(y, x) in e_x A."""
+    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)), dtype=np.int64)
+    r = c = 0
+    for B in blocks:
+        out[r:r + B.shape[0], c:c + B.shape[1]] = B
+        r, c = r + B.shape[0], c + B.shape[1]
+    return out
+
+
+def block_products(gr, x):
+    """Every product of one submodule of each block hom(y, x), as a LinearSieve."""
+    n = gr.base.modulus
+    per_object = [oracle_enumerate_submodules(gr.hom_rank(y, x), n) for y in range(gr.cat.n_objects)]
+    return (LinearSieve(gr, x, block_diagonal(combo)) for combo in itertools.product(*per_object))
+
+
 def oracle_linear_sieves_on(gr, x):
     """The per-block sieve search that linear_sieves_on replaced: every
     product of one submodule of each block hom(y, x) that
     validate_linear_sieve accepts, in key order."""
-    n = gr.base.modulus
-    per_object = [oracle_enumerate_submodules(gr.hom_rank(y, x), n) for y in range(gr.cat.n_objects)]
-    combos = (LinearSieve(gr, x, list(combo)) for combo in itertools.product(*per_object))
-    return sorted((T for T in combos if validate_linear_sieve(T).ok), key=lambda t: t.key())
+    return sorted((T for T in block_products(gr, x) if validate_linear_sieve(T).ok), key=lambda t: t.key())
 
 
 def _sieve_sites():
@@ -369,6 +384,82 @@ def test_linear_sieves_match_the_per_block_search(load):
         want = oracle_linear_sieves_on(gr, x)
         assert [T.key() for T in got] == [T.key() for T in want]
         assert all(validate_linear_sieve(T).ok for T in got)
+
+
+# The sieve routes through Gr's composition tables, one block and one
+# basis element at a time, as they were before sieves were right ideals
+# of the skew algebra.
+
+
+def oracle_validate_linear_sieve(T: LinearSieve) -> ValidationReport:
+    """Subfunctor check: generators stay inside T under precomposition."""
+    gr = T.gr
+    n = gr.base.modulus
+    rep = ValidationReport(f"linear sieve on object {T.target}")
+    x = T.target
+    for y in range(gr.cat.n_objects):
+        for v in T.components[y]:
+            for z in range(gr.cat.n_objects):
+                for ii in range(gr.hom_rank(z, y)):
+                    u = np.zeros(gr.hom_rank(z, y), dtype=np.int64)
+                    u[ii] = 1
+                    image = gr.compose(z, y, x, v, u)
+                    rep.checked += 1
+                    if not linalg.in_span(T.components[z], image, n):
+                        rep.add("closed-under-precomposition", (y, z, ii))
+    return rep
+
+
+def oracle_pullback_linear_sieve(gr: GrCategory, T: LinearSieve, y: int, f_vec) -> LinearSieve:
+    """Preimage subfunctor f^*(T)(z) = {u in hom(z,y) : f after u lies in T(z)}."""
+    n = gr.base.modulus
+    x = T.target
+    f_vec = np.asarray(f_vec, dtype=np.int64) % n
+    comps = []
+    for z in range(gr.cat.n_objects):
+        rzy = gr.hom_rank(z, y)
+        rzx = gr.hom_rank(z, x)
+        C = np.zeros((rzy, rzx), dtype=np.int64)
+        for ii in range(rzy):
+            u = np.zeros(rzy, dtype=np.int64)
+            u[ii] = 1
+            C[ii] = gr.compose(z, y, x, f_vec, u)
+        Trows = T.components[z]
+        stacked = np.vstack([C, (-Trows) % n]) if Trows.shape[0] else C
+        K = linalg.kernel_left(stacked, n)
+        comps.append(K[:, :rzy] if K.shape[0] else np.zeros((0, rzy), dtype=np.int64))
+    return LinearSieve(gr, y, block_diagonal(comps))
+
+
+@pytest.mark.parametrize("load", [load for _, load in _sieve_sites()], ids=[name for name, _ in _sieve_sites()])
+def test_subfunctor_verdicts_match_the_table_route(load):
+    gr = build_gr(*load())
+    verdicts = set()
+    for x in range(gr.cat.n_objects):
+        for T in block_products(gr, x):
+            got = validate_linear_sieve(T).ok
+            assert got == oracle_validate_linear_sieve(T).ok, T.key()
+            verdicts.add(got)
+    assert True in verdicts
+
+
+@pytest.mark.parametrize("load", [load for _, load in _sieve_sites()], ids=[name for name, _ in _sieve_sites()])
+def test_pullbacks_match_the_table_route(load):
+    gr = build_gr(*load())
+    n = gr.base.modulus
+    for x in range(gr.cat.n_objects):
+        for T in gr.linear_sieves_on(x):
+            for y in range(gr.cat.n_objects):
+                for f in linalg.all_vectors(gr.hom_rank(y, x), n):
+                    assert pullback_linear_sieve(gr, T, y, f).key() == oracle_pullback_linear_sieve(gr, T, y, f).key()
+
+
+def test_rows_mixing_blocks_are_refused():
+    gr = build_gr(a2_category(), constant_presheaf(a2_category(), field_algebra(2)))
+    # e_2 A has the blocks hom(1, 2) = <a> and hom(2, 2) = <id2>; a + id2 spans no right ideal
+    with pytest.raises(InputError, match="mix the blocks"):
+        LinearSieve(gr, 1, np.array([[1, 1]], dtype=np.int64))
+    assert LinearSieve(gr, 1, np.array([[1, 0], [0, 1]], dtype=np.int64)) == maximal_linear_sieve(gr, 1)
 
 
 def test_vector_index_is_all_vectors_order():
@@ -402,7 +493,7 @@ def check_ideal_topologies(cat, R, power_set=True):
     gr = build_gr(cat, R)
     skew = build_skew_algebra(cat, R)
     tops = sorted(
-        (ideal_topology(gr, skew, I.matrix) for I in enumerate_idempotent_ideals(skew)),
+        (ideal_topology(gr, I.matrix) for I in enumerate_idempotent_ideals(skew)),
         key=topology_order,
     )
     assert all(is_linear_topology(gr, Jp).ok for Jp in tops)
@@ -511,7 +602,7 @@ def test_is_linear_topology_matches_oracle_on_every_candidate(name):
 def test_is_linear_topology_matches_oracle_on_a_non_subfunctor_cover():
     gr = _oracle_gr("a2_f2")
     # id2 without a is not closed under precomposition with a
-    T = LinearSieve(gr, 1, [np.zeros((0, 1), dtype=np.int64), np.eye(1, dtype=np.int64)])
+    T = LinearSieve(gr, 1, np.array([[0, 1]], dtype=np.int64))
     Jp = LinearTopology(gr, [[maximal_linear_sieve(gr, 0)], [maximal_linear_sieve(gr, 1), T]])
     got = is_linear_topology(gr, Jp)
     assert got == oracle_is_linear_topology(gr, Jp)

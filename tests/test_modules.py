@@ -53,8 +53,6 @@ from torsite.modules import (
     _generating_words,
     _hom_constraints,
     _restricted_action,
-    _sieve_rows,
-    _skew_of,
     direct_sum,
     enumerate_module_presheaves,
     enumerate_skew_module_structures,
@@ -701,7 +699,7 @@ def oracle_torsion_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
         Ex = V.act_of(skew.object_idempotent(x))
         Bx = linalg.howell_form(Ex, n, V.dim)
         gen_mats = {
-            ci: [V.act_of(row) for row in _sieve_rows(skew, gr, T)]
+            ci: [V.act_of(row) for row in T.skew_rows]
             for ci, T in enumerate(Jp.covers_at(x))
         }
         for m in linalg.span_elements(Bx, n):
@@ -730,7 +728,7 @@ def test_torsion_check_matches_the_element_walk(path):
     cat, R = files.load_presheaf(path)
     gr, skew = build_gr(cat, R), build_skew_algebra(cat, R)
     U = ModuleUniverse(skew, 3 if skew.rank <= 3 else 2)
-    tops = [ideal_topology(gr, skew, I.matrix) for I in enumerate_idempotent_ideals(skew)]
+    tops = [ideal_topology(gr, I.matrix) for I in enumerate_idempotent_ideals(skew)]
     tops += [linearize_topology(gr, J) for J in enumerate_topologies(cat)]
     outcomes = Counter()
     for Jp in tops:
@@ -751,7 +749,7 @@ def test_check_torsion_on_the_fixtures_matches_the_element_walk(capsys):
             cat, R, J = cli._load_site(p, t)
             M = files.load_module(m, cat, R)
             Jp = linearize_topology(build_gr(cat, R), J)
-            want = oracle_torsion_check(psi_to_gr(M, _skew_of(Jp)), Jp)
+            want = oracle_torsion_check(psi_to_gr(M, Jp.gr.skew), Jp)
         except InputError:
             continue
         code = cli.main(["check-torsion", p, t, m])
@@ -970,7 +968,7 @@ def test_sheaf_check_matches_oracle(make):
 def test_sheaf_check_refuses_cover_not_closed_under_precomposition():
     cat, R, gr, _ = a2_site()
     # id2 without a: id2 . a = a is missing
-    T = LinearSieve(gr, 1, [np.zeros((0, 1), dtype=np.int64), np.eye(1, dtype=np.int64)])
+    T = LinearSieve(gr, 1, np.array([[0, 1]], dtype=np.int64))
     Jp = LinearTopology(gr, [[maximal_linear_sieve(gr, 0)], [maximal_linear_sieve(gr, 1), T]])
     V = regular_module(build_skew_algebra(cat, R))
     with pytest.raises(InputError, match="not closed under precomposition"):
@@ -995,7 +993,7 @@ def test_representable_quotient_dimensions():
     skew = build_skew_algebra(cat, R)
     covers = Jp.covers_at(1)
     dims = sorted(
-        representable_quotient(skew, gr, 1, T).dim for T in covers
+        representable_quotient(skew, T).dim for T in covers
     )
     # quotient by the maximal sieve is zero, by the a-generated sieve is 1-dim
     assert dims == [0, 1]
@@ -1013,7 +1011,7 @@ def uncached_sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     for x in range(skew.cat.n_objects):
         Bx = linalg.howell_form(V.act_of(skew.object_idempotent(x)), n, V.dim)
         for ci, T in enumerate(Jp.covers_at(x)):
-            G = _sieve_rows(skew, Jp.gr, T)
+            G = T.skew_rows
             width = G.shape[0] * V.dim
             C = _restricted_action(G, right, n, "cover is not closed under precomposition")
             relations = np.kron(linalg.kernel_left(G, n).T, np.eye(V.dim, dtype=np.int64))
@@ -1038,11 +1036,11 @@ def uncached_sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
 
 
 def uncached_perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
-    skew = _skew_of(Jp)
+    skew = Jp.gr.skew
     V = psi_to_gr(M, skew) if isinstance(M, ModulePresheaf) else M
     for x in range(skew.cat.n_objects):
         for ci, T in enumerate(Jp.covers_at(x)):
-            Q = representable_quotient(skew, Jp.gr, x, T)
+            Q = representable_quotient(skew, T)
             if Q.dim == 0:
                 continue
             if hom_skew(Q, V):
@@ -1087,8 +1085,8 @@ def test_perpendicular_check_tables_match_the_uncached_route(name):
 def _zero_and_bad_cover_topology():
     """On a2: the zero sieve covers 1, and 2 has a cover missing id2 . a = a."""
     cat, R, gr, _ = a2_site()
-    zero = LinearSieve(gr, 0, [np.zeros((0, 1), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)])
-    bad = LinearSieve(gr, 1, [np.zeros((0, 1), dtype=np.int64), np.eye(1, dtype=np.int64)])
+    zero = LinearSieve(gr, 0, np.zeros((0, 1), dtype=np.int64))
+    bad = LinearSieve(gr, 1, np.array([[0, 1]], dtype=np.int64))
     Jp = LinearTopology(gr, [[zero, maximal_linear_sieve(gr, 0)], [maximal_linear_sieve(gr, 1), bad]])
     return cat, R, Jp
 
@@ -1096,7 +1094,7 @@ def _zero_and_bad_cover_topology():
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_predicates_stop_and_raise_where_the_uncached_route_does(order):
     cat, R, Jp = _zero_and_bad_cover_topology()
-    skew = _skew_of(Jp)
+    skew = Jp.gr.skew
     # V e_1 != 0 fails at the zero cover of 1 before the bad cover is reached;
     # V e_1 == 0 passes 1 and reaches the bad cover of 2
     mods = [

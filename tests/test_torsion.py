@@ -214,7 +214,7 @@ def test_universe_budget_on_extension_scan(monkeypatch):
     # candidates).  The right-ideal search takes more closures than
     # either budget, so the simples are found beforehand
     cat, R, _ = load_site("a2_f2xf2")
-    A = tn.build_skew_algebra(cat, R)
+    A = grskew.build_skew_algebra(cat, R)
     simples = tn._simple_modules(A, 2, tn.DEFAULT_UNIVERSE_BUDGET)
     monkeypatch.setattr(tn, "_simple_modules", lambda *args: simples)
     with pytest.raises(BudgetExceededError) as err:
@@ -279,9 +279,9 @@ def _universe_case(case: str):
     if case == "group_c2_f3":
         return group_algebra_c2(3), 3
     if case == "a2_mixed":
-        return tn.build_skew_algebra(a2_category(), a2_mixed_presheaf(2)), 3
+        return grskew.build_skew_algebra(a2_category(), a2_mixed_presheaf(2)), 3
     cat, R, _ = load_site(case)
-    return tn.build_skew_algebra(cat, R), 3
+    return grskew.build_skew_algebra(cat, R), 3
 
 
 @pytest.mark.parametrize("case", [*SITE_PRESHEAVES, "t2_f2", "group_c2_f3", "a2_mixed"])
@@ -321,7 +321,7 @@ def test_universe_budget_on_right_ideals():
 def test_universe_budget_charges_the_right_ideal_closures():
     # the right ideals of the a2 mixed algebra fit in 2^4 vectors, but
     # finding them takes 123 Howell forms
-    A = tn.build_skew_algebra(a2_category(), a2_mixed_presheaf(2))
+    A = grskew.build_skew_algebra(a2_category(), a2_mixed_presheaf(2))
     with pytest.raises(BudgetExceededError) as err:
         tn.ModuleUniverse(A, 2, budget=122)
     assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 123, 122)
@@ -349,7 +349,7 @@ print(A.rank, len(enumerate_ideals(A)))
 
 
 def _skew(cat, coefficients):
-    return tn.build_skew_algebra(cat, constant_presheaf(cat, coefficients))
+    return grskew.build_skew_algebra(cat, constant_presheaf(cat, coefficients))
 
 
 @functools.cache
@@ -609,7 +609,7 @@ def _factor_universes():
     for path in sorted(glob.glob(os.path.join(SITES, "*.json"))):
         if not path.endswith("_topology.json"):
             cat, R = files.load_presheaf(path)
-            yield os.path.basename(path), tn.ModuleUniverse(tn.build_skew_algebra(cat, R), 2)
+            yield os.path.basename(path), tn.ModuleUniverse(grskew.build_skew_algebra(cat, R), 2)
 
 
 def test_composition_factors_match_a_peeled_composition_series():
@@ -707,7 +707,7 @@ def _is_add(universe, i, gens):
 
 def _hereditary_universes():
     for name, cat, R in fixture_presheaves():
-        skew = tn.build_skew_algebra(cat, R)
+        skew = grskew.build_skew_algebra(cat, R)
         for d in (1, 2, 3):
             yield f"{name}/d{d}", tn.ModuleUniverse(skew, d)
     yield "t2_f3/d2", tn.ModuleUniverse(t2_algebra(3), 2)
@@ -904,7 +904,7 @@ def test_classify_counts_match_brute_oracles():
         if matching_subcategories(cat, J) == [(0, 1)]
     )
     rep = tn.classify(cat, R, J, dim_bound=3)
-    U = tn.ModuleUniverse(tn.build_skew_algebra(cat, R), 3)
+    U = tn.ModuleUniverse(grskew.build_skew_algebra(cat, R), 3)
     assert rep.counts["hereditary_torsion_pairs"] == len(
         tn.brute_force_hereditary_pairs(U)
     )
@@ -1182,7 +1182,7 @@ def oracle_hereditary_pairs(cat, R, J, dim_bound):
     RD = restrict_presheaf(R, full_subcategory(cat, matching_subcategories(cat, J)[0]))
     gr, skew = grskew.build_gr(RD.cat, RD), grskew.build_skew_algebra(RD.cat, RD)
     U = tn.ModuleUniverse(skew, dim_bound)
-    tops = [grskew.ideal_topology(gr, skew, I.matrix) for I in tn.enumerate_idempotent_ideals(skew)]
+    tops = [grskew.ideal_topology(gr, I.matrix) for I in tn.enumerate_idempotent_ideals(skew)]
     pairs = []
     for Jp in sorted(tops, key=grskew.topology_order):
         xs = frozenset(i for i, V in enumerate(U.members) if torsion_check(V, Jp).value)
@@ -1216,7 +1216,7 @@ def test_hereditary_pairs_match_the_topology_route(presheaf, topology, dim_bound
 @pytest.mark.parametrize("presheaf", _distinct_presheaf_files())
 def test_split_ttf_matches_the_action_of_e_on_shipped_presheaves(presheaf):
     cat, R = files.load_presheaf(os.path.join(SITES, presheaf))
-    assert_split_route(tn.ModuleUniverse(tn.build_skew_algebra(cat, R), 2))
+    assert_split_route(tn.ModuleUniverse(grskew.build_skew_algebra(cat, R), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -1256,7 +1256,7 @@ def oracle_brute_force_torsion_pairs(universe):
 
 def _shipped_universe(presheaf, dim_bound):
     cat, R = files.load_presheaf(os.path.join(SITES, presheaf))
-    return tn.ModuleUniverse(tn.build_skew_algebra(cat, R), dim_bound)
+    return tn.ModuleUniverse(grskew.build_skew_algebra(cat, R), dim_bound)
 
 
 BRUTE_FORCE_UNIVERSES = {

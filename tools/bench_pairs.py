@@ -3,7 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload classify-d3 \
-        --pairs 10 --seconds 30 --seed 6001 --out BENCH_label.json
+        --workload selftest --pairs 10 --seconds 30 --seed 6001 --out BENCH_label.json
 
 PARENT and CHANGE are two checkouts of the repository.  Pair k runs
 ``perfbench/run.py --workload W --seed S0+k --seconds S --trace 0`` once
@@ -12,14 +12,20 @@ first on even ones.  Each run is a fresh interpreter with
 PYTHONDONTWRITEBYTECODE=1, started in its own checkout, so each side
 imports its own sources.
 
-The result goes under ``workloads[W]`` of the --out file, which is
-created or updated; other workloads in it are kept.  It holds every
-pair (the seed, which side ran first, and the last line of each run's
-standard output), ``all_correct``, and a summary per end-to-end metric
-of BENCHMARK.json: [lower quartile, median, upper quartile] per side
-(inclusive quartiles), the relative change of the medians, and the
-number of pairs in which the change was better (ties count for neither
-side).
+--workload may be given more than once; the workloads run in turn, each
+written to the --out file as soon as its pairs are done.  The result of
+W goes under ``workloads[W]`` of the --out file, which is created or
+updated; other workloads in it are kept.  It holds every pair (the seed,
+which side ran first, and the last line of each run's standard output),
+``all_correct``, and a summary per end-to-end metric of BENCHMARK.json:
+[lower quartile, median, upper quartile] per side (inclusive quartiles),
+the relative change of the medians, the number of pairs in which the
+change was better (ties count for neither side), and two flags against
+the metric's bound, read as a fraction of the parent median:
+``beyond_bound`` when the change median is worse than the parent median
+by more than the bound, and ``unresolved`` when the parent's quartile
+spread exceeds the bound and not every change run beats every parent
+run, so that the pairs cannot tell a move within the bound from noise.
 """
 from __future__ import annotations
 
@@ -56,12 +62,17 @@ def summarize(pairs: list, metrics: list) -> dict:
         q = {side: quartiles(values[side]) for side in SIDES}
         parent_median = q["parent"][1]
         rel = (q["change"][1] - parent_median) / parent_median if parent_median else 0.0
+        allowed = metric["bound"] * abs(parent_median)
+        # worst change run against best parent run, signed so that > 0 is better
+        clear = min(sign * (c - p) for p in values["parent"] for c in values["change"]) > 0
         summary[name] = {
             "parent": [round(v, 4) for v in q["parent"]],
             "change": [round(v, 4) for v in q["change"]],
             "rel": round(rel, 4),
             "change_better": better,
             "pairs": len(pairs),
+            "beyond_bound": sign * (parent_median - q["change"][1]) > allowed,
+            "unresolved": q["parent"][2] - q["parent"][0] > allowed and not clear,
         }
     return summary
 
@@ -107,7 +118,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="may be given more than once")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
@@ -117,18 +128,22 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    pairs = run_pairs(checkouts, args.workload, args.pairs, args.seconds, args.seed)
-    doc = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    doc.setdefault("workloads", {})[args.workload] = workload_result(pairs, metrics)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    wall = doc["workloads"][args.workload]["summary"]["wall_s"]
-    print(f"{args.workload} wall_s {wall['parent'][1]} -> {wall['change'][1]} ({wall['rel']:+.1%}),"
-          f" change better in {wall['change_better']}/{wall['pairs']}")
+    for workload in args.workload:
+        pairs = run_pairs(checkouts, workload, args.pairs, args.seconds, args.seed)
+        doc = {}
+        if os.path.exists(args.out):
+            with open(args.out) as fh:
+                doc = json.load(fh)
+        doc.setdefault("workloads", {})[workload] = result = workload_result(pairs, metrics)
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        wall = result["summary"]["wall_s"]
+        flagged = [f"{name} {flag}" for name, row in result["summary"].items()
+                   for flag in ("beyond_bound", "unresolved") if row[flag]]
+        print(f"{workload} wall_s {wall['parent'][1]} -> {wall['change'][1]} ({wall['rel']:+.1%}),"
+              f" change better in {wall['change_better']}/{wall['pairs']}"
+              + (f"; {', '.join(flagged)}" if flagged else ""))
     return 0
 
 
