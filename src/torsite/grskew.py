@@ -10,9 +10,9 @@ Linear sieves on Gr(R) are subfunctors of hom(-, x), that is right
 ideals of A = R[C] inside e_x A, kept in A's coordinates (LinearSieve);
 Gr's composition tables serve only end_generator_iso and ``torsite gr``.
 Linear topologies are checked and enumerated by finite linear algebra
-over Z/n.  Each GrCategory keeps, per sieve, its subfunctor report and
-the table of its pullbacks along every morphism, so certifying many
-topologies on one Gr(R) computes each pullback once.
+over Z/n.  Each GrCategory owns, in one memo keyed by sieve, every table
+that does not depend on a module (subfunctor reports, pullbacks, the cover
+data of torsite.modules), so equal sieves in different topologies share one.
 """
 from __future__ import annotations
 
@@ -62,8 +62,7 @@ class GrCategory:
         )
         self.right_action = tuple(self.skew.mul[c][:, :, c].transpose(1, 0, 2) for c in self.columns)
         self._sieve_cache = {}  # x -> (least budget searched, sieves on x)
-        self._reports = {}  # sieve key -> validate_linear_sieve report
-        self._pullbacks = {}  # (sieve key, y) -> pullback keys
+        self._memo = {}  # key -> module-independent table, see memo
 
     @functools.cached_property
     def _tables(self) -> dict:
@@ -121,25 +120,25 @@ class GrCategory:
             self._sieve_cache[x] = (budget, sieves)
         return sieves
 
+    def memo(self, key, build):
+        """build(), once per key such as ("report", T.key()); a build that raises stores nothing."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def sieve_report(self, T: "LinearSieve") -> ValidationReport:
-        """validate_linear_sieve(T), computed once per sieve."""
-        rep = self._reports.get(T.key())
-        if rep is None:
-            rep = self._reports[T.key()] = validate_linear_sieve(T)
-        return rep
+        """validate_linear_sieve(T), memoised under ("report", T.key())."""
+        return self.memo(("report", T.key()), lambda: validate_linear_sieve(T))
 
     def pullback_keys(self, T: "LinearSieve", y: int) -> tuple:
         """Keys of f^*(T) for every f in hom(y, T.target), in all_vectors order.
 
-        Entry vector_index(f) belongs to f; each is computed once by
-        pullback_linear_sieve.
+        Entry vector_index(f) belongs to f; the tuple is computed by
+        pullback_linear_sieve and memoised under ("pullbacks", T.key(), y).
         """
-        keys = self._pullbacks.get((T.key(), y))
-        if keys is None:
-            vecs = linalg.all_vectors(self.hom_rank(y, T.target), self.base.modulus)
-            keys = tuple(pullback_linear_sieve(self, T, y, f).key() for f in vecs)
-            self._pullbacks[(T.key(), y)] = keys
-        return keys
+        vecs = linalg.all_vectors(self.hom_rank(y, T.target), self.base.modulus)  # lazy
+        keys = (pullback_linear_sieve(self, T, y, f).key() for f in vecs)
+        return self.memo(("pullbacks", T.key(), y), lambda: tuple(keys))
 
     def __repr__(self):
         return f"GrCategory({self.cat!r})"
@@ -323,7 +322,8 @@ class LinearSieve:
 
 
 def maximal_linear_sieve(gr: GrCategory, x: int) -> LinearSieve:
-    return LinearSieve(gr, x, np.eye(gr.offsets[x][-1], dtype=np.int64))
+    """e_x A itself, memoised under ("maximal", x)."""
+    return gr.memo(("maximal", x), lambda: LinearSieve(gr, x, np.eye(gr.offsets[x][-1], dtype=np.int64)))
 
 
 def zero_linear_sieve(gr: GrCategory, x: int) -> LinearSieve:
@@ -385,8 +385,6 @@ class LinearTopology:
         if len(self.covers) != gr.cat.n_objects:
             raise InputError("need one cover set per object")
         self._keys = tuple(frozenset(t.key() for t in cs) for cs in self.covers)
-        # module-independent data per cover, filled by the predicates of torsite.modules
-        self._cover_tables = {}
 
     def covers_at(self, x: int):
         return self.covers[x]
@@ -503,13 +501,13 @@ def linear_topology_candidates(gr: GrCategory, budget: int = DEFAULT_LINEAR_BUDG
     total = 1
     for x in range(gr.cat.n_objects):
         sieves = gr.linear_sieves_on(x, budget)
-        maxk = maximal_linear_sieve(gr, x).key()
-        zerok = zero_linear_sieve(gr, x).key()
-        middle = [T for T in sieves if T.key() not in (maxk, zerok)]
+        top = maximal_linear_sieve(gr, x)
+        ends = (top.key(), zero_linear_sieve(gr, x).key())
+        middle = [T for T in sieves if T.key() not in ends]
         fams = []
         for r in range(len(middle) + 1):
             for combo in itertools.combinations(middle, r):
-                fams.append(tuple([maximal_linear_sieve(gr, x), *combo]))
+                fams.append(tuple([top, *combo]))
         if len(sieves) > 1:
             fams.append(tuple(sieves))
         per_object.append(fams)

@@ -334,30 +334,23 @@ class PredicateResult:
         return self.value
 
 
-def _cover_table(
-    Jp: LinearTopology, skew: SkewAlgebra, kind: str, x: int | None, ci: int | None, build
-):
-    """build(), the module-independent data of kind for cover ci at x, built once per topology.
-
-    x and ci are None for data about every object.  Entries live on Jp,
-    keyed on the algebra as well and holding it, so data built for one
-    algebra is never served for another.  A build that raises stores
-    nothing: the next call raises at the same point.
-    """
-    key = (kind, id(skew), x, ci)
-    entry = Jp._cover_tables.get(key)
-    if entry is None:
-        entry = Jp._cover_tables[key] = (skew, build())
-    return entry[1]
+def _site_skew(V: SkewModule, Jp: LinearTopology) -> SkewAlgebra:
+    """Jp.gr.skew; InputError unless V's algebra has its modulus, multiplication and unit."""
+    skew, A = Jp.gr.skew, V.algebra
+    if A is not skew and not (
+        A.base.modulus == skew.base.modulus and np.array_equal(A.mul, skew.mul) and np.array_equal(A.unit, skew.unit)
+    ):
+        raise InputError("module is not over the skew algebra of the topology's site")
+    return skew
 
 
-def _sheaf_cover(skew: SkewAlgebra, T) -> tuple:
-    """The rows G of T, the module C of the action on them (G * b_j == C.act[j] @ G),
-    and the relations r @ G == 0 among the rows, as columns."""
-    n = skew.base.modulus
-    G = T.skew_rows
-    C = _restricted_action(G, regular_module(skew).act, n, "cover is not closed under precomposition")
-    return G, SkewModule(skew, C), linalg.kernel_left(G, n).T
+def _sheaf_cover(T) -> tuple:
+    """The rows G of T in skew coordinates, the module C of the action on them
+    (G * b_j == C.act[j] @ G), and the relations r @ G == 0 among the rows, as columns."""
+    gr = T.gr
+    n = gr.base.modulus
+    C = _restricted_action(T.rows, gr.right_action[T.target], n, "cover is not closed under precomposition")
+    return T.skew_rows, SkewModule(gr.skew, C), linalg.kernel_left(T.rows, n).T
 
 
 def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
@@ -369,14 +362,15 @@ def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     for every relation r @ G == 0 among the rows.  The relations are
     empty over a field; over Z/n they make the choice of C_j irrelevant.
     The restriction of m is Phi_m[k] = m * G[k].  G, C and the relations
-    do not depend on V: they are built once per cover and kept on Jp.
+    do not depend on V: they are built once per cover, in Jp.gr's memo.
+    InputError unless V is a module over Jp.gr.skew.
     """
-    skew = V.algebra
+    skew = _site_skew(V, Jp)
     n = skew.base.modulus
     for x in range(skew.cat.n_objects):
         Bx = linalg.howell_form(V.act_of(skew.object_idempotent(x)), n, V.dim)
         for ci, T in enumerate(Jp.covers_at(x)):
-            G, C, rel = _cover_table(Jp, skew, "sheaf", x, ci, lambda: _sheaf_cover(skew, T))
+            G, C, rel = Jp.gr.memo(("sheaf", T.key()), lambda: _sheaf_cover(T))
             width = G.shape[0] * V.dim
             relations = np.kron(rel, np.eye(V.dim, dtype=np.int64))
             homs = linalg.kernel_left(np.concatenate([_hom_constraints(C, V), relations], axis=1), n)
@@ -397,13 +391,14 @@ def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     return PredicateResult(True)
 
 
-def _least_covers(skew: SkewAlgebra, Jp: LinearTopology) -> tuple:
+def _least_covers(Jp: LinearTopology) -> tuple:
     """The rows of the least cover of each object, stacked in object order, and the owner of each row.
 
     The least cover of x is its smallest cover, checked to lie inside every
     other one.  A linear topology is closed under finite intersections, so
     it has one; InputError names the first object without one.
     """
+    skew = Jp.gr.skew
     n = skew.base.modulus
     blocks, owner = [], []
     for x in range(skew.cat.n_objects):
@@ -425,13 +420,13 @@ def torsion_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     Some cover of x kills m iff the least cover of x does, and its rows t
     lie in e_x A, so V e_x * t == V * t.  Hence V is torsion iff V * t == 0
     for every row t of every least cover: one einsum, with the rows kept
-    on Jp.  Only on failure is a Howell basis of V e_x taken, to name the
-    first element not killed in span_elements order.  InputError if an
-    object has no least cover.
+    in Jp.gr's memo.  Only on failure is a Howell basis of V e_x taken, to
+    name the first element not killed in span_elements order.  InputError
+    if an object has no least cover, or unless V is a module over Jp.gr.skew.
     """
-    skew = V.algebra
+    skew = _site_skew(V, Jp)
     n = skew.base.modulus
-    rows, owner = _cover_table(Jp, skew, "least", None, None, lambda: _least_covers(skew, Jp))
+    rows, owner = Jp.gr.memo(("least", Jp.key()), lambda: _least_covers(Jp))
     killed = np.einsum("kj,jil->kil", rows, V.act) % n  # m * rows[k] == m @ killed[k]
     bad = killed.any(axis=(1, 2))
     if not bad.any():
@@ -454,22 +449,16 @@ def is_torsion(M: ModulePresheaf, Jp: LinearTopology) -> PredicateResult:
     return torsion_check(psi_to_gr(M, Jp.gr.skew), Jp)
 
 
-def representable_module(skew: SkewAlgebra, x: int) -> tuple:
-    """The module hom(-, x), i.e. e_x * A, on its coordinate subset."""
-    idx = [
-        k for k, (f, _) in enumerate(skew.pairs) if skew.cat.cod(f) == x
-    ]
-    reg = regular_module(skew)
-    act = reg.act[:, :, idx][:, idx, :]
-    return SkewModule(skew, act), idx
+def representable_quotient(T) -> SkewModule:
+    """hom(-, x) / T = e_x A / T for a linear sieve T on x (prime modulus).
 
-
-def representable_quotient(skew: SkewAlgebra, T) -> SkewModule:
-    """hom(-, x) / T for a linear sieve T on x (prime modulus); InputError unless T is stable."""
-    P, idx = representable_module(skew, T.target)
-    rows = T.skew_rows[:, idx]
-    _restricted_action(rows, P.act, skew.base.modulus, "cover is not closed under precomposition")
-    Q, _, _ = quotient_module(P, rows)
+    e_x A is gr.right_action[x] on the coordinates gr.columns[x], where
+    T.rows lie.  InputError unless T is stable, read from gr.sieve_report(T).
+    """
+    gr = T.gr
+    if not gr.sieve_report(T).ok:
+        raise InputError("cover is not closed under precomposition: rows do not span a stable submodule")
+    Q, _, _ = quotient_module(SkewModule(gr.skew, gr.right_action[T.target]), T.rows)
     return Q
 
 
@@ -599,16 +588,15 @@ def perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
     """Hom and Ext^1 vanishing against every representable quotient.
 
     Each quotient and its presentation are built once per cover, when a
-    module first needs them, and kept on Jp.
+    module first needs them, in Jp.gr's memo.  InputError unless M is a
+    module presheaf or a module over Jp.gr.skew.
     """
-    skew = Jp.gr.skew
-    if isinstance(M, ModulePresheaf):
-        V = psi_to_gr(M, skew)
-    else:
-        V = M
+    gr = Jp.gr
+    V = psi_to_gr(M, gr.skew) if isinstance(M, ModulePresheaf) else M
+    skew = _site_skew(V, Jp)
     for x in range(skew.cat.n_objects):
         for ci, T in enumerate(Jp.covers_at(x)):
-            Q = _cover_table(Jp, skew, "quotient", x, ci, lambda: representable_quotient(skew, T))
+            Q = gr.memo(("quotient", T.key()), lambda: representable_quotient(T))
             if Q.dim == 0:
                 continue
             if hom_skew(Q, V):
@@ -618,7 +606,7 @@ def perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
                 )
             # ext1_skew(Q, V), with Q's presentation kept
             if V.dim and _ext1_from_presentation(
-                Q, *_cover_table(Jp, skew, "presentation", x, ci, lambda: _presentation(Q)), V
+                Q, *gr.memo(("presentation", T.key()), lambda: _presentation(Q)), V
             ):
                 return PredicateResult(
                     False,

@@ -625,3 +625,38 @@ def test_pullback_table_matches_direct_pullbacks(name):
                     assert table[vector_index(f, n)] == key
                 entries += len(table)
     assert entries
+
+
+def test_enumeration_builds_each_maximal_sieve_once(monkeypatch):
+    # before the maximal sieves were memoised, every candidate family and
+    # every is_linear_topology call built its own: 1531 constructions here
+    cat, R = files.load_presheaf(os.path.join(ROOT, "perfbench", "sites", "a2_f2xf2.json"))
+    gr = build_gr(cat, R)
+    built = []
+    init = LinearSieve.__init__
+
+    def spy(self, *args):
+        built.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(LinearSieve, "__init__", spy)
+    assert len(enumerate_linear_topologies(gr)) == 16
+    assert len(built) == 109
+    assert maximal_linear_sieve(gr, 1) is maximal_linear_sieve(gr, 1)
+    assert len(built) == 109
+
+
+def test_memo_builds_once_and_keeps_nothing_that_raised():
+    gr = build_gr(terminal_category(), constant_presheaf(terminal_category(), field_algebra(2)))
+    calls = []
+
+    def fail():
+        calls.append("fail")
+        raise InputError("no table")
+
+    for _ in range(2):
+        with pytest.raises(InputError, match="no table"):
+            gr.memo(("test", 0), fail)
+    assert gr.memo(("test", 0), lambda: calls.append("build") or "table") == "table"
+    assert gr.memo(("test", 0), fail) == "table"
+    assert calls == ["fail", "fail", "build"]

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from torsite import cli, files, linalg
+from torsite import cli, files, linalg, modules
+from torsite.acceptance import criterion_5_sheaf_perpendicular
 from torsite.algebra import AlgebraPresheaf, BaseRing, FiniteAlgebra, constant_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
 from torsite.fincat import FiniteCategory
@@ -66,7 +67,6 @@ from torsite.modules import (
     psi_to_gr,
     quotient_module,
     regular_module,
-    representable_module,
     representable_quotient,
     sheaf_check,
     submodule_module,
@@ -446,12 +446,36 @@ def test_quotient_requires_prime_modulus():
         quotient_module(reg, np.array([[0, 1, 0]], dtype=np.int64))
 
 
+# The representable modules and their quotients in skew order, the route
+# before e_x A was read from gr.right_action: the oracles of
+# uncached_perpendicular_check.
+
+
+def oracle_representable_module(skew: SkewAlgebra, x: int) -> tuple:
+    """The module hom(-, x), i.e. e_x * A, on its coordinate subset."""
+    idx = [
+        k for k, (f, _) in enumerate(skew.pairs) if skew.cat.cod(f) == x
+    ]
+    reg = regular_module(skew)
+    act = reg.act[:, :, idx][:, idx, :]
+    return SkewModule(skew, act), idx
+
+
+def oracle_representable_quotient(skew: SkewAlgebra, T) -> SkewModule:
+    """hom(-, x) / T for a linear sieve T on x (prime modulus); InputError unless T is stable."""
+    P, idx = oracle_representable_module(skew, T.target)
+    rows = T.skew_rows[:, idx]
+    _restricted_action(rows, P.act, skew.base.modulus, "cover is not closed under precomposition")
+    Q, _, _ = quotient_module(P, rows)
+    return Q
+
+
 def test_representable_modules_of_skew_algebra():
     cat = a2_category()
     R = constant_presheaf(cat, field_algebra(2))
     skew = build_skew_algebra(cat, R)
-    P0, idx0 = representable_module(skew, 0)
-    P1, idx1 = representable_module(skew, 1)
+    P0, idx0 = oracle_representable_module(skew, 0)
+    P1, idx1 = oracle_representable_module(skew, 1)
     assert P0.dim == 1  # only id1 ends at object 1
     assert P1.dim == 2  # id2 and a end at object 2
     assert validate_skew_module(P0).ok
@@ -993,10 +1017,11 @@ def test_representable_quotient_dimensions():
     skew = build_skew_algebra(cat, R)
     covers = Jp.covers_at(1)
     dims = sorted(
-        representable_quotient(skew, T).dim for T in covers
+        representable_quotient(T).dim for T in covers
     )
     # quotient by the maximal sieve is zero, by the a-generated sieve is 1-dim
     assert dims == [0, 1]
+    assert dims == sorted(oracle_representable_quotient(skew, T).dim for T in covers)
 
 
 # The predicates as they were before their per-cover tables: every call
@@ -1040,7 +1065,7 @@ def uncached_perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
     V = psi_to_gr(M, skew) if isinstance(M, ModulePresheaf) else M
     for x in range(skew.cat.n_objects):
         for ci, T in enumerate(Jp.covers_at(x)):
-            Q = representable_quotient(skew, T)
+            Q = oracle_representable_quotient(skew, T)
             if Q.dim == 0:
                 continue
             if hom_skew(Q, V):
@@ -1122,9 +1147,69 @@ def test_cover_tables_keep_each_algebra_apart():
         for M in enumerate_module_presheaves(cat, R, 2):
             V = psi_to_gr(M, skew)
             assert _outcome(sheaf_check, V, Jp) == _outcome(uncached_sheaf_check, V, _fresh(Jp))
-    tables = Jp._cover_tables
-    assert {id(skew) for skew, _ in tables.values()} == {id(skew) for skew in skews}
-    assert all(key[1] == id(skew) for key, (skew, _) in tables.items())
+
+
+def _fixture_site(name):
+    _, cat, R = next(f for f in fixture_presheaves() if f[0] == name)
+    return cat, R, build_gr(cat, R)
+
+
+def test_predicates_refuse_a_module_over_another_algebra():
+    # F2[C2] and F2 x F2 both have rank 2 over F2; read through the covers of
+    # terminal_f2xf2, the F2[C2] modules gave sheaf False and perpendicular True
+    c2_cat, c2_R, c2_gr = _fixture_site("c2_f2")
+    cat, R, gr = _fixture_site("terminal_f2xf2")
+    foreign = [psi_to_gr(M, c2_gr.skew) for M in enumerate_module_presheaves(c2_cat, c2_R, 2) if sum(M.ranks) == 2]
+    topologies = enumerate_linear_topologies(gr)
+    assert foreign and topologies
+    for Jp in topologies:
+        for V in foreign:
+            for check in (sheaf_check, torsion_check, perpendicular_check):
+                with pytest.raises(InputError, match="not over the skew algebra of the topology's site"):
+                    check(V, Jp)
+    # a second build of the same skew algebra is the same algebra
+    twin = build_skew_algebra(cat, R)
+    assert twin is not gr.skew
+    for Jp in topologies:
+        for M in enumerate_module_presheaves(cat, R, 2):
+            for check in (sheaf_check, torsion_check, perpendicular_check):
+                assert _outcome(check, psi_to_gr(M, twin), Jp) == _outcome(check, psi_to_gr(M, gr.skew), Jp)
+
+
+def test_criterion_5_builds_each_cover_table_once(monkeypatch):
+    # equal covers of different topologies on one site share one entry
+    built = Counter()
+    for name in ("_sheaf_cover", "representable_quotient", "_presentation"):
+        def spy(*args, _build=getattr(modules, name), _name=name):
+            built[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(modules, name, spy)
+    criterion_5_sheaf_perpendicular()
+    assert built == {"_sheaf_cover": 14, "representable_quotient": 14, "_presentation": 2}
+
+
+def test_interleaved_sites_with_equal_sieve_keys_keep_their_tables():
+    # on terminal_f2xf2 and c2_f2, e_0 A has rank 2, so the zero and the
+    # maximal sieve have the same key on both sites: a memo shared between
+    # them would serve one site's tables to the other
+    sites = [_fixture_site(name) for name in ("terminal_f2xf2", "c2_f2")]
+    for sieve in (zero_linear_sieve, maximal_linear_sieve):
+        assert len({sieve(gr, 0).key() for _, _, gr in sites}) == 1
+    # J_I for every idempotent ideal I is every linear topology, built without the memo
+    tops = [[ideal_topology(gr, I.matrix) for I in enumerate_idempotent_ideals(gr.skew)] for _, _, gr in sites]
+    runs = [
+        [(psi_to_gr(M, gr.skew), Jp) for Jp in site_tops for M in enumerate_module_presheaves(cat, R, 2)]
+        for (cat, R, gr), site_tops in zip(sites, tops)
+    ]
+    pairs = [pair for both in itertools.zip_longest(*runs) for pair in both if pair is not None]
+    assert len(pairs) == sum(map(len, runs))
+    for V, Jp in pairs:
+        assert _outcome(sheaf_check, V, Jp) == _outcome(uncached_sheaf_check, V, Jp)
+        assert _outcome(perpendicular_check, V, Jp) == _outcome(uncached_perpendicular_check, V, Jp)
+        assert _outcome(torsion_check, V, Jp) == _outcome(oracle_torsion_check, V, Jp)
+    for (_, _, gr), site_tops in zip(sites, tops):
+        assert {Jp.key() for Jp in enumerate_linear_topologies(gr)} == {Jp.key() for Jp in site_tops}
 
 
 # The presheaf-side Hom route: natural R-linear transformations solved
