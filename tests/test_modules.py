@@ -446,8 +446,8 @@ def test_quotient_requires_prime_modulus():
         quotient_module(reg, np.array([[0, 1, 0]], dtype=np.int64))
 
 
-# The representable modules and their quotients in skew order, the route
-# before e_x A was read from gr.right_action: the oracles of
+# The representable modules and their quotients in skew order, built from
+# the regular module without gr.columns or gr.right_action: the oracles of
 # uncached_perpendicular_check.
 
 
@@ -1075,10 +1075,6 @@ def uncached_perpendicular_check(M, Jp: LinearTopology) -> PredicateResult:
     return PredicateResult(True)
 
 
-def _fresh(Jp: LinearTopology) -> LinearTopology:
-    return LinearTopology(Jp.gr, Jp.covers)
-
-
 def _outcome(check, *args):
     try:
         res = check(*args)
@@ -1089,9 +1085,9 @@ def _outcome(check, *args):
 
 @pytest.mark.parametrize("make", SHEAF_CASES.values(), ids=list(SHEAF_CASES))
 def test_sheaf_check_tables_match_the_uncached_route(make):
-    # one Jp serves every module of a case; the uncached route gets a fresh one
+    # one gr's memo serves every module of a case; the uncached route reads no table
     for V, Jp in make():
-        assert _outcome(sheaf_check, V, Jp) == _outcome(uncached_sheaf_check, V, _fresh(Jp)), V.act.tolist()
+        assert _outcome(sheaf_check, V, Jp) == _outcome(uncached_sheaf_check, V, Jp), V.act.tolist()
 
 
 @pytest.mark.parametrize("name", [name for name, _, _ in standard_fixtures()])
@@ -1102,7 +1098,7 @@ def test_perpendicular_check_tables_match_the_uncached_route(name):
     skew = build_skew_algebra(cat, R)
     for Jp in enumerate_linear_topologies(gr):
         for M in mods:
-            want = _outcome(uncached_perpendicular_check, M, _fresh(Jp))
+            want = _outcome(uncached_perpendicular_check, M, Jp)
             assert _outcome(perpendicular_check, M, Jp) == want, (name, M.ranks)
             assert _outcome(perpendicular_check, psi_to_gr(M, skew), Jp) == want, (name, M.ranks)
 
@@ -1129,7 +1125,7 @@ def test_predicates_stop_and_raise_where_the_uncached_route_does(order):
     for k in order:
         V = mods[k]
         got = _outcome(sheaf_check, V, Jp)
-        assert got == _outcome(uncached_sheaf_check, V, _fresh(Jp))
+        assert got == _outcome(uncached_sheaf_check, V, Jp)
         perp = _outcome(perpendicular_check, V, Jp)
         if k == 0:
             assert got[0] is False and got[1]["object"] == "1" and got[1]["reason"] == "not injective"
@@ -1137,7 +1133,7 @@ def test_predicates_stop_and_raise_where_the_uncached_route_does(order):
         else:
             assert got[0] == "raises" and "not closed under precomposition" in got[1]
             assert perp == got
-        assert perp == _outcome(uncached_perpendicular_check, V, _fresh(Jp))
+        assert perp == _outcome(uncached_perpendicular_check, V, Jp)
 
 
 def test_cover_tables_keep_each_algebra_apart():
@@ -1146,7 +1142,7 @@ def test_cover_tables_keep_each_algebra_apart():
     for skew in skews:
         for M in enumerate_module_presheaves(cat, R, 2):
             V = psi_to_gr(M, skew)
-            assert _outcome(sheaf_check, V, Jp) == _outcome(uncached_sheaf_check, V, _fresh(Jp))
+            assert _outcome(sheaf_check, V, Jp) == _outcome(uncached_sheaf_check, V, Jp)
 
 
 def _fixture_site(name):
