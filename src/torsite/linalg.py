@@ -10,8 +10,9 @@ per row, and no saturation pass is needed.
 
 Elimination runs on rows of Python ints, so its arithmetic is exact
 whatever n.  numpy int64 arrays appear only at the boundary (inputs,
-Howell forms, solutions, kernels), and those arrays still rely on the
-int64 headroom that ``algebra.MAX_MODULUS`` guarantees.
+Howell forms, solutions, kernels, and the Kronecker products of ``kron``),
+and those arrays still rely on the int64 headroom that
+``algebra.MAX_MODULUS`` guarantees.
 
 Row-vector convention throughout the package: a linear map is applied as
 ``v @ M`` and composites read left to right (``first @ then``).
@@ -84,6 +85,22 @@ def as_matrix(rows, width: int) -> np.ndarray:
     if a.shape[1] != width:
         raise ValueError(f"expected width {width}, got {a.shape[1]}")
     return a
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of the last two axes, broadcast over the leading ones.
+
+    Entry (i * r + k, j * s + l) of the product of a (p, q) and a (r, s)
+    matrix is a[i, j] * b[k, l], as in numpy's kron; the int64 products
+    are exact below the headroom of ``algebra.MAX_MODULUS``.  One
+    broadcast costs far less than numpy's kron dispatch at the small
+    shapes used here.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], p * r, q * s)
 
 
 def _leading(row) -> int:

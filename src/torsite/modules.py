@@ -131,9 +131,11 @@ class SkewModule:
         self.dim = self.act.shape[1]
 
     def act_of(self, v) -> np.ndarray:
-        if self.algebra.rank == 0:
-            return np.zeros((self.dim, self.dim), dtype=np.int64)
-        return np.einsum("j,jkl->kl", np.asarray(v, dtype=np.int64), self.act) % self.algebra.base.modulus
+        """Matrix of m |-> m * v for an algebra element v, or a stack of them
+        for a stack of elements: one matmul against the flattened action."""
+        v = np.asarray(v, dtype=np.int64)
+        flat = v @ self.act.reshape(self.algebra.rank, self.dim * self.dim)
+        return (flat % self.algebra.base.modulus).reshape(*v.shape[:-1], self.dim, self.dim)
 
     def key(self) -> bytes:
         return self.act.tobytes()
@@ -240,14 +242,40 @@ def hom_skew(V: SkewModule, W: SkewModule) -> list:
     return [row.reshape(v, w) for row in K]
 
 
+def _same_algebra(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
+    """Whether A and B have the same modulus, multiplication and unit."""
+    return A is B or (
+        A.base.modulus == B.base.modulus and np.array_equal(A.mul, B.mul) and np.array_equal(A.unit, B.unit)
+    )
+
+
+def _same_site(M: ModulePresheaf, skew: SkewAlgebra) -> bool:
+    """Whether M's category and rings have the tables of skew's site."""
+    cat, R = skew.cat, skew.R
+    same_cat = M.cat is cat or (
+        M.cat.n_objects == cat.n_objects
+        and [(m.dom, m.cod) for m in M.cat.morphisms] == [(m.dom, m.cod) for m in cat.morphisms]
+        and M.cat.identity == cat.identity
+        and np.array_equal(M.cat.compose_table, cat.compose_table)
+    )
+    # with the same category, both presheaves have one algebra per object and one map per morphism
+    return same_cat and (M.R is R or (
+        all(_same_algebra(a, b) for a, b in zip(M.R.algebras, R.algebras))
+        and all(np.array_equal(f, g) for f, g in zip(M.R.maps, R.maps))
+    ))
+
+
 def psi_to_gr(M: ModulePresheaf, skew: SkewAlgebra | None = None) -> SkewModule:
     """Stack the blocks of M into a right module over the skew algebra.
 
     Basis element (b_i at f: x -> y) sends the M(y)-block into the
     M(x)-block by m |-> M(f)(m) * b_i and kills the other blocks.
+    InputError unless M's category and rings are those of skew's site.
     """
     if skew is None:
         skew = build_skew_algebra(M.cat, M.R)
+    elif not _same_site(M, skew):
+        raise InputError("module is not over the skew algebra of the topology's site")
     cat = M.cat
     n = M.R.base.modulus
     offsets = []
@@ -336,10 +364,8 @@ class PredicateResult:
 
 def _site_skew(V: SkewModule, Jp: LinearTopology) -> SkewAlgebra:
     """Jp.gr.skew; InputError unless V's algebra has its modulus, multiplication and unit."""
-    skew, A = Jp.gr.skew, V.algebra
-    if A is not skew and not (
-        A.base.modulus == skew.base.modulus and np.array_equal(A.mul, skew.mul) and np.array_equal(A.unit, skew.unit)
-    ):
+    skew = Jp.gr.skew
+    if not _same_algebra(V.algebra, skew):
         raise InputError("module is not over the skew algebra of the topology's site")
     return skew
 
@@ -372,10 +398,10 @@ def sheaf_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
         for ci, T in enumerate(Jp.covers_at(x)):
             G, C, rel = Jp.gr.memo(("sheaf", T.key()), lambda: _sheaf_cover(T))
             width = G.shape[0] * V.dim
-            relations = np.kron(rel, np.eye(V.dim, dtype=np.int64))
+            relations = linalg.kron(rel, np.eye(V.dim, dtype=np.int64))
             homs = linalg.kernel_left(np.concatenate([_hom_constraints(C, V), relations], axis=1), n)
-            acts = np.einsum("kj,jil->kil", G, V.act) % n  # m * G[k] == m @ acts[k]
-            restricted = np.einsum("mi,kil->mkl", Bx, acts).reshape(Bx.shape[0], width)
+            acts = V.act_of(G)  # m * G[k] == m @ acts[k]
+            restricted = Bx @ acts.transpose(1, 0, 2).reshape(V.dim, width)
             image = linalg.howell_form(restricted % n, n, width)
             witness = {"object": skew.cat.objects[x], "cover": ci}
             kernel = linalg.span_size(Bx, n) // linalg.span_size(image, n)
@@ -419,7 +445,7 @@ def torsion_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
 
     Some cover of x kills m iff the least cover of x does, and its rows t
     lie in e_x A, so V e_x * t == V * t.  Hence V is torsion iff V * t == 0
-    for every row t of every least cover: one einsum, with the rows kept
+    for every row t of every least cover: one act_of, with the rows kept
     in Jp.gr's memo.  Only on failure is a Howell basis of V e_x taken, to
     name the first element not killed in span_elements order.  InputError
     if an object has no least cover, or unless V is a module over Jp.gr.skew.
@@ -427,7 +453,7 @@ def torsion_check(V: SkewModule, Jp: LinearTopology) -> PredicateResult:
     skew = _site_skew(V, Jp)
     n = skew.base.modulus
     rows, owner = Jp.gr.memo(("least", Jp.key()), lambda: _least_covers(Jp))
-    killed = np.einsum("kj,jil->kil", rows, V.act) % n  # m * rows[k] == m @ killed[k]
+    killed = V.act_of(rows)  # m * rows[k] == m @ killed[k]
     bad = killed.any(axis=(1, 2))
     if not bad.any():
         return PredicateResult(True)
@@ -478,7 +504,7 @@ def _presentation(V: SkewModule) -> tuple:
     # pi((a_i)) = sum_i e_i . a_i; row i * d + j is the image of e_i b_j
     PI = V.act.transpose(1, 0, 2).reshape(m * d, m)
     K = linalg.kernel_left(PI, n)
-    act_free = [np.kron(np.eye(m, dtype=np.int64), A.mul[:, j, :]) % n for j in range(d)]
+    act_free = linalg.kron(np.eye(m, dtype=np.int64), A.mul.transpose(1, 0, 2)) % n
     return K, SkewModule(A, _restricted_action(K, act_free, n, "syzygy action"))
 
 
@@ -519,12 +545,15 @@ def _cocycle_constraints(V: SkewModule, W: SkewModule) -> np.ndarray:
     A = V.algebra
     d, v, w = A.rank, V.dim, W.dim
     Id, Iv, Iw = (np.eye(k, dtype=np.int64) for k in (d, v, w))
+    # one broadcast per term, on the axes q s t i j a b
+    sa = Iv[None, :, None, None, None, :, None]
+    tb = Iw[None, None, :, None, None, None, :]
     mult = (
-        np.einsum("ijq,sa,tb->qstijab", A.mul, Iv, Iw)
-        - np.einsum("qi,sa,jtb->qstijab", Id, Iv, W.act)
-        - np.einsum("qj,tb,ias->qstijab", Id, Iw, V.act)
+        A.mul.transpose(2, 0, 1)[:, None, None, :, :, None, None] * sa * tb
+        - Id[:, None, None, :, None, None, None] * sa * W.act.transpose(1, 0, 2)[None, None, :, None, :, None, :]
+        - Id[:, None, None, None, :, None, None] * tb * V.act.transpose(2, 0, 1)[None, :, None, :, None, :, None]
     ).reshape(d * v * w, d * d * v * w)
-    unit = np.einsum("q,sa,tb->qstab", A.unit, Iv, Iw).reshape(d * v * w, v * w)
+    unit = linalg.kron(A.unit[:, None], np.eye(v * w, dtype=np.int64))
     return np.concatenate([mult, unit], axis=1) % A.base.modulus
 
 

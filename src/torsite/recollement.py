@@ -162,7 +162,7 @@ class Recollement:
         """M -> Me as a corner module; returns (module, rows in M)."""
         n = self.A.base.modulus
         rows = linalg.howell_form(M.act_of(self.e), n, M.dim)
-        act = _restricted_action(rows, [M.act_of(c) for c in self.corner_rows], n, "Me action")
+        act = _restricted_action(rows, M.act_of(self.corner_rows), n, "Me action")
         return SkewModule(self.corner, act), rows
 
     def j_star_map(self, M, M2, F) -> np.ndarray:
@@ -172,10 +172,7 @@ class Recollement:
     @_stored
     def i_star(self, N: SkewModule) -> SkewModule:
         """Inflation of a quotient-algebra module along A -> A/AeA."""
-        act = np.stack(
-            [N.act_of(self.alg_proj[j]) for j in range(self.A.rank)]
-        ) if self.A.rank else np.zeros((0, N.dim, N.dim), dtype=np.int64)
-        return SkewModule(self.A, act)
+        return SkewModule(self.A, N.act_of(self.alg_proj))
 
     def i_star_map(self, N, N2, F) -> np.ndarray:
         return F
@@ -184,10 +181,7 @@ class Recollement:
     def i_upper(self, M: SkewModule) -> tuple:
         """M -> M / M*AeA; returns (quotient module, projection, section)."""
         Qa, proj, sec = quotient_module(M, module_times_ideal(M, self.ideal))
-        act = np.stack(
-            [Qa.act_of(self.alg_sec[t]) for t in range(self.quotient.rank)]
-        ) if self.quotient.rank else np.zeros((0, Qa.dim, Qa.dim), dtype=np.int64)
-        return SkewModule(self.quotient, act), proj, sec
+        return SkewModule(self.quotient, Qa.act_of(self.alg_sec)), proj, sec
 
     def i_upper_map(self, M, M2, F) -> np.ndarray:
         return (self.i_upper(M)[2] @ F @ self.i_upper(M2)[1]) % self.A.base.modulus
@@ -197,7 +191,7 @@ class Recollement:
         """The largest submodule killed by AeA; returns (module, rows in M)."""
         n = self.A.base.modulus
         K = killed_by_ideal(M, self.ideal)
-        act = _restricted_action(K, [M.act_of(s) for s in self.alg_sec], n, "socle action")
+        act = _restricted_action(K, M.act_of(self.alg_sec), n, "socle action")
         return SkewModule(self.quotient, act), K
 
     def i_shriek_map(self, M, M2, F) -> np.ndarray:
@@ -215,14 +209,14 @@ class Recollement:
         p = self.eA_rows.shape[0]
         m = N.dim * p
         eye_N, eye_p = np.eye(N.dim, dtype=np.int64), np.eye(p, dtype=np.int64)
-        free = np.array([np.kron(eye_N, a) for a in self.ea_right], dtype=np.int64)
-        rel = [np.kron(N.act[t], eye_p) - np.kron(eye_N, c) for t, c in enumerate(self.ea_corner)]
-        rel = np.array(rel, dtype=np.int64).reshape(len(rel) * m, m) % n
-        return quotient_module(SkewModule(self.A, free.reshape(self.A.rank, m, m)), rel)
+        free = linalg.kron(eye_N, self.ea_right)
+        rel = linalg.kron(N.act, eye_p) - linalg.kron(eye_N, self.ea_corner)
+        rel = rel.reshape(self.corner.rank * m, m) % n
+        return quotient_module(SkewModule(self.A, free), rel)
 
     def j_shriek_map(self, N, N2, G) -> np.ndarray:
         p = self.eA_rows.shape[0]
-        free = np.kron(G, np.eye(p, dtype=np.int64))
+        free = linalg.kron(G, np.eye(p, dtype=np.int64))
         return (self.j_shriek(N)[2] @ free @ self.j_shriek(N2)[1]) % self.A.base.modulus
 
     def _hom_rows(self, basis, dim: int) -> np.ndarray:
@@ -241,7 +235,7 @@ class Recollement:
         flat = self._hom_rows(basis, N.dim)
         # B -> L @ B on the flattened hom space is v -> v @ kron(L^T, 1)
         eye_N = np.eye(N.dim, dtype=np.int64)
-        act = _restricted_action(flat, [np.kron(L.T, eye_N) for L in self.ae_left], n, "hom module action")
+        act = _restricted_action(flat, linalg.kron(self.ae_left.transpose(0, 2, 1), eye_N), n, "hom module action")
         return SkewModule(self.A, act), basis
 
     def j_lower_map(self, N, N2, G) -> np.ndarray:
@@ -273,7 +267,7 @@ class Recollement:
         """Unit N -> j^* j_! N, n |-> class(n tensor e)."""
         n = self.A.base.modulus
         JN, proj, _ = self.j_shriek(N)
-        emb = np.kron(np.eye(N.dim, dtype=np.int64), self.e_in_eA)
+        emb = linalg.kron(np.eye(N.dim, dtype=np.int64), self.e_in_eA[None, :])
         return _coords_rows(self.j_star(JN)[1], (emb @ proj) % n, n, "tensor unit")
 
     def tensor_counit(self, M: SkewModule) -> np.ndarray:
@@ -281,9 +275,11 @@ class Recollement:
         n = self.A.base.modulus
         Me, rows = self.j_star(M)
         _, _, sec = self.j_shriek(Me)
-        acts = [M.act_of(x) for x in self.eA_rows]
-        free = np.array([(v @ X) % n for v in rows for X in acts], dtype=np.int64)
-        return (sec @ free.reshape(len(rows) * len(acts), M.dim)) % n
+        p = self.eA_rows.shape[0]
+        # row i * p + j of free is rows[i] @ act_of(eA_rows[j])
+        acts = M.act_of(self.eA_rows).transpose(1, 0, 2).reshape(M.dim, p * M.dim)
+        free = ((rows @ acts) % n).reshape(rows.shape[0] * p, M.dim)
+        return (sec @ free) % n
 
     def hom_unit(self, M: SkewModule) -> np.ndarray:
         """Unit M -> j_* j^* M, m |-> (v in Ae |-> m v)."""
@@ -293,7 +289,7 @@ class Recollement:
             return np.zeros((M.dim, 0), dtype=np.int64)
         n = self.A.base.modulus
         k = rows.shape[0]
-        acts = np.concatenate([M.act_of(v) for v in self.Ae_rows])
+        acts = M.act_of(self.Ae_rows).reshape(self.Ae_rows.shape[0] * M.dim, M.dim)
         imgs = _coords_rows(rows, acts, n, "unit image").reshape(-1, M.dim, k).transpose(1, 0, 2)
         return _coords_rows(self._hom_rows(basis, k), imgs.reshape(M.dim, -1), n, "hom unit")
 
@@ -303,7 +299,7 @@ class Recollement:
         HN, basis = self.j_lower(N)
         _, rows = self.j_star(HN)
         B = np.array(basis, dtype=np.int64).reshape(len(basis), self.Ae_rows.shape[0], N.dim)
-        return (rows @ (np.einsum("k,hkl->hl", self.e_in_Ae, B) % n)) % n
+        return (rows @ ((self.e_in_Ae @ B) % n)) % n
 
 
 CHECKS = (

@@ -48,7 +48,7 @@ class TwoSidedIdeal:
 
     @property
     def matrix(self) -> np.ndarray:
-        return linalg.as_matrix([np.array(r, dtype=np.int64) for r in self.rows], self.algebra.rank)
+        return np.array(self.rows, dtype=np.int64).reshape(len(self.rows), self.algebra.rank)
 
     def key(self):
         return linalg.span_key(self.matrix)
@@ -534,18 +534,17 @@ class TTFTriple:
 
 def module_times_ideal(V: SkewModule, I: TwoSidedIdeal) -> np.ndarray:
     """Rows spanning V*I: the rows of V*r for each basis row r of I."""
-    rows = []
-    for r in I.rows:
-        rows.extend(V.act_of(np.array(r, dtype=np.int64)))
-    return linalg.as_matrix(rows, V.dim)
+    rows = I.matrix
+    return V.act_of(rows).reshape(rows.shape[0] * V.dim, V.dim)
 
 
 def killed_by_ideal(V: SkewModule, I: TwoSidedIdeal) -> np.ndarray:
     """Howell basis of the elements v of V with v*I = 0."""
-    mats = [V.act_of(np.array(r, dtype=np.int64)) for r in I.rows]
-    if not (mats and V.dim):
+    rows = I.matrix
+    if not (rows.shape[0] and V.dim):
         return np.eye(V.dim, dtype=np.int64)
-    return linalg.kernel_left(np.concatenate(mats, axis=1), V.algebra.base.modulus)
+    mats = V.act_of(rows).transpose(1, 0, 2).reshape(V.dim, rows.shape[0] * V.dim)
+    return linalg.kernel_left(mats, V.algebra.base.modulus)
 
 
 def ttf_from_idempotent_ideal(I: TwoSidedIdeal, universe: ModuleUniverse) -> TTFTriple:

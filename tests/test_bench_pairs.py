@@ -59,7 +59,7 @@ def test_summary_gives_quartiles_medians_and_wins(bench_pairs):
     # equal values are a tie, which counts for neither side
     assert result["summary"]["ok_ratio"] == {
         "parent": [1.0, 1.0, 1.0], "change": [1.0, 1.0, 1.0], "rel": 0.0, "change_better": 0, "pairs": 4,
-        "beyond_bound": False, "unresolved": False,
+        "beyond_bound": False, "unresolved": False, "gain": False,
     }
     assert result["all_correct"] is True and result["pairs"] == canned_pairs()
 
@@ -166,3 +166,45 @@ def test_each_workload_runs_in_turn_into_one_output(bench_pairs, monkeypatch, tm
         assert [p["seed"] for p in result["pairs"]] == [5, 6]
         assert result["summary"]["wall_s"]["change_better"] == 2
         assert not result["summary"]["wall_s"]["beyond_bound"]
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_median_move_beyond_the_parent_spread(bench_pairs):
+    parent = [0.100, 0.101, 0.102, 0.103, 0.104, 0.105, 0.106, 0.107, 0.108, 0.109]
+    # parent quartiles 0.10225 and 0.10675: a spread of 0.0045 around the median 0.1045
+    faster = [p - 0.01 for p in parent]
+    summary = bench_pairs.summarize(walls_pairs(list(zip(parent, faster))), METRICS)
+    assert summary["wall_s"]["change_better"] == 10 and summary["wall_s"]["gain"] is True
+    # one pair lost still leaves 9 of 10
+    one_lost = faster[:9] + [0.2]
+    assert bench_pairs.summarize(walls_pairs(list(zip(parent, one_lost))), METRICS)["wall_s"]["gain"] is True
+    # two pairs lost, or one lost and one tied (a tie counts for neither side), is 8 of 10
+    for last_two in ([0.2, 0.2], [0.2, parent[9]]):
+        walls = list(zip(parent, faster[:8] + last_two))
+        summary = bench_pairs.summarize(walls_pairs(walls), METRICS)
+        assert summary["wall_s"]["change_better"] == 8 and summary["wall_s"]["gain"] is False
+    # every pair won, but the medians differ by 0.004, inside the parent spread
+    close = [p - 0.004 for p in parent]
+    summary = bench_pairs.summarize(walls_pairs(list(zip(parent, close))), METRICS)
+    assert summary["wall_s"]["change_better"] == 10 and summary["wall_s"]["gain"] is False
+    # a change that is worse is never a gain
+    assert bench_pairs.summarize(walls_pairs(list(zip(parent, [p + 0.01 for p in parent]))), METRICS)[
+        "wall_s"]["gain"] is False
+    # higher is better: ok_ratio rising from 0.9 to 1.0 in every pair
+    summary = bench_pairs.summarize(walls_pairs(list(zip(parent, parent)), ok=[(0.9, 1.0)] * 10), METRICS)
+    assert summary["ok_ratio"]["gain"] is True and summary["wall_s"]["gain"] is False
+
+
+def test_closing_line_names_the_gain(bench_pairs, monkeypatch, tmp_path, capsys):
+    def fake_run_side(checkout, workload, seed, seconds):
+        return line((0.2 if checkout.endswith("parent") else 0.1) + seed / 1000)
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "recollement",
+            "--pairs", "10", "--seconds", "1", "--seed", "1", "--out", str(tmp_path / "BENCH_x.json")]
+    assert bench_pairs.main(argv) == 0
+    closing = capsys.readouterr().out.strip().splitlines()[-1]
+    assert closing.startswith("recollement wall_s") and "change better in 10/10" in closing
+    # job_p50_s and job_tail_s are fractions of wall_s in the canned lines, so they gain too
+    assert closing.endswith("; wall_s gain, job_p50_s gain, job_tail_s gain")
+    doc = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert doc["workloads"]["recollement"]["summary"]["setup_s"]["gain"] is False

@@ -610,3 +610,49 @@ def test_howell_property_by_brute_force(case):
         for v in span:
             if not v[:j].any():
                 assert not linalg.reduce_vector(lower, v, n).any(), (j, v.tolist())
+
+
+# ---------------------------------------------------------------------------
+# kron: the broadcast Kronecker product against np.kron
+
+
+@st.composite
+def kron_pairs(draw):
+    """(a, b) int64 with the same leading batch axes (maybe none or of size 0), last two axes of size 0 to 3."""
+    batch = tuple(draw(st.lists(st.integers(0, 2), max_size=2)))
+
+    def matrix_stack():
+        shape = batch + (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        size = int(np.prod(shape, dtype=np.int64))
+        flat = draw(st.lists(st.integers(-(2**20), 2**20), min_size=size, max_size=size))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    return matrix_stack(), matrix_stack()
+
+
+def same_bytes(x, y):
+    return (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+@PROPERTY
+@given(kron_pairs())
+def test_kron_equals_np_kron_byte_for_byte(pair):
+    a, b = pair
+    *batch, p, q = a.shape
+    r, s = b.shape[-2:]
+    count = int(np.prod(batch, dtype=np.int64))
+    want = np.array(
+        [np.kron(x, y) for x, y in zip(a.reshape(count, p, q), b.reshape(count, r, s))], dtype=np.int64
+    ).reshape(*batch, p * r, q * s)
+    assert same_bytes(linalg.kron(a, b), want)
+    # a matrix against a stack broadcasts like np.kron, which reads it as a stack of one
+    for x, y in ((a, b[(0,) * len(batch)]), (a[(0,) * len(batch)], b)) if count else ():
+        assert same_bytes(linalg.kron(x, y), np.kron(x, y))
+
+
+def test_kron_of_an_empty_relation_block():
+    # sheaf_check over a field: the relations among g cover rows are a (g, 0) block
+    for g, d in itertools.product(range(4), range(4)):
+        rel, eye = np.zeros((g, 0), dtype=np.int64), np.eye(d, dtype=np.int64)
+        assert same_bytes(linalg.kron(rel, eye), np.kron(rel, eye))
+        assert linalg.kron(rel, eye).shape == (g * d, 0)

@@ -23,6 +23,7 @@ from torsite.fixtures import (
     a2_mixed_presheaf,
     a3_category,
     c2_monoid_category,
+    empty_category,
     field_algebra,
     group_algebra_c2,
     idempotent_monoid_category,
@@ -1172,6 +1173,36 @@ def test_predicates_refuse_a_module_over_another_algebra():
                 assert _outcome(check, psi_to_gr(M, twin), Jp) == _outcome(check, psi_to_gr(M, gr.skew), Jp)
 
 
+def test_presheaf_predicates_refuse_a_presheaf_over_another_site():
+    # psi_to_gr stacked a c2_f2 presheaf along the pairs of terminal_f2xf2's
+    # skew algebra and raised IndexError; a presheaf over F2[C2] on the
+    # terminal category has the same pairs and was read silently
+    _, cat, R = next(f for f in fixture_presheaves() if f[0] == "terminal_f2xf2")
+    gr = build_gr(cat, R)
+    c2_cat, c2_R, _ = _fixture_site("c2_f2")
+    group_R = constant_presheaf(terminal_category(), group_algebra_c2(2))
+    foreign = [
+        *enumerate_module_presheaves(c2_cat, c2_R, 1),
+        *(M for M in enumerate_module_presheaves(terminal_category(), group_R, 1) if sum(M.ranks)),
+    ]
+    topologies = enumerate_linear_topologies(gr)
+    assert len(foreign) > 2 and topologies
+    for Jp in topologies:
+        for M in foreign:
+            for check in (is_sheaf, is_torsion, perpendicular_check):
+                with pytest.raises(InputError, match="not over the skew algebra of the topology's site"):
+                    check(M, Jp)
+    # a presheaf over a second build of the same site is over the same skew algebra
+    twin_cat, twin_R, _ = _fixture_site("terminal_f2xf2")
+    assert twin_cat is not cat and twin_R is not R
+    for M in enumerate_module_presheaves(twin_cat, twin_R, 2):
+        assert psi_to_gr(M, gr.skew).key() == psi_to_gr(M).key()
+        for Jp in topologies:
+            for on_presheaf, on_module in ((is_sheaf, sheaf_check), (is_torsion, torsion_check),
+                                           (perpendicular_check, perpendicular_check)):
+                assert _outcome(on_presheaf, M, Jp) == _outcome(on_module, psi_to_gr(M, gr.skew), Jp)
+
+
 def test_criterion_5_builds_each_cover_table_once(monkeypatch):
     # equal covers of different topologies on one site share one entry
     built = Counter()
@@ -1407,6 +1438,48 @@ def test_cocycle_constraints_match_loops(universe):
             got = _cocycle_constraints(V, W)
             want = cocycle_constraints_by_loops(V, W)
             assert got.dtype == np.int64 and np.array_equal(got, want), (V.dim, W.dim)
+
+
+def act_of_by_loop(V, v):
+    """Reference for SkewModule.act_of at one element: sum_j v[j] act[j], reduced."""
+    out = np.zeros((V.dim, V.dim), dtype=np.int64)
+    for c, M in zip(np.asarray(v).tolist(), V.act):
+        out += c * M
+    return out % V.algebra.base.modulus
+
+
+def empty_site_algebra():
+    """The skew algebra of the empty category: rank 0, as for the empty subcategory of a site."""
+    return build_skew_algebra(empty_category(), constant_presheaf(empty_category(), field_algebra(2)))
+
+
+@pytest.mark.parametrize(
+    "modules_of",
+    [
+        lambda: ModuleUniverse(t2_algebra(2), 2).members,
+        lambda: shipped_universe("c2_f3").members,
+        lambda: enumerate_skew_module_structures(group_algebra_c2(6), 1),
+        lambda: [zero_skew_module(t2_algebra(2)), zero_skew_module(empty_site_algebra())],
+        # rank 0 with a nonzero carrier (not unital): every element acts as zero
+        lambda: [SkewModule(zero_algebra(2), np.zeros((0, 2, 2), dtype=np.int64))],
+    ],
+    ids=["t2_f2_d2", "c2_f3_d2", "c2_z6_d1", "dim0", "rank0"],
+)
+def test_act_of_on_a_stack_is_the_stack_of_single_calls(modules_of):
+    rng = np.random.default_rng(2400)
+    for V in modules_of():
+        n, d, m = V.algebra.base.modulus, V.algebra.rank, V.dim
+        for k in (0, 1, 5):
+            vs = rng.integers(0, n, size=(k, d)).astype(np.int64)
+            got = V.act_of(vs)
+            assert got.dtype == np.int64 and got.shape == (k, m, m)
+            singles = [V.act_of(v) for v in vs]
+            assert all(np.array_equal(S, act_of_by_loop(V, v)) for S, v in zip(singles, vs))
+            assert np.array_equal(got, np.array(singles, dtype=np.int64).reshape(k, m, m))
+        vs = rng.integers(0, n, size=(2, 3, d)).astype(np.int64)
+        assert np.array_equal(V.act_of(vs), V.act_of(vs.reshape(6, d)).reshape(2, 3, m, m))
+        one = V.act_of(V.algebra.unit)
+        assert one.shape == (m, m) and np.array_equal(one, act_of_by_loop(V, V.algebra.unit))
 
 
 def test_hom_modules_endomorphisms_of_representable():

@@ -20,12 +20,15 @@ which side ran first, and the last line of each run's standard output),
 ``all_correct``, and a summary per end-to-end metric of BENCHMARK.json:
 [lower quartile, median, upper quartile] per side (inclusive quartiles),
 the relative change of the medians, the number of pairs in which the
-change was better (ties count for neither side), and two flags against
-the metric's bound, read as a fraction of the parent median:
+change was better (ties count for neither side), and three flags.  Two
+read the metric's bound as a fraction of the parent median:
 ``beyond_bound`` when the change median is worse than the parent median
 by more than the bound, and ``unresolved`` when the parent's quartile
 spread exceeds the bound and not every change run beats every parent
 run, so that the pairs cannot tell a move within the bound from noise.
+``gain`` is the rule for claiming a gain: the change was better in at
+least nine tenths of the pairs, and its median is better than the
+parent's by more than the parent's quartile spread.
 """
 from __future__ import annotations
 
@@ -65,6 +68,8 @@ def summarize(pairs: list, metrics: list) -> dict:
         allowed = metric["bound"] * abs(parent_median)
         # worst change run against best parent run, signed so that > 0 is better
         clear = min(sign * (c - p) for p in values["parent"] for c in values["change"]) > 0
+        spread = q["parent"][2] - q["parent"][0]
+        gain = 10 * better >= 9 * len(pairs) and sign * (q["change"][1] - parent_median) > spread
         summary[name] = {
             "parent": [round(v, 4) for v in q["parent"]],
             "change": [round(v, 4) for v in q["change"]],
@@ -72,7 +77,8 @@ def summarize(pairs: list, metrics: list) -> dict:
             "change_better": better,
             "pairs": len(pairs),
             "beyond_bound": sign * (parent_median - q["change"][1]) > allowed,
-            "unresolved": q["parent"][2] - q["parent"][0] > allowed and not clear,
+            "unresolved": spread > allowed and not clear,
+            "gain": gain,
         }
     return summary
 
@@ -140,7 +146,7 @@ def main(argv=None) -> int:
             fh.write("\n")
         wall = result["summary"]["wall_s"]
         flagged = [f"{name} {flag}" for name, row in result["summary"].items()
-                   for flag in ("beyond_bound", "unresolved") if row[flag]]
+                   for flag in ("beyond_bound", "unresolved", "gain") if row[flag]]
         print(f"{workload} wall_s {wall['parent'][1]} -> {wall['change'][1]} ({wall['rel']:+.1%}),"
               f" change better in {wall['change_better']}/{wall['pairs']}"
               + (f"; {', '.join(flagged)}" if flagged else ""))
