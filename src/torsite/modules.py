@@ -544,16 +544,15 @@ def _cocycle_constraints(V: SkewModule, W: SkewModule) -> np.ndarray:
     """
     A = V.algebra
     d, v, w = A.rank, V.dim, W.dim
-    Id, Iv, Iw = (np.eye(k, dtype=np.int64) for k in (d, v, w))
-    # one broadcast per term, on the axes q s t i j a b
-    sa = Iv[None, :, None, None, None, :, None]
-    tb = Iw[None, None, :, None, None, None, :]
+    size = d * v * w
+    # the constraints applied to every basis cocycle at once: X[r] is row r of the identity, as blocks C_q
+    X = np.eye(size, dtype=np.int64).reshape(size, d, v, w)
     mult = (
-        A.mul.transpose(2, 0, 1)[:, None, None, :, :, None, None] * sa * tb
-        - Id[:, None, None, :, None, None, None] * sa * W.act.transpose(1, 0, 2)[None, None, :, None, :, None, :]
-        - Id[:, None, None, None, :, None, None] * tb * V.act.transpose(2, 0, 1)[None, :, None, :, None, :, None]
-    ).reshape(d * v * w, d * d * v * w)
-    unit = linalg.kron(A.unit[:, None], np.eye(v * w, dtype=np.int64))
+        (A.mul.reshape(d * d, d) @ X.reshape(size, d, v * w)).reshape(size, d, d, v, w)
+        - X[:, :, None] @ W.act[None, None]
+        - V.act[None, :, None] @ X[:, None]
+    ).reshape(size, d * d * v * w)
+    unit = A.unit @ X.reshape(size, d, v * w)
     return np.concatenate([mult, unit], axis=1) % A.base.modulus
 
 
