@@ -36,10 +36,10 @@ from .modules import (
     enumerate_skew_module_structures,
     ext1_dimension_by_enumeration,
     ext1_skew,
-    is_sheaf,
     perpendicular_check,
     phi_from_gr,
     psi_to_gr,
+    sheaf_check,
 )
 from .topology import enumerate_topologies, subcategory_topology
 from .torsion import (
@@ -108,31 +108,30 @@ def criterion_3_topologies() -> str:
 def criterion_4_round_trip() -> str:
     """Presheaf-to-skew-module stacking is an equivalence on dimensions <= 3."""
     checked = 0
+
+    def entries(M):
+        return np.concatenate([np.zeros(0, dtype=np.int64), *(a.ravel() for a in (*M.maps, *M.actions))])
+
     for name, cat, R in fixture_presheaves():
         skew = build_skew_algebra(cat, R)
         n = R.base.modulus
-        for M in enumerate_module_presheaves(cat, R, 3):
-            M2 = phi_from_gr(psi_to_gr(M, skew))
+        presheaves = enumerate_module_presheaves(cat, R, 3)
+        for M, M2 in zip(presheaves, phi_from_gr([psi_to_gr(M, skew) for M in presheaves])):
             _check(M2.ranks == M.ranks, name)
-            for f in range(cat.n_morphisms):
-                _check((M2.maps[f] % n == M.maps[f] % n).all(), name)
-            for x in range(cat.n_objects):
-                _check((M2.actions[x] % n == M.actions[x] % n).all(), name)
+            _check(np.array_equal(entries(M2) % n, entries(M) % n), name)
             checked += 1
-        for m in range(4):
-            for V in enumerate_skew_module_structures(skew, m):
-                M = phi_from_gr(V)
-                W = psi_to_gr(M, skew)
-                if V.dim == 0:
-                    checked += 1
-                    continue
-                P = np.concatenate([B for B in M.block_bases if B.size], axis=0)
-                _check(P.shape == (V.dim, V.dim), name)
-                # a square P is invertible iff its Howell form is the identity
-                _check(np.array_equal(linalg.howell_form(P, n), np.eye(V.dim, dtype=np.int64)), name)
-                for j in range(skew.rank):
-                    _check(((W.act[j] @ P) % n == (P @ V.act[j]) % n).all(), name)
+        structures = [V for m in range(4) for V in enumerate_skew_module_structures(skew, m)]
+        for V, M in zip(structures, phi_from_gr(structures)):
+            W = psi_to_gr(M, skew)
+            if V.dim == 0:
                 checked += 1
+                continue
+            P = np.concatenate(M.block_bases, axis=0)
+            _check(P.shape == (V.dim, V.dim), name)
+            # a square P is invertible iff its Howell form is the identity
+            _check(np.array_equal(linalg.howell_form(P, n), np.eye(V.dim, dtype=np.int64)), name)
+            _check(np.array_equal(W.act @ P % n, P @ V.act % n), name)
+            checked += 1
     return f"{checked} modules round-tripped exactly"
 
 
@@ -142,11 +141,13 @@ def criterion_5_sheaf_perpendicular() -> str:
     for name, cat, R in fixture_presheaves():
         gr = build_gr(cat, R)
         modules = enumerate_module_presheaves(cat, R, 3)
+        stacked = [psi_to_gr(M, gr.skew) for M in modules]
         for J in enumerate_topologies(cat):
             Jp = linearize_topology(gr, J)
-            for M in modules:
-                a = bool(is_sheaf(M, Jp))
-                b = bool(perpendicular_check(psi_to_gr(M, gr.skew), Jp))
+            for M, V in zip(modules, stacked):
+                # is_sheaf(M, Jp) is sheaf_check after psi_to_gr
+                a = bool(sheaf_check(V, Jp))
+                b = bool(perpendicular_check(V, Jp))
                 _check(a == b, f"{name}: mismatch at ranks {M.ranks}")
                 checked += 1
     return f"{checked} (module, topology) pairs, zero mismatches"

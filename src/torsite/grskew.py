@@ -174,20 +174,26 @@ class SkewAlgebra(FiniteAlgebra):
                 for m in range(dst.rank):
                     if prod[m]:
                         mul[p, q, self.pair_index[(gf, m)]] = prod[m]
-        unit = np.zeros(d, dtype=np.int64)
-        for x in range(cat.n_objects):
-            e = cat.identity[x]
-            for i, c in enumerate(R.algebra(x).unit):
-                unit[self.pair_index[(e, i)]] = c
-        super().__init__(R.base, mul, unit, names)
+        # The elements phi_from_gr reads, with their domain and codomain
+        # objects: the unit of R(dom f) at each morphism f, then each basis
+        # element of R(x) at the identity of x.
+        morphs, objs = range(cat.n_morphisms), range(cat.n_objects)
+        acting = [x for x in objs for _ in range(R.algebra(x).rank)]
+        self.phi_dom = np.array([cat.dom(f) for f in morphs] + acting, dtype=np.int64)
+        self.phi_cod = np.array([cat.cod(f) for f in morphs] + acting, dtype=np.int64)
+        self.phi_elements = np.zeros((len(self.phi_dom), d), dtype=np.int64)
+        for f in morphs:
+            for i, c in enumerate(R.algebra(cat.dom(f)).unit):
+                self.phi_elements[f, self.pair_index[(f, i)]] = c
+        basis = [self.pair_index[(cat.identity[x], j)] for x in objs for j in range(R.algebra(x).rank)]
+        self.phi_elements[cat.n_morphisms + np.arange(len(basis)), basis] = 1
+        # the unit of R(x) at the identity of x, one row per object; A's unit is their sum
+        self.idempotents = self.phi_elements[list(cat.identity)]
+        super().__init__(R.base, mul, self.idempotents.sum(axis=0), names)
 
     def object_idempotent(self, x: int) -> np.ndarray:
         """The unit of R(x) sitting at the identity of x."""
-        v = np.zeros(self.rank, dtype=np.int64)
-        e = self.cat.identity[x]
-        for i, c in enumerate(self.R.algebra(x).unit):
-            v[self.pair_index[(e, i)]] = c
-        return v
+        return self.idempotents[x].copy()
 
 
 def _require_valid_presheaf(R: AlgebraPresheaf):

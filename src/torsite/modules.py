@@ -10,8 +10,10 @@ The two sides of the picture:
 ``psi_to_gr`` stacks the blocks M(x) into one carrier, letting the basis
 element (r at f: x -> y) act by m |-> M(f)(m) * r from the y-block to the
 x-block; ``phi_from_gr`` recovers the presheaf from the object
-idempotents.  Sheaf, torsion and perpendicular predicates and Ext^1 are
-computed here by exact linear algebra.
+idempotents, for one module or for a list of modules over one skew
+algebra, taking the Howell form of each distinct block idempotent once per
+call.  Sheaf, torsion and perpendicular predicates and Ext^1 are computed
+here by exact linear algebra.
 """
 from __future__ import annotations
 
@@ -291,62 +293,83 @@ def psi_to_gr(M: ModulePresheaf, skew: SkewAlgebra | None = None) -> SkewModule:
     return SkewModule(skew, act)
 
 
-def phi_from_gr(V: SkewModule) -> ModulePresheaf:
-    """Recover the module presheaf from a module over the skew algebra.
+def phi_from_gr(V: SkewModule | list) -> ModulePresheaf | list:
+    """Recover the module presheaf from a module over the skew algebra, or
+    the presheaves of a list of modules over one skew algebra, in order.
 
     Blocks are cut out by the object idempotents; their row spaces must be
     free (automatic over a field), otherwise the rank-based presheaf data
-    model cannot hold the carrier.
+    model cannot hold the carrier.  A list raises what a call on its first
+    failing module alone would raise.  Within one call the Howell form of
+    each distinct block idempotent is taken once, and the modules of one
+    dimension and block ranks share one stacked product.
     """
-    skew = V.algebra
+    modules = [V] if isinstance(V, SkewModule) else list(V)
+    if not modules:
+        return []
+    skew = modules[0].algebra
     if not isinstance(skew, SkewAlgebra):
         raise InputError("phi_from_gr needs a module over a skew category algebra")
-    cat = skew.cat
-    R = skew.R
+    if any(W.algebra is not skew for W in modules):
+        raise InputError("phi_from_gr needs modules over one skew algebra")
+    cat, R = skew.cat, skew.R
     n = skew.base.modulus
-    bases, pivots = [], []
-    for x in range(cat.n_objects):
-        E = V.act_of(skew.object_idempotent(x))
-        B = linalg.howell_form(E, n, V.dim)
-        piv = linalg.pivot_columns(B)
-        if (B[np.arange(len(piv)), piv] != 1).any():
-            raise NotPrimeError(n, "free block decomposition")
-        bases.append(B)
-        pivots.append(piv)
-    if sum(B.shape[0] for B in bases) != V.dim:
-        raise InputError("object idempotents do not decompose the carrier")
-    ranks = [B.shape[0] for B in bases]
+    forms = {}  # (dim, idempotent bytes) -> (Howell form, pivot columns, unit pivots)
+    blocks, errors, groups = {}, {}, {}
+    for k, W in enumerate(modules):
+        found = []
+        for E in W.act_of(skew.idempotents):
+            key = (W.dim, E.tobytes())
+            if key not in forms:
+                B = linalg.howell_form(E, n, W.dim)
+                piv = linalg.pivot_columns(B)
+                forms[key] = (B, piv, bool((B[np.arange(len(piv)), piv] == 1).all()))
+            found.append(forms[key])
+        ranks = tuple(len(piv) for _, piv, _ in found)
+        if not all(unit for _, _, unit in found):
+            errors[k] = NotPrimeError(n, "free block decomposition")
+        elif sum(ranks) != W.dim:
+            errors[k] = InputError("object idempotents do not decompose the carrier")
+        else:
+            blocks[k] = found
+            groups.setdefault((W.dim, ranks), []).append(k)
 
-    # unit pivots: B[:, pivots] is the identity, so a row v lies in the
-    # span of B iff v == v[:, pivots] @ B, and v[:, pivots] are its coordinates
-    map_images = []
-    for f in range(cat.n_morphisms):
-        x, y = cat.dom(f), cat.cod(f)
-        u = np.zeros(skew.rank, dtype=np.int64)
-        for i, cval in enumerate(R.algebra(x).unit):
-            u[skew.pair_index[(f, i)]] = cval
-        map_images.append((bases[y] @ V.act_of(u)) % n)
-    action_images = []
-    for x in range(cat.n_objects):
-        idx = [skew.pair_index[(cat.identity[x], j)] for j in range(R.algebra(x).rank)]
-        action_images.append((bases[x] @ V.act[idx]) % n)
-    maps_outside = actions_outside = False
-    for x in range(cat.n_objects):
-        from_maps = [map_images[f] for f in range(cat.n_morphisms) if cat.dom(f) == x]
-        k = sum(img.shape[0] for img in from_maps)
-        rows = np.concatenate([*from_maps, *action_images[x]])  # the identity of x is in from_maps
-        outside = ((rows[:, pivots[x]] @ bases[x]) % n != rows).any(axis=1)
-        maps_outside |= bool(outside[:k].any())
-        actions_outside |= bool(outside[k:].any())
-    if maps_outside:
-        raise InputError("carrier is not spanned by its blocks")
-    if actions_outside:
-        raise InputError("object block: rows do not span a stable submodule")
-    maps = [img[:, pivots[cat.dom(f)]] for f, img in enumerate(map_images)]
-    actions = [img[:, :, pivots[x]] for x, img in enumerate(action_images)]
-    M = ModulePresheaf(cat, R, ranks, maps, actions)
-    M.block_bases = tuple(bases)
-    return M
+    m = cat.n_morphisms
+    acting = list(itertools.accumulate((R.algebra(x).rank for x in range(cat.n_objects)), initial=m))
+    out = [None] * len(modules)
+    for (dim, ranks), members in groups.items():
+        ends = list(itertools.accumulate(ranks, initial=0))
+        block = [slice(ends[x], ends[x + 1]) for x in range(len(ranks))]
+        owner = np.repeat(np.arange(len(ranks)), ranks)  # the object of each block-basis row
+        P = np.zeros((len(members), dim, dim), dtype=np.int64)  # block bases stacked in object order
+        for x in range(len(ranks)):
+            P[:, ends[x]:ends[x + 1]] = [blocks[k][x][0] for k in members]
+        pivots = np.array([[c for _, piv, _ in blocks[k] for c in piv] for k in members], dtype=np.int64)
+        acts = np.stack([modules[k].act for k in members]).reshape(len(members), skew.rank, dim * dim)
+        images = (skew.phi_elements @ acts % n).reshape(len(members), len(skew.phi_dom), dim, dim)
+        rows = P[:, None] @ images % n  # rows[i, e, r]: block-basis row r times element e
+        # unit pivots: B[:, pivots] is the identity, so a row v lies in the
+        # span of B iff v == v[:, pivots] @ B, and v[:, pivots] are its coordinates
+        coords = np.take_along_axis(rows, pivots.reshape(len(members), 1, 1, dim), axis=3)
+        own = owner == skew.phi_dom[:, None]  # the columns of the block of dom e
+        outside = (coords * own[:, None, :] @ P[:, None] % n != rows).any(axis=3)
+        outside &= owner == skew.phi_cod[:, None]  # rows of the block of cod e
+        maps_outside = outside[:, :m].any(axis=(1, 2)).tolist()
+        actions_outside = outside[:, m:].any(axis=(1, 2)).tolist()
+        for i, k in enumerate(members):
+            if maps_outside[i]:
+                errors[k] = InputError("carrier is not spanned by its blocks")
+            elif actions_outside[i]:
+                errors[k] = InputError("object block: rows do not span a stable submodule")
+            else:
+                c = coords[i]
+                maps = [c[f, block[cat.cod(f)], block[cat.dom(f)]] for f in range(m)]
+                actions = [c[acting[x]:acting[x + 1], block[x], block[x]] for x in range(len(ranks))]
+                out[k] = ModulePresheaf(cat, R, ranks, maps, actions)
+                out[k].block_bases = tuple(P[i, b] for b in block)
+    if errors:
+        raise errors[min(errors)]
+    return out[0] if isinstance(V, SkewModule) else out
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +723,15 @@ def enumerate_skew_module_structures(
     is tested as soon as every generator its elements depend on is fixed,
     so most candidates are dropped before the remaining generators
     multiply them.  Every returned structure has passed every relation.
+
+    Over a prime modulus the unit check rejects nothing.  _generating_words
+    starts from the unit (the empty word) and adds a word only when its
+    vector lies outside the span of those before it, until they span all
+    rank dimensions; so its vectors are a basis, coeff is their inverse,
+    and A.unit @ coeff is the indicator of the empty word, whose matrix is
+    the identity.  Over Z/n with n composite the words may be dependent and
+    the coefficients not unique (dep_z4 in the tests gives [1, 2, 0, 1, 2]),
+    so the check, which is the unit axiom, stays.
     """
     n = A.base.modulus
     if dim == 0:

@@ -136,6 +136,38 @@ def test_empty_category_gives_zero_algebra():
     assert A.rank == 0
 
 
+def test_skew_algebra_element_tables():
+    sites = [(cat, R) for _, cat, R in fixture_presheaves()]
+    sites += [(a2_category(), a2_mixed_presheaf()), (empty_category(), constant_presheaf(empty_category(), field_algebra(2)))]
+    for cat, R in sites:
+        A = build_skew_algebra(cat, R)
+
+        def at(f, coeffs):
+            v = np.zeros(A.rank, dtype=np.int64)
+            for i, c in enumerate(coeffs):
+                v[A.pair_index[(f, i)]] = c
+            return v
+
+        objs, morphs = range(cat.n_objects), range(cat.n_morphisms)
+        units = [at(cat.identity[x], R.algebra(x).unit) for x in objs]
+        assert A.idempotents.shape == (cat.n_objects, A.rank)
+        for x in objs:
+            got = A.object_idempotent(x)
+            assert got.dtype == np.int64 and np.array_equal(got, units[x])
+            got[:] = 7  # a copy: the table is unchanged
+            assert np.array_equal(A.idempotents[x], units[x])
+        assert np.array_equal(sum(units, np.zeros(A.rank, dtype=np.int64)), A.unit)
+        # the unit of R(dom f) at each morphism f, then each basis element of R(x) at the identity of x
+        rows = [at(f, R.algebra(cat.dom(f)).unit) for f in morphs]
+        ends = [(cat.dom(f), cat.cod(f)) for f in morphs]
+        for x in objs:
+            for j in range(R.algebra(x).rank):
+                rows.append(at(cat.identity[x], np.eye(R.algebra(x).rank, dtype=np.int64)[j]))
+                ends.append((x, x))
+        assert np.array_equal(A.phi_elements, np.array(rows, dtype=np.int64).reshape(len(rows), A.rank))
+        assert list(zip(A.phi_dom.tolist(), A.phi_cod.tolist())) == ends
+
+
 def test_gr_hom_ranks_and_composition():
     cat = a2_category()
     R = a2_mixed_presheaf()  # R(1) = F2, R(2) = F2 x F2

@@ -269,6 +269,12 @@ def test_structure_enumeration_matches_oracle(make, dim_bound):
         assert words == [(), (0,), (2,), (0, 0), (2, 0)]
         assert (A.unit @ coeff % 4).tolist() == [1, 2, 0, 1, 2]
         assert [len(enumerate_skew_module_structures(A, m)) for m in range(3)] == [1, 4, 376]
+    n = A.base.modulus
+    if linalg.is_prime(n):
+        # over a field the words are a basis, so the unit is the empty word alone
+        _, words, vecs = _generating_words(A)
+        coeff = linalg.solve_left(vecs, np.eye(A.rank, dtype=np.int64), n)
+        assert words[0] == () and (A.unit @ coeff % n).tolist() == [1] + [0] * (len(words) - 1)
     for m in range(dim_bound + 1):
         got = [(V.dim, V.act.tobytes()) for V in enumerate_skew_module_structures(A, m)]
         want = [(V.dim, V.act.tobytes()) for V in oracle_skew_module_structures(A, m)]
@@ -587,14 +593,23 @@ def _phi_outcome(phi, V):
     return ("presheaf", M.ranks, [(a.dtype, a.shape, a.tobytes()) for a in arrays])
 
 
-def criterion_4_structures():
-    """The modules that acceptance criterion 4 sends through phi_from_gr."""
+def criterion_4_lists():
+    """The lists that acceptance criterion 4 sends through phi_from_gr: per
+    fixture, the psi-images of its presheaves, then its structures of dims 0-3."""
     for _, cat, R in fixture_presheaves():
         skew = build_skew_algebra(cat, R)
-        for M in enumerate_module_presheaves(cat, R, 3):
-            yield psi_to_gr(M, skew)
-        for m in range(4):
-            yield from enumerate_skew_module_structures(skew, m)
+        yield [psi_to_gr(M, skew) for M in enumerate_module_presheaves(cat, R, 3)]
+        yield [V for m in range(4) for V in enumerate_skew_module_structures(skew, m)]
+
+
+def criterion_4_structures():
+    """The modules that acceptance criterion 4 sends through phi_from_gr."""
+    return itertools.chain.from_iterable(criterion_4_lists())
+
+
+def fixture_lists():
+    """criterion_4_structures() as one mixed-dimension list per fixture."""
+    return [list(group) for _, group in itertools.groupby(criterion_4_structures(), key=lambda V: V.algebra)]
 
 
 def test_phi_from_gr_matches_the_solve_route():
@@ -626,6 +641,84 @@ def test_phi_from_gr_raises_as_the_solve_route():
     assert seen["carrier is not spanned by its blocks"]
     assert seen["object block: rows do not span a stable submodule"]
     assert seen["presheaf"]
+
+
+def test_phi_from_gr_on_a_list_is_the_single_calls():
+    lists = list(criterion_4_lists())
+    for L in [*lists, *fixture_lists()]:
+        got = phi_from_gr(L)
+        assert len(got) == len(L)
+        for V, M in zip(L, got):
+            outcome = _phi_outcome(lambda _: M, V)
+            assert outcome[0] == "presheaf"
+            assert outcome == _phi_outcome(phi_from_gr, V) == _phi_outcome(solve_phi_from_gr, V), V.act.tolist()
+    assert sum(map(len, lists)) == 462
+
+
+def test_phi_from_gr_on_a_list_raises_for_its_first_failing_module():
+    # failing modules made as in test_phi_from_gr_raises_as_the_solve_route
+    skew = build_skew_algebra(a2_category(), constant_presheaf(a2_category(), product_field_algebra(2, 2)))
+    rng = np.random.default_rng(0)
+    failing = {}
+    for V in (regular_module(skew), *enumerate_skew_module_structures(skew, 2)[:6]):
+        for p in range(skew.rank):
+            for _ in range(3):
+                act = V.act.copy()
+                act[p] = (act[p] + rng.integers(0, 2, size=act[p].shape)) % 2
+                got = _phi_outcome(phi_from_gr, SkewModule(skew, act))
+                if got[0] == "raises":
+                    failing.setdefault(got[2], SkewModule(skew, act))
+    assert len(failing) == 3
+    # [good, map outside, not decomposing] among them, and [good, not decomposing, map outside]
+    orders = [order for r in (2, 3) for order in itertools.permutations(failing, r)]
+    for order in orders:
+        with pytest.raises(InputError) as err:
+            phi_from_gr([regular_module(skew), *(failing[message] for message in order)])
+        assert str(err.value) == order[0]
+
+
+def test_phi_from_gr_refuses_a_list_over_two_algebras():
+    (_, cat1, R1), (_, cat2, R2) = list(fixture_presheaves())[:2]
+    V, W = regular_module(build_skew_algebra(cat1, R1)), regular_module(build_skew_algebra(cat2, R2))
+    assert phi_from_gr([V, V])[1].ranks == phi_from_gr(V).ranks
+    with pytest.raises(InputError, match="one skew algebra"):
+        phi_from_gr([V, W])
+    with pytest.raises(InputError, match="skew category algebra"):
+        phi_from_gr([regular_module(t2_algebra(2))])
+
+
+def test_phi_from_gr_takes_one_howell_form_per_distinct_block_idempotent(monkeypatch):
+    lists = list(criterion_4_lists())
+    mixed = fixture_lists()
+    calls = []
+
+    def spy(*args, _howell=linalg.howell_form):
+        calls.append(args)
+        return _howell(*args)
+
+    monkeypatch.setattr(linalg, "howell_form", spy)
+    forms = []
+    for L in [*lists, *mixed]:
+        idempotents = L[0].algebra.idempotents
+        distinct = {(V.dim, E.tobytes()) for V in L for E in V.act_of(idempotents)}
+        before = len(calls)
+        phi_from_gr(L)
+        assert len(calls) - before == len(distinct)
+        forms.append(len(distinct))
+    # criterion 4's two lists per fixture, then one list per fixture; single calls take
+    # one form per object of each of the 462 modules, 722 in all
+    assert (sum(forms[:len(lists)]), sum(forms[len(lists):])) == (106, 81)
+    assert sum(L[0].algebra.cat.n_objects * len(L) for L in lists) == 722
+
+
+def test_phi_from_gr_on_the_empty_site():
+    skew = empty_site_algebra()
+    assert phi_from_gr(zero_skew_module(skew)).ranks == ()
+    assert [M.ranks for M in phi_from_gr([zero_skew_module(skew)] * 2)] == [(), ()]
+    assert phi_from_gr([]) == []
+    # rank 0 with a nonzero carrier: no block holds it
+    with pytest.raises(InputError, match="do not decompose the carrier"):
+        phi_from_gr([zero_skew_module(skew), SkewModule(skew, np.zeros((0, 2, 2), dtype=np.int64))])
 
 
 # ---------------------------------------------------------------------------
