@@ -589,6 +589,11 @@ def _phi_outcome(phi, V):
         M = phi(V)
     except (InputError, NotPrimeError) as exc:
         return ("raises", type(exc), str(exc))
+    return _presheaf_outcome(M)
+
+
+def _presheaf_outcome(M):
+    """The ranks and every array of a presheaf from phi_from_gr as (dtype, shape, bytes)."""
     arrays = (*M.maps, *M.actions, *M.block_bases)
     return ("presheaf", M.ranks, [(a.dtype, a.shape, a.tobytes()) for a in arrays])
 
@@ -602,24 +607,22 @@ def criterion_4_lists():
         yield [V for m in range(4) for V in enumerate_skew_module_structures(skew, m)]
 
 
-def criterion_4_structures():
-    """The modules that acceptance criterion 4 sends through phi_from_gr."""
-    return itertools.chain.from_iterable(criterion_4_lists())
-
-
-def fixture_lists():
-    """criterion_4_structures() as one mixed-dimension list per fixture."""
-    return [list(group) for _, group in itertools.groupby(criterion_4_structures(), key=lambda V: V.algebra)]
+def fixture_lists(lists):
+    """The lists of criterion_4_lists() joined into one mixed-dimension list per fixture."""
+    return [psi_images + structures for psi_images, structures in zip(lists[::2], lists[1::2])]
 
 
 def test_phi_from_gr_matches_the_solve_route():
-    checked = 0
-    for V in criterion_4_structures():
-        got = _phi_outcome(phi_from_gr, V)
-        assert got[0] == "presheaf"
-        assert got == _phi_outcome(solve_phi_from_gr, V), V.act.tolist()
-        checked += 1
-    assert checked > 100
+    # criterion 4's lists, then one list per fixture: each presheaf of a
+    # list is that of a call on its module alone and of the solve route
+    lists = list(criterion_4_lists())
+    for L in [*lists, *fixture_lists(lists)]:
+        got = phi_from_gr(L)
+        assert len(got) == len(L)
+        for V, M in zip(L, got):
+            outcome = _presheaf_outcome(M)
+            assert outcome == _phi_outcome(phi_from_gr, V) == _phi_outcome(solve_phi_from_gr, V), V.act.tolist()
+    assert sum(map(len, lists)) == 462
 
 
 def test_phi_from_gr_raises_as_the_solve_route():
@@ -641,18 +644,6 @@ def test_phi_from_gr_raises_as_the_solve_route():
     assert seen["carrier is not spanned by its blocks"]
     assert seen["object block: rows do not span a stable submodule"]
     assert seen["presheaf"]
-
-
-def test_phi_from_gr_on_a_list_is_the_single_calls():
-    lists = list(criterion_4_lists())
-    for L in [*lists, *fixture_lists()]:
-        got = phi_from_gr(L)
-        assert len(got) == len(L)
-        for V, M in zip(L, got):
-            outcome = _phi_outcome(lambda _: M, V)
-            assert outcome[0] == "presheaf"
-            assert outcome == _phi_outcome(phi_from_gr, V) == _phi_outcome(solve_phi_from_gr, V), V.act.tolist()
-    assert sum(map(len, lists)) == 462
 
 
 def test_phi_from_gr_on_a_list_raises_for_its_first_failing_module():
@@ -689,7 +680,7 @@ def test_phi_from_gr_refuses_a_list_over_two_algebras():
 
 def test_phi_from_gr_takes_one_howell_form_per_distinct_block_idempotent(monkeypatch):
     lists = list(criterion_4_lists())
-    mixed = fixture_lists()
+    mixed = fixture_lists(lists)
     calls = []
 
     def spy(*args, _howell=linalg.howell_form):
@@ -705,7 +696,7 @@ def test_phi_from_gr_takes_one_howell_form_per_distinct_block_idempotent(monkeyp
         phi_from_gr(L)
         assert len(calls) - before == len(distinct)
         forms.append(len(distinct))
-    # criterion 4's two lists per fixture, then one list per fixture; single calls take
+    # criterion 4's two lists per fixture, then one list per fixture, against
     # one form per object of each of the 462 modules, 722 in all
     assert (sum(forms[:len(lists)]), sum(forms[len(lists):])) == (106, 81)
     assert sum(L[0].algebra.cat.n_objects * len(L) for L in lists) == 722
