@@ -69,9 +69,6 @@ class FiniteCategory:
             )
         return gf
 
-    def composable(self, g: int, f: int) -> bool:
-        return self.dom(g) == self.cod(f)
-
     def hom(self, x: int, y: int) -> list:
         return [i for i, m in enumerate(self.morphisms) if m.dom == x and m.cod == y]
 

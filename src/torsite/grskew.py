@@ -10,9 +10,9 @@ Linear sieves on Gr(R) are subfunctors of hom(-, x), that is right
 ideals of A = R[C] inside e_x A, kept in A's coordinates (LinearSieve);
 Gr's composition tables serve only end_generator_iso and ``torsite gr``.
 Linear topologies are checked and enumerated by finite linear algebra
-over Z/n.  Each GrCategory owns, in one memo keyed by sieve, every table
-that does not depend on a module (subfunctor reports, pullbacks, the cover
-data of torsite.modules), so equal sieves in different topologies share one.
+over Z/n.  Each GrCategory owns, in one memo, every table that does not
+depend on a module (the sieve lists, subfunctor reports, pullbacks, the
+cover data of torsite.modules), so equal sieves in topologies share one.
 """
 from __future__ import annotations
 
@@ -61,7 +61,6 @@ class GrCategory:
             tuple(itertools.accumulate((self.hom_rank(y, x) for y in objs), initial=0)) for x in objs
         )
         self.right_action = tuple(self.skew.mul[c][:, :, c].transpose(1, 0, 2) for c in self.columns)
-        self._sieve_cache = {}  # x -> (least budget searched, sieves on x)
         self._memo = {}  # key -> module-independent table, see memo
 
     @functools.cached_property
@@ -106,19 +105,17 @@ class GrCategory:
         return v
 
     def linear_sieves_on(self, x: int, budget: int = DEFAULT_LINEAR_BUDGET) -> list:
-        """Every linear sieve on x, in key order.
+        """Every linear sieve on x, in key order, memoised under ("sieves", x, budget).
 
         They are the right ideals inside e_x A: one enumerate_submodules
-        search under A's basis.  The list is kept with the least budget a
-        search of it has passed; a smaller budget searches again, so it
-        raises exactly where a fresh GrCategory would.
+        search under A's basis.  A search that raises stores nothing, so
+        each budget raises exactly where a fresh GrCategory would.
         """
-        passed, sieves = self._sieve_cache.get(x, (None, None))
-        if passed is None or budget < passed:
+        def search():
             subs = linalg.enumerate_submodules(self.offsets[x][-1], self.base.modulus, self.right_action[x], budget)
-            sieves = sorted((LinearSieve(self, x, H) for H in subs), key=LinearSieve.key)
-            self._sieve_cache[x] = (budget, sieves)
-        return sieves
+            return sorted((LinearSieve(self, x, H) for H in subs), key=LinearSieve.key)
+
+        return self.memo(("sieves", x, budget), search)
 
     def memo(self, key, build):
         """build(), once per key such as ("report", T.key()); a build that raises stores nothing."""

@@ -356,50 +356,63 @@ def stable_closure(gens, mats, n: int, width: int) -> np.ndarray:
     return as_matrix(_stable_rows(rows, mats, n, width, lambda: None), width)
 
 
-def enumerate_submodules(width: int, n: int, stable_under=(), budget: int | None = None):
-    """All submodules of (Z/n)^width stable under right multiplication.
-
-    Every submodule is a sum of cyclic submodules vA (K. Lux, J. Mueller
-    and M. Ringe, J. Symbolic Comput. 17, 1994).  Each nonzero vector v,
-    up to a unit, is closed once, and the distinct vA are kept.  The
-    search then runs breadth-first over the sums S + C of a found
-    submodule S and a cyclic C not inside it: a sum of stable spans is
-    stable, so each step is one Howell form and no closure.  Returns
-    Howell forms sorted by (size, bytes).  The budget refuses n^width up
-    front, then bounds one count of every Howell form the search takes,
-    closure steps and sums alike.
+def _cyclic_submodules(width: int, n: int, stable_under, budget):
+    """The closure pass of the submodule searches: each nonzero vector v, up
+    to a unit, closed once.  Returns {Howell rows of vA, as tuples: [first
+    v, number of v closed to it]} and charge(), which counts one Howell
+    form against the budget, closures included; n^width is refused first.
     """
     if budget is not None and n**width > budget:
         raise BudgetExceededError("submodule enumeration", n**width, budget)
     mats = np.array(stable_under, dtype=np.int64).reshape(len(stable_under), width, width) % n
     units = [u for u in range(2, n) if math.gcd(u, n) == 1]
-    charged = 0
+    charged = itertools.count(1)
 
     def charge():
-        nonlocal charged
-        charged += 1
-        if budget is not None and charged > budget:
-            raise BudgetExceededError("submodule enumeration", charged, budget)
+        count = next(charged)
+        if budget is not None and count > budget:
+            raise BudgetExceededError("submodule enumeration", count, budget)
 
-    cyclic = {}  # Howell rows of vA, as a tuple of tuples -> v
+    cyclic = {}
     for v in map(list, itertools.product(range(n), repeat=width)):
         if any(v) and all(v <= [u * x % n for x in v] for u in units):  # v least up to a unit
             C = _stable_rows([v, *((np.array(v) @ mats) % n).tolist()], mats, n, width, charge)
-            cyclic.setdefault(tuple(map(tuple, C)), v)
+            cyclic.setdefault(tuple(map(tuple, C)), [v, 0])[1] += 1
+    return cyclic, charge
+
+
+def enumerate_submodules(width: int, n: int, stable_under=(), budget: int | None = None):
+    """All submodules of (Z/n)^width stable under right multiplication.
+
+    Every submodule is a sum of cyclic submodules vA (K. Lux, J. Mueller
+    and M. Ringe, J. Symbolic Comput. 17, 1994).  Each distinct vA of the
+    closure pass, in turn, is joined to every submodule found so far that
+    does not contain it, so each pair (S, C) is joined at most once; a sum
+    of stable spans is stable, so a join is one Howell form.  Returns
+    Howell forms sorted by (size, bytes).  The budget refuses n^width up
+    front, then bounds the Howell forms taken, closures and joins alike.
+    """
+    cyclic, charge = _cyclic_submodules(width, n, stable_under, budget)
     found = {()}
-    frontier = [()]
-    while frontier:
-        grown = []
-        for S in frontier:
-            for C, r in zip(cyclic, _reduce(S, list(cyclic.values()), n)):
-                if any(r):  # vA is not inside S
-                    charge()
-                    T = tuple(map(tuple, _howell_rows(list(map(list, S + C)), n, width)))
-                    if T not in found:
-                        found.add(T)
-                        grown.append(T)
-        frontier = grown
+    for C, (v, _) in cyclic.items():
+        for S in list(found):
+            if any(_reduce(S, [v], n)[0]):  # vA is not inside S
+                charge()
+                found.add(tuple(map(tuple, _howell_rows(list(map(list, S + C)), n, width))))
     return sorted((as_matrix(T, width) for T in found), key=lambda H: (span_size(H, n), span_key(H)))
+
+
+def minimal_submodules(width: int, p: int, stable_under=(), budget: int | None = None) -> list:
+    """The minimal nonzero stable submodules of F_p^width, p prime, as Howell forms.
+
+    The closure pass read another way: a cyclic vA of dimension k is
+    minimal iff each of its (p^k - 1)/(p - 1) points generates it, that
+    is, iff the pass closed that many vectors to it.  Budget as above.
+    """
+    if not is_prime(p):
+        raise ValueError(f"minimal_submodules needs a prime modulus, got {p}")
+    cyclic, _ = _cyclic_submodules(width, p, stable_under, budget)
+    return [as_matrix(C, width) for C, (_, points) in cyclic.items() if points == (p ** len(C) - 1) // (p - 1)]
 
 
 def pivot_columns(H: np.ndarray) -> list:

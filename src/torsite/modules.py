@@ -54,9 +54,6 @@ class ModulePresheaf:
                     f"action at {cat.objects[x]!r} has shape {self.actions[x].shape}, expected {want}"
                 )
 
-    def map(self, f: int) -> np.ndarray:
-        return self.maps[f]
-
     def action_of(self, x: int, r) -> np.ndarray:
         """Matrix of m |-> m*r on M(x) for an algebra element r."""
         return np.einsum("j,jkl->kl", np.asarray(r, dtype=np.int64), self.actions[x]) % self.R.base.modulus

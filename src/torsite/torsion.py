@@ -27,7 +27,6 @@ from .modules import (
     extension_class_space,
     hom_skew,
     quotient_module,
-    regular_module,
     submodule_module,
     torsion_check,
     zero_skew_module,
@@ -224,37 +223,29 @@ def _invertible_matrices(n: int, m: int, budget: int):
     return G, np.concatenate(ginvs)
 
 
-def _simple_modules(A: FiniteAlgebra, dim_bound: int, budget: int) -> list:
-    """The simple modules A/m of dimension <= dim_bound, m a maximal right ideal.
+def _simple_modules(A: FiniteAlgebra, budget: int) -> list:
+    """The minimal submodules of D(A) = Hom_k(A, k), prime modulus only.
 
-    A right ideal H is maximal iff no proper right ideal of smaller
-    codimension contains it.  Returned with repetitions: isomorphic
-    quotients are not identified.
+    D(A) is an injective cogenerator, so every simple module embeds in it
+    (M. Auslander, I. Reiten and S. O. Smalo, Representation Theory of
+    Artin Algebras, 1995).  Its action is (f * b_j)(b_i) = f(b_j b_i),
+    act[j] = mul[j].T.  Isomorphic simples are not identified.
     """
     n = A.base.modulus
     if n**A.rank > budget:
-        raise BudgetExceededError("module universe right ideals", n**A.rank, budget)
-    R = regular_module(A)
-    ideals = linalg.enumerate_submodules(A.rank, n, list(R.act), budget)
-    simples = []
-    for i, H in enumerate(ideals):  # in size order: the larger ideals come after H
-        codim = A.rank - H.shape[0]
-        if 0 < codim <= dim_bound and not any(
-            0 < A.rank - K.shape[0] < codim and not linalg.reduce_vector(K, H, n).any()
-            for K in ideals[i + 1:]
-        ):
-            simples.append(quotient_module(R, H)[0])
-    return simples
+        raise BudgetExceededError("module universe simple modules", n**A.rank, budget)
+    D = SkewModule(A, A.mul.transpose(0, 2, 1))
+    return [submodule_module(D, H)[0] for H in linalg.minimal_submodules(A.rank, n, D.act, budget)]
 
 
 class ModuleUniverse:
     """Every right module of dimension <= bound over A, up to isomorphism.
 
-    The build runs from the simples up.  The simples are the quotients A/m
-    by maximal right ideals m.  Every nonzero module E has a simple
-    submodule S, and E/S is smaller, so the modules of dimension d are the
-    middle terms of the extensions 0 -> S -> E -> V -> 0 with V a member
-    of dimension d - dim S.  Equivalent extensions have isomorphic middle
+    The build runs from the simples up: the minimal submodules of the
+    dual module D(A).  Every nonzero module E has a simple submodule S,
+    and E/S is smaller, so the modules of dimension d are the middle terms
+    of the extensions 0 -> S -> E -> V -> 0 with V a member of dimension
+    d - dim S.  Equivalent extensions have isomorphic middle
     terms, so one cocycle per class of Ext^1(V, S) is built, from
     extension_class_space(V, S).  Isomorphic modules are identified by
     their canonical key, the conjugation-minimal action tensor under the
@@ -278,8 +269,7 @@ class ModuleUniverse:
         z = self._canon_key(zero)
         # factors[key]: the composition factors of a member, as positions in simples
         seen, factors, by_dim = {z: zero}, {z: ()}, [[z]]
-        # every simple has dimension <= rank, so this lists them all
-        simples = _simple_modules(A, A.rank, budget)
+        simples = _simple_modules(A, budget)
         self.simple_bound = max((S.dim for S in simples), default=0)
         simples = sorted({self._canon_key(S): S for S in simples if S.dim <= dim_bound}.items())
         scanned = 0
@@ -702,8 +692,9 @@ def classify(
     each object x the least cover of J_I is its floor I(-, x), so the
     check reads V * I(-, x) == 0 off the covers ideal_topology built.  A
     central idempotent e gives the triple of its ideal eA, which must be
-    split.  A failed certificate, a class mismatch, two equal J_I or two
-    equal triples clear ok.
+    split.  A failed certificate, a class mismatch, two equal J_I, two
+    equal triples or a count of idempotent ideals other than 2^s, one per
+    set of the s simples of D(A), clear ok.
     """
     matches = matching_subcategories(cat, J)
     if not matches:
@@ -722,7 +713,8 @@ def classify(
     triples = [_ttf_triple(I, universe) for I in ideals]
     topologies = [ideal_topology(gr, I.matrix, budget) for I in ideals]
     ok = (
-        len(set(topologies)) == len(topologies)
+        len(ideals) == 2 ** len(universe.simple_indices)
+        and len(set(topologies)) == len(topologies)
         and all(is_linear_topology(gr, Jp, budget).ok for Jp in topologies)
         and all(t.ok for t in triples)
         and len({t.key() for t in triples}) == len(triples)

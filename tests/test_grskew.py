@@ -343,35 +343,47 @@ def _budget_error(call):
     return err.value.what, err.value.needed, err.value.budget
 
 
-def test_linear_sieves_on_checks_budget_on_every_call():
+def _search_howells(monkeypatch, gr, x) -> int:
+    """Howell forms taken by the enumerate_submodules search behind gr.linear_sieves_on(x)."""
+    howells = []
+    real = linalg._howell_rows
+    monkeypatch.setattr(linalg, "_howell_rows", lambda *args: howells.append(1) or real(*args))
+    linalg.enumerate_submodules(gr.offsets[x][-1], gr.base.modulus, gr.right_action[x])
+    monkeypatch.setattr(linalg, "_howell_rows", real)
+    return len(howells)
+
+
+def test_linear_sieves_on_checks_budget_on_every_call(monkeypatch):
     # hom(-, 2) has width 2 on a2 over F2: 4 vectors, and the search takes
-    # 6 Howell forms
+    # 5 Howell forms
     cat = a2_category()
     R = constant_presheaf(cat, field_algebra(2))
     gr = build_gr(cat, R)
+    assert _search_howells(monkeypatch, gr, 1) == 5
     assert len(gr.linear_sieves_on(1)) == 3
-    for budget, needed in ((1, 4), (5, 6)):
+    for budget, needed in ((1, 4), (4, 5)):
         want = ("submodule enumeration", needed, budget)
         assert _budget_error(lambda: gr.linear_sieves_on(1, budget)) == want
         assert _budget_error(lambda: build_gr(cat, R).linear_sieves_on(1, budget)) == want
-    # the cached list serves the budget a search passed, and no smaller one
+    # the memo serves the budget a search passed, and no smaller one
     fresh = build_gr(cat, R)
-    assert [T.key() for T in gr.linear_sieves_on(1, 6)] == [T.key() for T in fresh.linear_sieves_on(1, 6)]
-    assert _budget_error(lambda: fresh.linear_sieves_on(1, 5)) == ("submodule enumeration", 6, 5)
+    assert [T.key() for T in gr.linear_sieves_on(1, 5)] == [T.key() for T in fresh.linear_sieves_on(1, 5)]
+    assert _budget_error(lambda: fresh.linear_sieves_on(1, 4)) == ("submodule enumeration", 5, 4)
 
 
-def test_linear_sieves_on_replays_the_closure_charge():
+def test_linear_sieves_on_replays_the_closure_charge(monkeypatch):
     # the one object of F2^3 has hom width 3: 8 vectors and 8 sieves fit a
-    # budget of 43, the 44 Howell forms of their search do not
+    # budget of 35, the 36 Howell forms of their search do not
     cat = terminal_category()
     R = constant_presheaf(cat, product_field_algebra(2, 3))
     gr = build_gr(cat, R)
+    assert _search_howells(monkeypatch, gr, 0) == 36
     assert len(gr.linear_sieves_on(0)) == 8
-    want = ("submodule enumeration", 44, 43)
-    assert _budget_error(lambda: gr.linear_sieves_on(0, 43)) == want
-    assert _budget_error(lambda: build_gr(cat, R).linear_sieves_on(0, 43)) == want
-    keys = [T.key() for T in gr.linear_sieves_on(0, 44)]
-    assert keys == [T.key() for T in build_gr(cat, R).linear_sieves_on(0, 44)]
+    want = ("submodule enumeration", 36, 35)
+    assert _budget_error(lambda: gr.linear_sieves_on(0, 35)) == want
+    assert _budget_error(lambda: build_gr(cat, R).linear_sieves_on(0, 35)) == want
+    keys = [T.key() for T in gr.linear_sieves_on(0, 36)]
+    assert keys == [T.key() for T in build_gr(cat, R).linear_sieves_on(0, 36)]
     assert len(keys) == 8
 
 

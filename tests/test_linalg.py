@@ -180,17 +180,18 @@ def test_budget_guard():
 
 
 def test_submodule_budget_charges_every_closure(monkeypatch):
-    # F2^3 has 8 vectors and 16 subspaces; the search takes 84 Howell forms,
-    # 7 to close the nonzero vectors and 77 for the sums S + C
+    # F2^3 has 8 vectors and 16 subspaces; the search takes 47 Howell forms,
+    # 7 to close the nonzero vectors and 40 to join each cyclic C to the
+    # subspaces found before it that do not contain it
     howells = []
     real = linalg._howell_rows
     monkeypatch.setattr(linalg, "_howell_rows", lambda *args: howells.append(1) or real(*args))
-    subs = linalg.enumerate_submodules(3, 2, budget=84)
+    subs = linalg.enumerate_submodules(3, 2, budget=47)
     assert len(subs) == 16
-    assert len(howells) == 84
+    assert len(howells) == 47
     with pytest.raises(linalg.BudgetExceededError) as err:
-        linalg.enumerate_submodules(3, 2, budget=83)
-    assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 84, 83)
+        linalg.enumerate_submodules(3, 2, budget=46)
+    assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 47, 46)
 
 
 # The closure search that enumerate_submodules replaced: grow each found
@@ -255,6 +256,25 @@ def test_enumerate_submodules_matches_the_closure_search(case):
     assert_same_spans(got, oracle_enumerate_submodules(width, n, mats))
     for H in got[1:]:
         assert_same_spans([linalg.stable_closure(H[:1], mats, n, width)], [oracle_stable_closure(H[:1], mats, n, width)])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(stable_sets())
+def test_minimal_submodules_are_the_atoms_of_the_lattice(case):
+    n, width, mats = case
+    assume(linalg.is_prime(n))
+    lattice = linalg.enumerate_submodules(width, n, mats)
+    atoms = [
+        H for H in lattice[1:]
+        if not any(0 < K.shape[0] < H.shape[0] and not linalg.reduce_vector(H, K, n).any() for K in lattice)
+    ]
+    got = sorted(linalg.minimal_submodules(width, n, mats), key=lambda H: (linalg.span_size(H, n), linalg.span_key(H)))
+    assert_same_spans(got, atoms)
+
+
+def test_minimal_submodules_refuse_a_composite_modulus():
+    with pytest.raises(ValueError):
+        linalg.minimal_submodules(2, 4)
 
 
 def test_submodule_budget_stops_the_rank_12_right_ideal_search():

@@ -20,7 +20,7 @@ import pytest
 
 from torsite import cli, files, grskew, linalg
 from torsite import torsion as tn
-from torsite.algebra import constant_presheaf, restrict_presheaf
+from torsite.algebra import BaseRing, FiniteAlgebra, constant_presheaf, restrict_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
 from torsite.fincat import full_subcategory
 from torsite.fixtures import (
@@ -211,11 +211,11 @@ def test_universe_of_a_rank_zero_algebra_ignores_a_huge_bound():
 def test_universe_budget_on_extension_scan(monkeypatch):
     # the a2_f2xf2 site at dim 2: 20 pairs (V, S) scanned, with
     # sum p^dim Ext^1(V, S) = 22 candidates, past GL(2, 2) (2^4
-    # candidates).  The right-ideal search takes more closures than
+    # candidates).  The search for the simples refuses 2^6 vectors past
     # either budget, so the simples are found beforehand
     cat, R, _ = load_site("a2_f2xf2")
     A = grskew.build_skew_algebra(cat, R)
-    simples = tn._simple_modules(A, 2, tn.DEFAULT_UNIVERSE_BUDGET)
+    simples = tn._simple_modules(A, tn.DEFAULT_UNIVERSE_BUDGET)
     monkeypatch.setattr(tn, "_simple_modules", lambda *args: simples)
     with pytest.raises(BudgetExceededError) as err:
         tn.ModuleUniverse(A, 2, budget=21)
@@ -225,30 +225,38 @@ def test_universe_budget_on_extension_scan(monkeypatch):
     assert len(U) == 17
 
 
+@functools.cache
+def _gl(n: int, m: int):
+    return tn._invertible_matrices(n, m, tn.DEFAULT_UNIVERSE_BUDGET)
+
+
+def canonical_key(V) -> tuple:
+    """The key ModuleUniverse gives V: its conjugation-minimal action tensor."""
+    n, m = V.algebra.base.modulus, V.dim
+    if m == 0:
+        return (0, V.act.tobytes())
+    G, Ginv = _gl(n, m)
+    conj = np.matmul(np.matmul(Ginv[:, None], V.act[None]), G[:, None]) % n
+    return (m, min(c.tobytes() for c in conj))
+
+
 def oracle_module_universe(A, dim_bound: int) -> list:
     """The members of ModuleUniverse(A, dim_bound) from a scan of every
     cocycle in Z^1(V, S), where the universe scans one per class of
     Ext^1(V, S)."""
     n = A.base.modulus
-    gl, keys = {}, {}
+    keys = {}
 
     def canon(V):
-        m, ck = V.dim, V.act.tobytes()
-        if (m, ck) not in keys:
-            if m == 0:
-                keys[(m, ck)] = (0, ck)
-            else:
-                if m not in gl:
-                    gl[m] = tn._invertible_matrices(n, m, tn.DEFAULT_UNIVERSE_BUDGET)
-                G, Ginv = gl[m]
-                conj = np.matmul(np.matmul(Ginv[:, None], V.act[None]), G[:, None]) % n
-                keys[(m, ck)] = (m, min(c.tobytes() for c in conj))
-        return keys[(m, ck)]
+        ck = (V.dim, V.act.tobytes())
+        if ck not in keys:
+            keys[ck] = canonical_key(V)
+        return keys[ck]
 
     zero = zero_skew_module(A)
     seen = {canon(zero): zero}
     by_dim = [[zero]]
-    simples = {canon(S): S for S in tn._simple_modules(A, dim_bound, tn.DEFAULT_UNIVERSE_BUDGET)}
+    simples = {canon(S): S for S in tn._simple_modules(A, tn.DEFAULT_UNIVERSE_BUDGET)}
     simples = [simples[k] for k in sorted(simples)]
     for m in range(1, dim_bound + 1 if simples else 1):
         by_dim.append([])
@@ -312,22 +320,156 @@ def test_universe_scans_one_cocycle_per_extension_class(monkeypatch, case):
     assert [count for _, _, count in scans] == [n ** ext1_skew(V, S) for V, S, _ in scans]
 
 
-def test_universe_budget_on_right_ideals():
+# The route to the simples that _simple_modules replaced: the quotients of
+# A by its maximal right ideals, read off the whole right-ideal lattice.
+
+
+def oracle_simple_modules(A: FiniteAlgebra, dim_bound: int, budget: int) -> list:
+    """The simple modules A/m of dimension <= dim_bound, m a maximal right ideal.
+
+    A right ideal H is maximal iff no proper right ideal of smaller
+    codimension contains it.  Returned with repetitions: isomorphic
+    quotients are not identified.
+    """
+    n = A.base.modulus
+    if n**A.rank > budget:
+        raise BudgetExceededError("module universe right ideals", n**A.rank, budget)
+    R = regular_module(A)
+    ideals = linalg.enumerate_submodules(A.rank, n, list(R.act), budget)
+    simples = []
+    for i, H in enumerate(ideals):  # in size order: the larger ideals come after H
+        codim = A.rank - H.shape[0]
+        if 0 < codim <= dim_bound and not any(
+            0 < A.rank - K.shape[0] < codim and not linalg.reduce_vector(K, H, n).any()
+            for K in ideals[i + 1:]
+        ):
+            simples.append(quotient_module(R, H)[0])
+    return simples
+
+
+def matrix_algebra(p: int, k: int, upper: bool = False) -> FiniteAlgebra:
+    """M_k(F_p), or its upper triangular matrices, on the matrix units e_ij."""
+    units = [(i, j) for i in range(k) for j in range(k) if i <= j or not upper]
+    mul = np.zeros((len(units),) * 3, dtype=np.int64)
+    for a, (i, j) in enumerate(units):
+        for b, (j2, l) in enumerate(units):
+            if j == j2:
+                mul[a, b, units.index((i, l))] = 1
+    return FiniteAlgebra(BaseRing(p), mul, [int(i == j) for i, j in units])
+
+
+def f4_over_f2() -> FiniteAlgebra:
+    """The field with four elements as an F2-algebra: basis 1, x with x^2 = x + 1."""
+    mul = np.zeros((2, 2, 2), dtype=np.int64)
+    mul[0, 0, 0] = mul[0, 1, 1] = mul[1, 0, 1] = mul[1, 1, 0] = mul[1, 1, 1] = 1
+    return FiniteAlgebra(BaseRing(2), mul, [1, 0])
+
+
+def product_algebra(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
+    r, s = A.rank, B.rank
+    mul = np.zeros((r + s,) * 3, dtype=np.int64)
+    mul[:r, :r, :r], mul[r:, r:, r:] = A.mul, B.mul
+    return FiniteAlgebra(A.base, mul, np.concatenate([A.unit, B.unit]))
+
+
+SIMPLE_CASES = {
+    **{name: lambda name=name: grskew.build_skew_algebra(*load_site(name)[:2]) for name in SITE_PRESHEAVES},
+    "a2_mixed": lambda: grskew.build_skew_algebra(a2_category(), a2_mixed_presheaf(2)),
+    "t2_f2": lambda: t2_algebra(2),
+    "t2_f3": lambda: t2_algebra(3),
+    "group_c2_f2": lambda: group_algebra_c2(2),
+    "group_c2_f3": lambda: group_algebra_c2(3),
+    "f2xf2": lambda: product_field_algebra(2, 2),
+    "a2_f5": lambda: _skew(a2_category(), field_algebra(5)),
+    # simples of dimension 2 (M2, F4 and the products with them), and a
+    # longer chain of simples (T3)
+    "m2_f2": lambda: matrix_algebra(2, 2),
+    "m2_f3": lambda: matrix_algebra(3, 2),
+    "f4_f2": f4_over_f2,
+    "t3_f2": lambda: matrix_algebra(2, 3, upper=True),
+    "m2_f2_x_f4": lambda: product_algebra(matrix_algebra(2, 2), f4_over_f2()),
+    "t2_f2_x_m2_f2": lambda: product_algebra(t2_algebra(2), matrix_algebra(2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", SIMPLE_CASES)
+def test_simple_modules_match_the_maximal_right_ideals(case):
+    # the same simples, up to isomorphism, from D(A) as from the quotients
+    # A/m; on T2(F2) the regular module in place of D(A) would find only
+    # S2, which is all of soc(A_A)
+    A = SIMPLE_CASES[case]()
+    got = tn._simple_modules(A, tn.DEFAULT_UNIVERSE_BUDGET)
+    want = oracle_simple_modules(A, A.rank, tn.DEFAULT_UNIVERSE_BUDGET)
+    assert {canonical_key(S) for S in got} == {canonical_key(S) for S in want}
+
+
+def test_universe_budget_on_simple_modules():
     with pytest.raises(BudgetExceededError) as err:
         tn.ModuleUniverse(t2_algebra(2), 1, budget=4)
-    assert err.value.what == "module universe right ideals"
+    assert err.value.what == "module universe simple modules"
 
 
-def test_universe_budget_charges_the_right_ideal_closures():
-    # the right ideals of the a2 mixed algebra fit in 2^4 vectors, but
-    # finding them takes 123 Howell forms
+def test_universe_budget_charges_one_closure_per_point_of_the_dual(monkeypatch):
+    # the a2 mixed algebra has rank 4 over F2.  The closure pass on D(A)
+    # takes one Howell form per point, 15, since each vA is spanned by
+    # v and its images; that is below the 2^4 vectors refused up front,
+    # so the up-front check is the one that stops the build
     A = grskew.build_skew_algebra(a2_category(), a2_mixed_presheaf(2))
+    howells = []
+    real = linalg._howell_rows
+    monkeypatch.setattr(linalg, "_howell_rows", lambda *args: howells.append(1) or real(*args))
+    simples = linalg.minimal_submodules(A.rank, 2, A.mul.transpose(0, 2, 1), budget=16)
+    monkeypatch.setattr(linalg, "_howell_rows", real)
+    assert len(howells) == 15 and len(simples) == 3
     with pytest.raises(BudgetExceededError) as err:
-        tn.ModuleUniverse(A, 2, budget=122)
-    assert (err.value.what, err.value.needed, err.value.budget) == ("submodule enumeration", 123, 122)
-    U = tn.ModuleUniverse(A, 2, budget=123)
+        tn.ModuleUniverse(A, 2, budget=15)
+    assert (err.value.what, err.value.needed, err.value.budget) == ("module universe simple modules", 16, 15)
+    U = tn.ModuleUniverse(A, 2, budget=16)
     assert len(U) == 11
     assert [V.act.tobytes() for V in U.members] == [V.act.tobytes() for V in tn.ModuleUniverse(A, 2).members]
+
+
+def test_universe_enumerates_no_submodule_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a submodule lattice enumerated while a universe is built")
+
+    monkeypatch.setattr(linalg, "enumerate_submodules", refuse)
+    # the last is the a3 chain with F2 x F2 at each object, of rank 12
+    for A in (t2_algebra(2), _skew(a2_category(), field_algebra(3)), _skew(a3_category(), product_field_algebra(2, 2))):
+        assert tn.ModuleUniverse(A, 2).simple_indices
+
+
+def _run(argv: list, timeout: float):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_universe_of_the_rank_12_chain_at_dim_3_within_seconds():
+    # the simples took about 26 s from the right-ideal lattice
+    code = """
+from torsite.algebra import constant_presheaf
+from torsite.fixtures import a3_category, product_field_algebra
+from torsite.grskew import build_skew_algebra
+from torsite.torsion import ModuleUniverse
+A = build_skew_algebra(a3_category(), constant_presheaf(a3_category(), product_field_algebra(2, 2)))
+U = ModuleUniverse(A, 3)
+print(len(U), len(U.simple_indices))
+"""
+    out = _run(["-c", code], timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["114", "6"]
+
+
+def test_classify_reaches_the_rank_12_chain_at_dim_2(tmp_path):
+    cat = a3_category()
+    presheaf = tmp_path / "a3_f2xf2.json"
+    files.dump_json(files.presheaf_to_doc(cat, constant_presheaf(cat, product_field_algebra(2, 2))), str(presheaf))
+    argv = ["classify", str(presheaf), os.path.join(SITES, "a3_full_topology.json"), "--dim-bound", "2"]
+    out = _run(["-m", "torsite.cli", *argv], timeout=20)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["ok"] and doc["counts"] == _reach_counts(32, 64, 4)
 
 
 def test_ideals_of_the_rank_12_chain_within_seconds():
@@ -341,9 +483,7 @@ from torsite.torsion import enumerate_ideals
 A = build_skew_algebra(a3_category(), constant_presheaf(a3_category(), product_field_algebra(2, 2)))
 print(A.rank, len(enumerate_ideals(A)))
 """
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    out = _run(["-c", code], timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["12", "196"]
 
@@ -1077,6 +1217,25 @@ def test_classify_passes_its_budget_to_every_stage(monkeypatch):
     assert rep.ok
     assert {stage for stage, _ in budgets} == {"ideals", "sieves"}
     assert {budget for _, budget in budgets} == {2**21}
+
+
+def test_classify_requires_one_idempotent_ideal_per_set_of_simples(monkeypatch):
+    # T2(F2) has 2 simples and 4 idempotent ideals.  Without the non-central
+    # ideal of the least key every certificate still passes on 3 ideals;
+    # only their count, 2^2 from the simples of D(A), catches the loss
+    real = tn.enumerate_idempotent_ideals
+
+    def drop_one(A, *args, **kwargs):
+        central = {tn.ideal_generated_by(A, [e]) for e in tn.central_idempotents(A)}
+        ideals = real(A, *args, **kwargs)
+        return [I for I in ideals if I != next(I for I in ideals if I not in central)]
+
+    monkeypatch.setattr(tn, "enumerate_idempotent_ideals", drop_one)
+    cat, R, J = load_site("a2_f2")
+    rep = tn.classify(cat, R, J, dim_bound=2)
+    assert not rep.ok and rep.counts["idempotent_ideals"] == 3
+    argv = ["classify", os.path.join(SITES, "a2_f2.json"), os.path.join(SITES, "a2_full_topology.json")]
+    assert cli.main([*argv, "--dim-bound", "2"]) == 1
 
 
 def test_classify_fails_when_the_topology_class_differs_from_y(monkeypatch):
