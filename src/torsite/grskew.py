@@ -11,8 +11,8 @@ ideals of A = R[C] inside e_x A, kept in A's coordinates (LinearSieve);
 Gr's composition tables serve only end_generator_iso and ``torsite gr``.
 Linear topologies are checked and enumerated by finite linear algebra
 over Z/n.  Each GrCategory owns, in one memo, every table that does not
-depend on a module (the sieve lists, subfunctor reports, pullbacks, the
-cover data of torsite.modules), so equal sieves in topologies share one.
+depend on a module (the sieve lists, subfunctor reports, the cover data
+of torsite.modules), so equal sieves in topologies share one.
 """
 from __future__ import annotations
 
@@ -117,6 +117,11 @@ class GrCategory:
 
         return self.memo(("sieves", x, budget), search)
 
+    def sieves_above(self, F: "LinearSieve", budget: int = DEFAULT_LINEAR_BUDGET) -> list:
+        """The linear sieves on F.target that contain F, in key order, memoised under ("above", F.key(), budget)."""
+        sieves = self.linear_sieves_on(F.target, budget)
+        return self.memo(("above", F.key(), budget), lambda: [T for T in sieves if T.contains(F)])
+
     def memo(self, key, build):
         """build(), once per key such as ("report", T.key()); a build that raises stores nothing."""
         if key not in self._memo:
@@ -126,16 +131,6 @@ class GrCategory:
     def sieve_report(self, T: "LinearSieve") -> ValidationReport:
         """validate_linear_sieve(T), memoised under ("report", T.key())."""
         return self.memo(("report", T.key()), lambda: validate_linear_sieve(T))
-
-    def pullback_keys(self, T: "LinearSieve", y: int) -> tuple:
-        """Keys of f^*(T) for every f in hom(y, T.target), in all_vectors order.
-
-        Entry vector_index(f) belongs to f; the tuple is computed by
-        pullback_linear_sieve and memoised under ("pullbacks", T.key(), y).
-        """
-        vecs = linalg.all_vectors(self.hom_rank(y, T.target), self.base.modulus)  # lazy
-        keys = (pullback_linear_sieve(self, T, y, f).key() for f in vecs)
-        return self.memo(("pullbacks", T.key(), y), lambda: tuple(keys))
 
     def __repr__(self):
         return f"GrCategory({self.cat!r})"
@@ -373,14 +368,6 @@ def pullback_linear_sieve(gr: GrCategory, T: LinearSieve, y: int, f_vec) -> Line
     return LinearSieve(gr, y, K[:, :L.shape[0]])
 
 
-def vector_index(f, n: int) -> int:
-    """Position of f in linalg.all_vectors(len(f), n)."""
-    i = 0
-    for t in f:
-        i = i * n + int(t)
-    return i
-
-
 class LinearTopology:
     def __init__(self, gr: GrCategory, covers):
         self.gr = gr
@@ -391,6 +378,10 @@ class LinearTopology:
 
     def covers_at(self, x: int):
         return self.covers[x]
+
+    def least_cover(self, x: int):
+        """The smallest cover of x, or None if x has none."""
+        return min(self.covers[x], key=lambda T: linalg.span_size(T.rows, self.gr.base.modulus), default=None)
 
     def contains(self, T: LinearSieve) -> bool:
         return T.key() in self._keys[T.target]
@@ -428,8 +419,17 @@ def linearize_topology(
 def is_linear_topology(
     gr: GrCategory, Jp: LinearTopology, budget: int = DEFAULT_LINEAR_BUDGET
 ) -> ValidationReport:
-    """Certify Jp: covers are subfunctors, maximal sieves cover, stability
-    under pullback, transitivity.  Pullbacks come from gr's table."""
+    """Certify Jp by its least covers F_x: covers are subfunctors, maximal
+    sieves cover, the covers of x are the sieves containing F_x (least-cover),
+    f * F_y lies in F_x for each basis element f of hom(y, x) (stability),
+    and F_x lies in F_x * F, the span of t * g over t in F_x e_y and g in F_y.
+
+    A linear topology is closed upward and under finite intersections
+    (B. Stenstrom, Rings of Quotients, ch. VI), so it has least covers.
+    Then f^*(T) covers iff f * F_y lies in T, hardest at T = F_x, and a
+    non-cover S is forced by some cover iff S contains the sieve F_x * F:
+    the last two rules are stability and transitivity along every f.
+    """
     rep = ValidationReport("linear topology")
     n = gr.base.modulus
     objs = range(gr.cat.n_objects)
@@ -445,29 +445,26 @@ def is_linear_topology(
         rep.checked += 1
         if not Jp.contains(maximal_linear_sieve(gr, x)):
             rep.add("maximal-subfunctor-covers", (x,))
-    covering = Jp.key()
-    for x in objs:
-        for T in Jp.covers_at(x):
-            for y in objs:
-                vecs = itertools.product(range(n), repeat=gr.hom_rank(y, x))
-                for key, f in zip(gr.pullback_keys(T, y), vecs):
-                    rep.checked += 1
-                    if key not in covering[y]:
-                        rep.add("stability", (x, y, f))
-                        break
-    for x in objs:
-        for S1 in Jp.covers_at(x):
-            for S2 in gr.linear_sieves_on(x, budget):
-                if Jp.contains(S2):
-                    continue
-                rep.checked += 1
-                forced = all(
-                    gr.pullback_keys(S2, y)[vector_index(f, n)] in covering[y]
-                    for y in objs
-                    for f in linalg.span_elements(S1.components[y], n)
-                )
-                if forced:
-                    rep.add("transitivity", (x, S2.key()[1], S1.key()[1]))
+    least = [Jp.least_cover(x) for x in objs]
+    for x, F in zip(objs, least):
+        rep.checked += 1
+        if F is None or Jp.key()[x] != {T.key() for T in gr.sieves_above(F, budget)}:
+            rep.add("least-cover", (x,))
+    if not rep.ok:
+        return rep
+    products = {x: [] for x in objs}  # t * g for t in F_x e_y and g in F_y, over all y
+    for x, y in itertools.product(objs, objs):
+        offs = gr.offsets[x]
+        # Q[k, f] = basis element f of hom(y, x) times row k of F_y
+        Q = np.einsum("kq,qfr->kfr", least[y].rows, gr.right_action[x][gr.columns[y], offs[y]:offs[y + 1]]) % n
+        rep.checked += 1
+        if linalg.reduce_vector(least[x].rows, Q, n).any():
+            rep.add("stability", (x, y))
+        products[x].append(np.einsum("tf,kfr->tkr", least[x].components[y], Q).reshape(-1, offs[-1]))
+    for x, F in zip(objs, least):
+        rep.checked += 1
+        if not linalg.in_span(linalg.howell_form(np.concatenate(products[x]) % n, n, gr.offsets[x][-1]), F.rows, n):
+            rep.add("transitivity", (x,))
     return rep
 
 
@@ -488,8 +485,7 @@ def ideal_topology(gr: GrCategory, ideal_rows, budget: int = DEFAULT_LINEAR_BUDG
     rows = linalg.as_matrix(ideal_rows, gr.skew.rank)
     covers = []
     for x in range(gr.cat.n_objects):
-        floor = LinearSieve(gr, x, rows[:, gr.columns[x]])
-        covers.append([T for T in gr.linear_sieves_on(x, budget) if T.contains(floor)])
+        covers.append(gr.sieves_above(LinearSieve(gr, x, rows[:, gr.columns[x]]), budget))
     return LinearTopology(gr, covers)
 
 

@@ -365,7 +365,6 @@ def _cyclic_submodules(width: int, n: int, stable_under, budget):
     if budget is not None and n**width > budget:
         raise BudgetExceededError("submodule enumeration", n**width, budget)
     mats = np.array(stable_under, dtype=np.int64).reshape(len(stable_under), width, width) % n
-    units = [u for u in range(2, n) if math.gcd(u, n) == 1]
     charged = itertools.count(1)
 
     def charge():
@@ -373,11 +372,17 @@ def _cyclic_submodules(width: int, n: int, stable_under, budget):
         if budget is not None and count > budget:
             raise BudgetExceededError("submodule enumeration", count, budget)
 
+    if is_prime(n):  # v is least up to a unit iff its first nonzero entry is 1
+        points = ([0] * i + [1, *tail]
+                  for i in reversed(range(width)) for tail in itertools.product(range(n), repeat=width - 1 - i))
+    else:
+        units = [u for u in range(2, n) if math.gcd(u, n) == 1]
+        points = (v for v in map(list, itertools.product(range(n), repeat=width))
+                  if any(v) and all(v <= [u * x % n for x in v] for u in units))
     cyclic = {}
-    for v in map(list, itertools.product(range(n), repeat=width)):
-        if any(v) and all(v <= [u * x % n for x in v] for u in units):  # v least up to a unit
-            C = _stable_rows([v, *((np.array(v) @ mats) % n).tolist()], mats, n, width, charge)
-            cyclic.setdefault(tuple(map(tuple, C)), [v, 0])[1] += 1
+    for v in points:  # each nonzero v least up to a unit, in lexicographic order
+        C = _stable_rows([v, *((np.array(v) @ mats) % n).tolist()], mats, n, width, charge)
+        cyclic.setdefault(tuple(map(tuple, C)), [v, 0])[1] += 1
     return cyclic, charge
 
 

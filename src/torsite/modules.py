@@ -445,12 +445,10 @@ def _least_covers(Jp: LinearTopology) -> tuple:
     it has one; InputError names the first object without one.
     """
     skew = Jp.gr.skew
-    n = skew.base.modulus
     blocks, owner = [], []
     for x in range(skew.cat.n_objects):
-        covers = Jp.covers_at(x)
-        least = min(covers, key=lambda T: linalg.span_size(T.rows, n), default=None)
-        if least is None or not all(T.contains(least) for T in covers):
+        least = Jp.least_cover(x)
+        if least is None or not all(T.contains(least) for T in Jp.covers_at(x)):
             raise InputError(
                 f"covers of object {skew.cat.objects[x]} have no least member: not a linear topology"
             )

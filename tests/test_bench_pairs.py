@@ -208,3 +208,37 @@ def test_closing_line_names_the_gain(bench_pairs, monkeypatch, tmp_path, capsys)
     assert closing.endswith("; wall_s gain, job_p50_s gain, job_tail_s gain")
     doc = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert doc["workloads"]["recollement"]["summary"]["setup_s"]["gain"] is False
+
+
+def test_setup_only_alternates_set_up_runs_into_setup_pairs(bench_pairs, monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run_side(checkout, workload, seed, seconds):
+        calls.append((workload, os.path.basename(checkout), seed, seconds))
+        side = os.path.basename(checkout)
+        return {"parent": {5: 0.205, 6: 0.206, 7: 0.207}, "change": {5: 0.155, 6: 0.156, 7: 0.157}}[side][seed]
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    out = tmp_path / "BENCH_x.json"
+    out.write_text(json.dumps({"workloads": {"selftest": {"kept": True}}}))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "classify-d2", "--workload",
+            "recollement", "--pairs", "3", "--seed", "5", "--out", str(out), "--setup-only"]
+    assert bench_pairs.main(argv) == 0
+    # the parent runs first on odd seeds, and every run is a set-up run (no seconds)
+    assert calls[:6] == [
+        ("classify-d2", "parent", 5, None), ("classify-d2", "change", 5, None),
+        ("classify-d2", "change", 6, None), ("classify-d2", "parent", 6, None),
+        ("classify-d2", "parent", 7, None), ("classify-d2", "change", 7, None),
+    ]
+    assert [c[0] for c in calls[6:]] == ["recollement"] * 6
+    doc = json.loads(out.read_text())
+    assert doc["workloads"] == {"selftest": {"kept": True}}
+    assert list(doc["setup_pairs"]) == ["classify-d2", "recollement"]
+    result = doc["setup_pairs"]["classify-d2"]
+    assert [(p["seed"], p["first"]) for p in result["pairs"]] == [(5, "parent"), (6, "change"), (7, "parent")]
+    assert result["pairs"][0] == {"seed": 5, "first": "parent", "parent": 0.205, "change": 0.155}
+    # quartiles per side, and setup_s's bound from BENCHMARK.json
+    assert result["summary"] == {
+        "parent": [0.2055, 0.206, 0.2065], "change": [0.1555, 0.156, 0.1565], "rel": round(-0.05 / 0.206, 4),
+        "change_better": 3, "pairs": 3, "beyond_bound": False, "unresolved": False, "gain": True,
+    }

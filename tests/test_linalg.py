@@ -272,6 +272,33 @@ def test_minimal_submodules_are_the_atoms_of_the_lattice(case):
     assert_same_spans(got, atoms)
 
 
+def oracle_cyclic_submodules(width, n, mats):
+    """The closure pass with every vector tested against every unit."""
+    units = [u for u in range(2, n) if math.gcd(u, n) == 1]
+    cyclic = {}
+    for v in map(list, itertools.product(range(n), repeat=width)):
+        if any(v) and all(v <= [u * x % n for x in v] for u in units):  # v least up to a unit
+            C = oracle_stable_closure([v], mats, n, width)
+            cyclic.setdefault(tuple(map(tuple, C.tolist())), [v, 0])[1] += 1
+    return cyclic
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 4, 6])
+def test_closure_pass_lists_the_points_of_the_unit_scan(n):
+    # over a prime the pass lists the vectors with first nonzero entry 1:
+    # the same keys, first vectors and counts, in the same order
+    from torsite.algebra import constant_presheaf
+    from torsite.fixtures import a2_category, field_algebra
+    from torsite.grskew import build_skew_algebra
+    from torsite.modules import regular_module
+
+    cat = a2_category()
+    A = build_skew_algebra(cat, constant_presheaf(cat, field_algebra(n)))
+    for mats in ((), list(regular_module(A).act)):
+        got, _ = linalg._cyclic_submodules(A.rank, n, mats, None)
+        assert list(got.items()) == list(oracle_cyclic_submodules(A.rank, n, mats).items())
+
+
 def test_minimal_submodules_refuse_a_composite_modulus():
     with pytest.raises(ValueError):
         linalg.minimal_submodules(2, 4)

@@ -29,6 +29,12 @@ run, so that the pairs cannot tell a move within the bound from noise.
 ``gain`` is the rule for claiming a gain: the change was better in at
 least nine tenths of the pairs, and its median is better than the
 parent's by more than the parent's quartile spread.
+
+With --setup-only each run is ``perfbench/run.py --workload W
+--setup-only``, one timed set-up (import and input validation) in a
+fresh interpreter, in the same alternating order.  The pairs of
+set-up seconds and the setup_s summary of them go under
+``setup_pairs[W]`` instead; --seconds is not used.
 """
 from __future__ import annotations
 
@@ -50,37 +56,43 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def compare(values: dict, metric: dict) -> dict:
+    """The summary row of one metric: values holds one list per side, in pair
+    order; metric is its end-to-end row of BENCHMARK.json ({"name", "better", ...})."""
+    sign = 1 if metric["better"] == "higher" else -1
+    better = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+    q = {side: quartiles(values[side]) for side in SIDES}
+    parent_median = q["parent"][1]
+    rel = (q["change"][1] - parent_median) / parent_median if parent_median else 0.0
+    allowed = metric["bound"] * abs(parent_median)
+    # worst change run against best parent run, signed so that > 0 is better
+    clear = min(sign * (c - p) for p in values["parent"] for c in values["change"]) > 0
+    spread = q["parent"][2] - q["parent"][0]
+    pairs = len(values["parent"])
+    return {
+        "parent": [round(v, 4) for v in q["parent"]],
+        "change": [round(v, 4) for v in q["change"]],
+        "rel": round(rel, 4),
+        "change_better": better,
+        "pairs": pairs,
+        "beyond_bound": sign * (parent_median - q["change"][1]) > allowed,
+        "unresolved": spread > allowed and not clear,
+        "gain": 10 * better >= 9 * pairs and sign * (q["change"][1] - parent_median) > spread,
+    }
+
+
 def summarize(pairs: list, metrics: list) -> dict:
     """The summary of a workload's pairs.
 
     pairs holds {"seed", "first", "parent", "change"}, each side being the
     parsed last line of a run.py run; metrics holds the end-to-end rows
-    of BENCHMARK.json ({"name", "better", ...})."""
-    summary = {}
-    for metric in metrics:
-        name = metric["name"]
-        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        sign = 1 if metric["better"] == "higher" else -1
-        better = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        q = {side: quartiles(values[side]) for side in SIDES}
-        parent_median = q["parent"][1]
-        rel = (q["change"][1] - parent_median) / parent_median if parent_median else 0.0
-        allowed = metric["bound"] * abs(parent_median)
-        # worst change run against best parent run, signed so that > 0 is better
-        clear = min(sign * (c - p) for p in values["parent"] for c in values["change"]) > 0
-        spread = q["parent"][2] - q["parent"][0]
-        gain = 10 * better >= 9 * len(pairs) and sign * (q["change"][1] - parent_median) > spread
-        summary[name] = {
-            "parent": [round(v, 4) for v in q["parent"]],
-            "change": [round(v, 4) for v in q["change"]],
-            "rel": round(rel, 4),
-            "change_better": better,
-            "pairs": len(pairs),
-            "beyond_bound": sign * (parent_median - q["change"][1]) > allowed,
-            "unresolved": spread > allowed and not clear,
-            "gain": gain,
-        }
-    return summary
+    of BENCHMARK.json."""
+    return {
+        metric["name"]: compare(
+            {side: [p[side]["metrics"][metric["name"]]["value"] for p in pairs] for side in SIDES}, metric
+        )
+        for metric in metrics
+    }
 
 
 def workload_result(pairs: list, metrics: list) -> dict:
@@ -91,33 +103,51 @@ def workload_result(pairs: list, metrics: list) -> dict:
     }
 
 
-def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One run.py run in the checkout; its last line of standard output."""
+def run_side(checkout: str, workload: str, seed: int, seconds: float | None):
+    """One run.py run in the checkout; its last line of standard output, parsed.
+
+    That is the result object, or with seconds None (a --setup-only run)
+    the seconds of one timed set-up."""
+    mode = ["--setup-only"] if seconds is None else ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, *mode],
         cwd=checkout,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
-        timeout=seconds * 10 + 300,
+        timeout=(seconds or 0) * 10 + 300,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"run.py in {checkout} exited with {proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_pairs(checkouts: dict, workload: str, pairs: int, seconds: float, seed: int, say=print) -> list:
+def run_pairs(checkouts: dict, workload: str, pairs: int, seconds: float | None, seed: int, say=print) -> list:
     out = []
     for seed_k in range(seed, seed + pairs):
         order = SIDES if seed_k % 2 else SIDES[::-1]
         pair = {"seed": seed_k, "first": order[0]}
         for side in order:
             pair[side] = run_side(checkouts[side], workload, seed_k, seconds)
-        say(f"seed {seed_k}: wall_s parent {pair['parent']['metrics']['wall_s']['value']:.4f}"
-            f" change {pair['change']['metrics']['wall_s']['value']:.4f}")
+        if seconds is None:
+            say(f"seed {seed_k}: setup_s parent {pair['parent']:.4f} change {pair['change']:.4f}")
+        else:
+            say(f"seed {seed_k}: wall_s parent {pair['parent']['metrics']['wall_s']['value']:.4f}"
+                f" change {pair['change']['metrics']['wall_s']['value']:.4f}")
         out.append(pair)
     return out
+
+
+def write_result(path: str, section: str, workload: str, result: dict):
+    """Put result under doc[section][workload] of the JSON file at path, keeping the rest."""
+    doc = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc.setdefault(section, {})[workload] = result
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -129,21 +159,24 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--setup-only", action="store_true", help="time set-ups only, into setup_pairs")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for workload in args.workload:
+        if args.setup_only:
+            pairs = run_pairs(checkouts, workload, args.pairs, None, args.seed)
+            setup = next(m for m in metrics if m["name"] == "setup_s")
+            row = compare({side: [p[side] for p in pairs] for side in SIDES}, setup)
+            write_result(args.out, "setup_pairs", workload, {"summary": row, "pairs": pairs})
+            print(f"{workload} setup_s {row['parent'][1]} -> {row['change'][1]} ({row['rel']:+.1%}),"
+                  f" change better in {row['change_better']}/{row['pairs']}")
+            continue
         pairs = run_pairs(checkouts, workload, args.pairs, args.seconds, args.seed)
-        doc = {}
-        if os.path.exists(args.out):
-            with open(args.out) as fh:
-                doc = json.load(fh)
-        doc.setdefault("workloads", {})[workload] = result = workload_result(pairs, metrics)
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        result = workload_result(pairs, metrics)
+        write_result(args.out, "workloads", workload, result)
         wall = result["summary"]["wall_s"]
         flagged = [f"{name} {flag}" for name, row in result["summary"].items()
                    for flag in ("beyond_bound", "unresolved", "gain") if row[flag]]
