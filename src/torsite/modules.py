@@ -706,6 +706,22 @@ def _all_matrices(n: int, rows: int, cols: int) -> np.ndarray:
     return (np.arange(count, dtype=np.int64)[:, None] // powers % n).reshape(count, rows, cols)
 
 
+def _word_actions(stacks: np.ndarray, words, coeff: np.ndarray, n: int) -> np.ndarray:
+    """The (k, rank, dim, dim) action tensors of k candidate structures.
+
+    stacks[t] is the (k, dim, dim) stack of the candidates' matrices of
+    generator t; basis element i acts as sum_w coeff[i, w] times the
+    product along words[w], a tuple of generator positions.  Every word
+    but the empty one extends an earlier word by one generator
+    (_generating_words builds them so), which costs one matmul.
+    """
+    k, dim = stacks.shape[1:3]
+    products = {(): np.broadcast_to(np.eye(dim, dtype=np.int64), (k, dim, dim))}
+    for word in words[1:]:
+        products[word] = products[word[:-1]] @ stacks[word[-1]] % n
+    return np.einsum("iw,wkab->kiab", coeff, np.stack([products[w] for w in words])) % n
+
+
 def enumerate_skew_module_structures(
     A: FiniteAlgebra, dim: int, budget: int = 2**22
 ) -> list:
@@ -713,11 +729,16 @@ def enumerate_skew_module_structures(
 
     Candidate idx gives generator gens[t] the matrix numbered
     (idx // img_count**t) % img_count; the structures come out in order of
-    idx.  The generators are fixed one at a time, the last first, and each
-    relation (the unit axiom and associativity at every basis pair (i, j))
-    is tested as soon as every generator its elements depend on is fixed,
-    so most candidates are dropped before the remaining generators
-    multiply them.  Every returned structure has passed every relation.
+    idx.  Each relation (the unit axiom and associativity at every basis
+    pair (i, j)) reads the generators in the words that span its
+    elements.  A relation that reads one generator alone cuts that
+    generator's table, once, to the matrices that satisfy it.  The
+    generators are then fixed one at a time, the last first, each from its
+    cut table (kept in ascending order), and every other relation is
+    tested at the stage that fixes the last generator it reads.  The
+    generator fixed first is cut by its own stage, which tests the
+    relations that read it alone on its whole table.  Every returned
+    structure has passed every relation.
 
     Over a prime modulus the unit check rejects nothing.  _generating_words
     starts from the unit (the empty word) and adds a word only when its
@@ -742,65 +763,54 @@ def enumerate_skew_module_structures(
     if total > budget:
         raise BudgetExceededError("module structure enumeration", total, budget)
     G = len(gens)
-    # Basis element i depends on gens[low[i]:] at most: the generators in
-    # the words that span it.  A relation on the elements E is ready once
-    # gens[G - s:] are fixed, at stage s = G - min(low[e] for e in E).
-    low = [
-        min(
-            (gens.index(g) for w, word in enumerate(words) if coeff[i, w] % n for g in word),
-            default=G,
-        )
-        for i in range(A.rank)
+    words = [tuple(gens.index(g) for g in word) for word in words]  # generators by position
+    reads = [{t for w, word in enumerate(words) if coeff[i, w] % n for t in word} for i in range(A.rank)]
+    # each relation, the unit axiom (None) or the pair (i, j), with the generators it reads
+    relations = [(None, np.flatnonzero(A.unit % n))] + [
+        ((i, j), [i, j, *np.flatnonzero(A.mul[i, j] % n)]) for i in range(A.rank) for j in range(A.rank)
     ]
-
-    def stage(elems) -> int:
-        return G - min((low[e] for e in elems), default=G)
-
-    unit_stage = stage(np.flatnonzero(A.unit % n))
-    pairs = [
-        (stage([i, j, *np.flatnonzero(A.mul[i, j] % n)]), i, j)
-        for i in range(A.rank)
-        for j in range(A.rank)
-    ]
-    # with no generators the table is never read, and it has img_count rows
-    all_mats = _all_matrices(n, dim, dim) if gens else None
+    cut, staged = [[] for _ in range(G)], [[] for _ in range(G + 1)]
+    for rel, elems in relations:
+        r = set().union(*(reads[e] for e in elems))
+        s = G - min(r, default=G)  # stage s fixes generator G - s, the last that r reads
+        # a relation on one generator alone cuts its table, but the first fixed is cut by its stage
+        (cut[min(r)] if len(r) == 1 and s > 1 else staged[s]).append(rel)
+    # with no generators no table of img_count rows is built: candidates index an empty one by no digit
+    all_mats = _all_matrices(n, dim, dim) if gens else np.zeros((0, dim, dim), dtype=np.int64)
+    powers = img_count ** np.arange(G, dtype=np.int64)[:, None]
     eye = np.eye(dim, dtype=np.int64)
-    out = []
     chunk = 1 << 14
-    # Survivors of the stages so far, with the digits of unfixed generators
-    # zero: those generators get the zero matrix, so elements that depend
-    # on them get wrong actions, which no ready relation reads.
-    found = np.zeros(1, dtype=np.int64)
-    for s in range(G + 1):
-        width = img_count if s else 1
-        step = img_count ** (G - s)
+
+    def extend(found, table, rels, out=None):
+        """The candidates found[a] + table[b], a outer, that pass rels; with
+        out, the structures of the survivors are appended to it.  Unfixed
+        generators have digit zero, the zero matrix, so elements that
+        depend on them get wrong actions, which no ready relation reads."""
         kept = [found[:0]]
-        for start in range(0, len(found) * width, chunk):
-            f = np.arange(start, min(start + chunk, len(found) * width))
-            idx = found[f // width] + (f % width) * step
-            k = len(idx)
-            gmats = {}
-            for t, g in enumerate(gens):
-                gmats[g] = all_mats[(idx // (img_count**t)) % img_count]  # (k, dim, dim)
-            wstack = np.empty((len(words), k, dim, dim), dtype=np.int64)
-            for wi, word in enumerate(words):
-                Mw = np.broadcast_to(eye, (k, dim, dim)).copy()
-                for g in word:
-                    Mw = np.matmul(Mw, gmats[g]) % n
-                wstack[wi] = Mw
-            act = np.einsum("iw,wkab->kiab", coeff, wstack) % n
-            if unit_stage == s:
-                ok = (np.einsum("j,kjab->kab", A.unit, act) % n == eye).all(axis=(1, 2))
-                idx, act = idx[ok], act[ok]
-            for p, i, j in pairs:
-                if p == s:
-                    lhs = np.einsum("m,kmab->kab", A.mul[i, j], act) % n
-                    ok = (lhs == (act[:, i] @ act[:, j]) % n).all(axis=(1, 2))
+        count = len(found) * len(table)
+        for start in range(0, count, chunk):
+            f = np.arange(start, min(start + chunk, count))
+            idx = found[f // len(table)] + table[f % len(table)]
+            if rels or out is not None:
+                act = _word_actions(all_mats[idx // powers % img_count], words, coeff, n)
+                for rel in rels:
+                    if rel is None:  # the unit axiom
+                        lhs, rhs = np.einsum("j,kjab->kab", A.unit, act), eye
+                    else:
+                        i, j = rel
+                        lhs, rhs = np.einsum("m,kmab->kab", A.mul[i, j], act), act[:, i] @ act[:, j]
+                    ok = (lhs % n == rhs % n).all(axis=(1, 2))
                     idx, act = idx[ok], act[ok]
+                if out is not None:
+                    out.extend(SkewModule(A, a) for a in act)
             kept.append(idx)
-            if s == G:
-                out.extend(SkewModule(A, a) for a in act)
-        found = np.concatenate(kept)
+        return np.concatenate(kept)
+
+    zero = np.zeros(1, dtype=np.int64)
+    tables = [extend(zero, np.arange(img_count, dtype=np.int64) * img_count**t, cut[t]) for t in range(G)]
+    found, out = zero, []
+    for s in range(G + 1):
+        found = extend(found, tables[G - s] if s else zero, staged[s], out if s == G else None)
     return out
 
 
@@ -808,9 +818,10 @@ def _compatible_maps(cat: FiniteCategory, R: AlgebraPresheaf, actions, stacks) -
     """Which of k candidates pass functoriality and map-action compatibility.
 
     stacks[f] is the (k, rank cod f, rank dom f) stack of the candidates'
-    matrices of morphism f; actions are the (valid) actions of every
-    object.  These are the relations of validate_module_presheaf that read
-    a map, tested on all candidates at once.
+    matrices of morphism f, and actions[x] the (k, rank R(x), rank x,
+    rank x) stack of their (valid) actions of object x.  These are the
+    relations of validate_module_presheaf that read a map, tested on all
+    candidates at once.
     """
     n = R.base.modulus
     ok = np.ones(stacks[0].shape[0], dtype=bool)
@@ -821,10 +832,10 @@ def _compatible_maps(cat: FiniteCategory, R: AlgebraPresheaf, actions, stacks) -
                 ok &= (np.matmul(stacks[g], stacks[f]) % n == stacks[gf]).all(axis=(1, 2))
     for f in range(cat.n_morphisms):
         x, y = cat.dom(f), cat.cod(f)
-        # moved[j] acts on M(x) as the basis element j of R(y) restricted along f
-        moved = np.einsum("jm,mkl->jkl", R.map(f) % n, actions[x]) % n
-        lhs = np.einsum("jab,kbc->kjac", actions[y], stacks[f]) % n
-        rhs = np.einsum("kab,jbc->kjac", stacks[f], moved) % n
+        # moved[k, j] acts on M(x) as the basis element j of R(y) restricted along f
+        moved = np.einsum("jm,kmab->kjab", R.map(f) % n, actions[x]) % n
+        lhs = actions[y] @ stacks[f][:, None] % n
+        rhs = stacks[f][:, None] @ moved % n
         ok &= (lhs == rhs).all(axis=(1, 2, 3))
     return ok
 
@@ -837,17 +848,18 @@ def enumerate_module_presheaves(
     For each rank tuple the candidates come in the order of
     itertools.product over the action choices, then over the matrices of
     the non-identity morphisms (numbered as in _all_matrices).  Identity
-    morphisms get identity matrices, and the actions are valid module
-    structures, so the remaining relations of validate_module_presheaf
-    are tested on chunks of map candidates at once.
+    morphisms get identity matrices, and the actions are the structures of
+    enumerate_skew_module_structures, which pass every module relation, so
+    the remaining relations of validate_module_presheaf are tested on
+    chunks of (action choice, map) candidates at once, with each object's
+    structures stacked per candidate.
     """
     n = R.base.modulus
     out = []
     obj_structures = {}
     for x in range(cat.n_objects):
         obj_structures[x] = {
-            m: [V for V in enumerate_skew_module_structures(R.algebra(x), m, budget) if validate_skew_module(V).ok]
-            for m in range(max_total + 1)
+            m: enumerate_skew_module_structures(R.algebra(x), m, budget) for m in range(max_total + 1)
         }
     rank_tuples = [
         ranks
@@ -870,30 +882,24 @@ def enumerate_module_presheaves(
             combos *= n ** (rows * cols)
         if combos > budget:
             raise BudgetExceededError("module presheaf enumeration", combos, budget)
-        map_choices = dict(zip(nonid, (_all_matrices(n, rows, cols) for rows, cols in shapes)))
-        total = n ** sum(rows * cols for rows, cols in shapes)
-        for actions in itertools.product(*action_choices):
-            acts = [V.act for V in actions]
-            for start in range(0, total, chunk):
-                c = np.arange(start, min(start + chunk, total))
-                # candidate c takes matrix digits[f][c] of f, the last
-                # morphism's digit varying fastest as in itertools.product
-                digits, stride = {}, total
-                for f, table in map_choices.items():
-                    stride //= len(table)
-                    digits[f] = (c // stride) % len(table)
-                stacks = []
-                for f in range(cat.n_morphisms):
-                    if f in map_choices:
-                        stacks.append(map_choices[f][digits[f]])
-                    else:
-                        r = ranks[cat.dom(f)]
-                        stacks.append(np.broadcast_to(np.eye(r, dtype=np.int64), (len(c), r, r)))
-                for i in np.flatnonzero(_compatible_maps(cat, R, acts, stacks)):
-                    maps = [
-                        map_choices[f][digits[f][i]] if f in map_choices
-                        else np.eye(ranks[cat.dom(f)], dtype=np.int64)
-                        for f in range(cat.n_morphisms)
-                    ]
-                    out.append(ModulePresheaf(cat, R, ranks, maps, acts))
+        if not all(action_choices):
+            continue  # some object has no structure of its rank
+        # each object's structures, then each non-identity morphism's matrices
+        tables = [np.stack([V.act for V in ch]) for ch in action_choices]
+        tables += [_all_matrices(n, rows, cols) for rows, cols in shapes]
+        for start in range(0, combos, chunk):
+            c = np.arange(start, min(start + chunk, combos))
+            # candidate c takes entry digits[t][c] of table t, the last
+            # table's digit varying fastest as in itertools.product
+            digits, stride = [], combos
+            for table in tables:
+                stride //= len(table)
+                digits.append(c // stride % len(table))
+            picked = [table[d] for table, d in zip(tables, digits)]
+            acts, maps = picked[: cat.n_objects], dict(zip(nonid, picked[cat.n_objects :]))
+            eyes = [np.broadcast_to(np.eye(r, dtype=np.int64), (len(c), r, r)) for r in ranks]
+            stacks = [maps[f] if f in maps else eyes[cat.dom(f)] for f in range(cat.n_morphisms)]
+            for i in np.flatnonzero(_compatible_maps(cat, R, acts, stacks)):
+                # copies, so that no presheaf holds on to the chunk's stacks
+                out.append(ModulePresheaf(cat, R, ranks, [s[i].copy() for s in stacks], [a[i].copy() for a in acts]))
     return out

@@ -242,3 +242,54 @@ def test_setup_only_alternates_set_up_runs_into_setup_pairs(bench_pairs, monkeyp
         "parent": [0.2055, 0.206, 0.2065], "change": [0.1555, 0.156, 0.1565], "rel": round(-0.05 / 0.206, 4),
         "change_better": 3, "pairs": 3, "beyond_bound": False, "unresolved": False, "gain": True,
     }
+
+
+def test_trace_records_one_traced_run_per_side_into_traced(bench_pairs, monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run_side(checkout, workload, seed, seconds, trace=0):
+        side = os.path.basename(checkout)
+        calls.append((workload, side, seed, seconds, trace))
+        value = {"parent": 0.02, "change": 0.004}[side]
+        return {"correct": True, "attempted": 8, "failed": 0,
+                "metrics": {"modules.enumerate_skew_module_structures.self_s": {"value": value, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    out = tmp_path / "BENCH_x.json"
+    out.write_text(json.dumps({"workloads": {"selftest": {"kept": True}}}))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "selftest", "--workload",
+            "recollement", "--seconds", "20", "--seed", "8", "--out", str(out), "--trace"]
+    assert bench_pairs.main(argv) == 0
+    # one traced run per side and workload, the change first on an even seed; --pairs is not read
+    assert calls == [
+        ("selftest", "change", 8, 20.0, 1), ("selftest", "parent", 8, 20.0, 1),
+        ("recollement", "change", 8, 20.0, 1), ("recollement", "parent", 8, 20.0, 1),
+    ]
+    doc = json.loads(out.read_text())
+    assert doc["workloads"] == {"selftest": {"kept": True}}
+    assert list(doc["traced"]) == ["selftest", "recollement"]
+    traced = doc["traced"]["selftest"]
+    assert (traced["seed"], traced["first"]) == (8, "change")
+    assert traced["parent"]["metrics"]["modules.enumerate_skew_module_structures.self_s"]["value"] == 0.02
+    assert traced["change"]["metrics"]["modules.enumerate_skew_module_structures.self_s"]["value"] == 0.004
+
+
+def test_run_side_passes_the_trace_flag_to_run_py(bench_pairs, monkeypatch):
+    argvs = []
+
+    class Done:
+        returncode, stderr, stdout = 0, "", '{"info": {}}\n{"correct": true}\n'
+
+    def fake_run(argv, **kwargs):
+        argvs.append(argv[1:])
+        return Done()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_side("/c", "selftest", 3, 20.0, trace=1) == {"correct": True}
+    bench_pairs.run_side("/c", "selftest", 3, 20.0)
+    bench_pairs.run_side("/c", "selftest", 3, None)
+    assert argvs == [
+        ["perfbench/run.py", "--workload", "selftest", "--seed", "3", "--seconds", "20.0", "--trace", "1"],
+        ["perfbench/run.py", "--workload", "selftest", "--seed", "3", "--seconds", "20.0", "--trace", "0"],
+        ["perfbench/run.py", "--workload", "selftest", "--setup-only"],
+    ]

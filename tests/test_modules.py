@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from torsite import cli, files, linalg, modules
 from torsite.acceptance import criterion_5_sheaf_perpendicular
-from torsite.algebra import AlgebraPresheaf, BaseRing, FiniteAlgebra, constant_presheaf
+from torsite.algebra import AlgebraPresheaf, BaseRing, FiniteAlgebra, constant_presheaf, validate_presheaf
 from torsite.errors import BudgetExceededError, InputError, NotPrimeError
 from torsite.fincat import FiniteCategory
 from torsite.fixtures import (
@@ -276,9 +276,35 @@ def test_structure_enumeration_matches_oracle(make, dim_bound):
         coeff = linalg.solve_left(vecs, np.eye(A.rank, dtype=np.int64), n)
         assert words[0] == () and (A.unit @ coeff % n).tolist() == [1] + [0] * (len(words) - 1)
     for m in range(dim_bound + 1):
-        got = [(V.dim, V.act.tobytes()) for V in enumerate_skew_module_structures(A, m)]
+        structures = enumerate_skew_module_structures(A, m)
+        # enumerate_module_presheaves takes these as valid actions unchecked
+        assert all(validate_skew_module(V).ok for V in structures), m
+        got = [(V.dim, V.act.tobytes()) for V in structures]
         want = [(V.dim, V.act.tobytes()) for V in oracle_skew_module_structures(A, m)]
         assert got == want, m
+
+
+def test_structure_stages_draw_from_cut_tables(monkeypatch):
+    # T2(F2) has generators e1 = e11 (position 0) and a = e12 (position 1),
+    # a fixed first; each of the 512 matrices of F2^3 is a candidate for each.
+    A = t2_algebra(2)
+    gens, words, _ = _generating_words(A)
+    assert [A.basis_names[g] for g in gens] == ["e11", "e12"]
+    assert all(word[:-1] in words for word in words[1:])  # _word_actions extends prefixes
+    tested, real = [], modules._word_actions
+
+    def spy(stacks, words, coeff, n):
+        tested.append(stacks.shape[1])  # the candidates whose relations are tested
+        return real(stacks, words, coeff, n)
+
+    monkeypatch.setattr(modules, "_word_actions", spy)
+    got = [V.act.tobytes() for V in enumerate_skew_module_structures(A, 3)]
+    # the table of e1 cut to its 58 idempotents; stage 1, a's 512 matrices
+    # cut to its 22 of square zero; stage 2, those 22 times the 58
+    # idempotents, not times all 512.  Stage 0 has no relation to test.
+    assert tested == [512, 512, 22 * 58]
+    assert got == [V.act.tobytes() for V in oracle_skew_module_structures(A, 3)]
+    assert len(got) == 226
 
 
 def test_structure_enumeration_budget_and_edges():
@@ -400,6 +426,9 @@ def _presheaf_site(name):
         return a3_category(), constant_presheaf(a3_category(), field_algebra(2))
     if name == "idem_f2":
         return idempotent_monoid_category(), constant_presheaf(idempotent_monoid_category(), field_algebra(2))
+    if name == "a2_zero_f2":  # R(1) = 0: no structure on a nonzero M(1)
+        cat = a2_category()
+        return cat, AlgebraPresheaf(cat, [zero_algebra(2), field_algebra(2)], [np.zeros((0, 0)), [[1]], np.zeros((1, 0))])
     return {fixture: (cat, R) for fixture, cat, R in fixture_presheaves()}[name]
 
 
@@ -407,14 +436,18 @@ def _presheaf_site(name):
     "name, max_total",
     [
         ("terminal_f2", 3), ("a2_f2", 3), ("c2_f2", 3), ("terminal_f2xf2", 3),
-        ("a2_z4", 2), ("c2_z6", 2), ("a2_mixed", 2), ("a3_f2", 3), ("idem_f2", 3),
+        ("a2_z4", 2), ("c2_z6", 2), ("a2_mixed", 2), ("a3_f2", 3), ("idem_f2", 3), ("a2_zero_f2", 3),
     ],
 )
 def test_presheaf_enumeration_matches_oracle(name, max_total):
     cat, R = _presheaf_site(name)
+    assert validate_presheaf(R).ok
     got = _presheaf_entries(enumerate_module_presheaves(cat, R, max_total))
     assert got == _presheaf_entries(oracle_module_presheaves(cat, R, max_total))
     assert len(got) > max_total
+    if name == "a2_zero_f2":
+        # rank tuples with M(1) nonzero have no action choice and are skipped
+        assert [ranks for ranks, _, _ in got] == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
 
 def test_structure_enumeration_matches_brute_force_dim2():

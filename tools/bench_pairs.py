@@ -35,6 +35,13 @@ With --setup-only each run is ``perfbench/run.py --workload W
 fresh interpreter, in the same alternating order.  The pairs of
 set-up seconds and the setup_s summary of them go under
 ``setup_pairs[W]`` instead; --seconds is not used.
+
+With --trace each workload gets, in place of the pairs, one
+``perfbench/run.py --workload W --seed S0 --seconds S --trace 1`` run
+per side, in the same order as pair S0 (parent first on an odd seed).
+The last line of each, with its per-layer metrics, goes under
+``traced[W]`` as {"seed", "first", "parent", "change"}; --pairs is not
+used.
 """
 from __future__ import annotations
 
@@ -103,12 +110,12 @@ def workload_result(pairs: list, metrics: list) -> dict:
     }
 
 
-def run_side(checkout: str, workload: str, seed: int, seconds: float | None):
+def run_side(checkout: str, workload: str, seed: int, seconds: float | None, trace: int = 0):
     """One run.py run in the checkout; its last line of standard output, parsed.
 
-    That is the result object, or with seconds None (a --setup-only run)
-    the seconds of one timed set-up."""
-    mode = ["--setup-only"] if seconds is None else ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    That is the result object (with trace 1, of a traced run), or with
+    seconds None (a --setup-only run) the seconds of one timed set-up."""
+    mode = ["--setup-only"] if seconds is None else ["--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, *mode],
         cwd=checkout,
@@ -122,13 +129,19 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float | None):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def run_pair(checkouts: dict, workload: str, seconds: float | None, seed: int, **trace) -> dict:
+    """One run per side, the parent first on odd seeds; trace=1, if given, goes on to run_side."""
+    order = SIDES if seed % 2 else SIDES[::-1]
+    pair = {"seed": seed, "first": order[0]}
+    for side in order:
+        pair[side] = run_side(checkouts[side], workload, seed, seconds, **trace)
+    return pair
+
+
 def run_pairs(checkouts: dict, workload: str, pairs: int, seconds: float | None, seed: int, say=print) -> list:
     out = []
     for seed_k in range(seed, seed + pairs):
-        order = SIDES if seed_k % 2 else SIDES[::-1]
-        pair = {"seed": seed_k, "first": order[0]}
-        for side in order:
-            pair[side] = run_side(checkouts[side], workload, seed_k, seconds)
+        pair = run_pair(checkouts, workload, seconds, seed_k)
         if seconds is None:
             say(f"seed {seed_k}: setup_s parent {pair['parent']:.4f} change {pair['change']:.4f}")
         else:
@@ -160,12 +173,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", required=True)
     parser.add_argument("--setup-only", action="store_true", help="time set-ups only, into setup_pairs")
+    parser.add_argument("--trace", action="store_true", help="one traced run per side, into traced")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for workload in args.workload:
+        if args.trace:
+            pair = run_pair(checkouts, workload, args.seconds, args.seed, trace=1)
+            write_result(args.out, "traced", workload, pair)
+            print(f"{workload} traced: seed {args.seed}, {len(pair['parent']['metrics'])} per-layer metrics per side")
+            continue
         if args.setup_only:
             pairs = run_pairs(checkouts, workload, args.pairs, None, args.seed)
             setup = next(m for m in metrics if m["name"] == "setup_s")
